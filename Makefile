@@ -40,9 +40,9 @@ bench-smoke: bench-proxy bench-objective bench-scale-smoke
 bench-objective:
 	$(GO) test -run '^$$' -bench 'ObjectiveEval' -benchtime 1x -timeout 10m .
 
-# CI-sized scale sweep: one tiny design through the full flow at shard
-# counts 1 and 2, checking the sharded engine completes, samples a peak
-# heap, and routes to the same QoR (TestScaleSweepSmoke, ~5 s).
+# CI-sized scale sweep: one tiny design through the full flow, checking
+# the sweep harness completes, routes and samples a peak heap
+# (TestScaleSweepSmoke, ~5 s).
 bench-scale-smoke:
 	$(GO) test -run TestScaleSweepSmoke -timeout 10m ./internal/expt/
 
@@ -66,9 +66,9 @@ bench-core: bench-json
 bench-route:
 	BENCH_JSON=1 $(GO) test -run TestEmitBenchRouteJSON -timeout 30m -v .
 
-# Regenerates BENCH_scale.json: shard bitwise-invariance gate, then full
-# flows at jpeg scales 0.1/0.5/2.0 x shard counts 1/2/4 recording wall,
-# peak heap and routed QoR. The 2.0 points run a 109k-instance flow each;
+# Regenerates BENCH_scale.json: Workers 1/2/4 bitwise-invariance gate,
+# then full flows at jpeg scales 0.1/0.5/2.0 recording wall, peak heap
+# and routed QoR. The 2.0 points run a 109k-instance flow each;
 # expect the better part of an hour on one core.
 bench-scale:
 	BENCH_JSON=1 $(GO) test -run TestEmitBenchScaleJSON -timeout 180m -v .

@@ -1,6 +1,5 @@
-// Scale benchmarks for the sharded optimizer: full flows at growing
-// instance counts and shard counts, recording wall time, peak live heap
-// and routed QoR. TestEmitBenchScaleJSON regenerates BENCH_scale.json,
+// Scale benchmarks for the optimizer: full flows at growing instance
+// counts, recording wall time, peak live heap and routed QoR. TestEmitBenchScaleJSON regenerates BENCH_scale.json,
 // the machine-readable record behind the "10x design scale at sublinear
 // memory" claim (`make bench-scale`); TestScaleSweepSmoke in
 // internal/expt is the fast CI-sized cousin (`make bench-scale-smoke`).
@@ -21,10 +20,10 @@ import (
 	"vm1place/internal/tech"
 )
 
-// shardedDistOptAt runs one deterministic DistOpt (Workers=1, node-capped,
-// no wall deadline) at the given shard count and returns the placement.
-// Used by the invariance pre-gate below.
-func shardedDistOptAt(t *testing.T, shards int) *layout.Placement {
+// distOptAt runs one deterministic DistOpt (node-capped, no wall
+// deadline) at the given worker count and returns the placement. Used by
+// the invariance pre-gate below.
+func distOptAt(t *testing.T, workers int) *layout.Placement {
 	t.Helper()
 	tc := tech.Default()
 	lib := cells.MustNewLibrary(tc, tech.ClosedM1)
@@ -34,8 +33,7 @@ func shardedDistOptAt(t *testing.T, shards int) *layout.Placement {
 		t.Fatal(err)
 	}
 	prm := core.DefaultParams(tc, tech.ClosedM1)
-	prm.Workers = 1
-	prm.Shards = shards
+	prm.Workers = workers
 	prm.MaxNodes = 40
 	prm.TimeLimit = 0
 	ps := core.ParamSet{BW: expt.UmToDBU(10), BH: expt.UmToDBU(10), LX: 3, LY: 1}
@@ -43,16 +41,15 @@ func shardedDistOptAt(t *testing.T, shards int) *layout.Placement {
 	return p
 }
 
-// TestEmitBenchScaleJSON regenerates BENCH_scale.json: the shard
-// bitwise-invariance gate, then a scale x shard full-flow series on the
-// jpeg design whose largest point (scale 2.0, 109140 instances) is the
+// TestEmitBenchScaleJSON regenerates BENCH_scale.json: the worker-count
+// bitwise-invariance gate, then a full-flow series on the jpeg design
+// whose largest point (scale 2.0, 109140 instances) is the
 // >= 1e5-instance acceptance run. Each point records build/opt/route
 // wall seconds, the peak sampled live heap, and routed QoR. The series
-// also computes the sublinearity gate: at the highest shard count, peak
-// heap must grow slower than the window count (window count is
-// proportional to instance count here — utilization and the 20 um
-// window size are fixed across the sweep, so die area scales with the
-// instance count). Skipped unless BENCH_JSON is set — the largest
+// also computes the sublinearity gate: peak heap must grow slower than
+// the window count (window count is proportional to instance count here
+// — utilization and the 20 um window size are fixed across the sweep, so
+// die area scales with the instance count). Skipped unless BENCH_JSON is set — the largest
 // points run a full flow on a 1e5+-instance design, expect the better
 // part of an hour on one core:
 //
@@ -62,68 +59,39 @@ func TestEmitBenchScaleJSON(t *testing.T) {
 		t.Skip("set BENCH_JSON=1 to regenerate BENCH_scale.json")
 	}
 
-	// Gate 1: the scale series only means anything if every shard count
+	// Gate 1: the scale series only means anything if every worker count
 	// computes the same answer. One deterministic pass per count on
 	// identical placements, bit-compared (mirrors BENCH_core.json's
-	// placements_identical gate; TestVM1OptShardsInvariance covers the
-	// full VM1Opt loop in the regular test suite).
-	base := shardedDistOptAt(t, 1)
-	for _, k := range []int{2, 4, 8} {
-		pk := shardedDistOptAt(t, k)
+	// placements_identical gate; TestDataflowMatchesBarrierReference
+	// covers the full VM1Opt loop in the regular test suite).
+	base := distOptAt(t, 1)
+	for _, k := range []int{2, 4} {
+		pk := distOptAt(t, k)
 		for i := range base.SiteX {
 			if pk.SiteX[i] != base.SiteX[i] || pk.Row[i] != base.Row[i] || pk.Flip[i] != base.Flip[i] {
-				t.Fatalf("placements diverge between Shards=1 and Shards=%d at inst %d", k, i)
+				t.Fatalf("placements diverge between Workers=1 and Workers=%d at inst %d", k, i)
 			}
 		}
 	}
 
-	// Gate 2 + series: full flows. jpeg spans 5457 -> 109140 instances
-	// across these scales (the 2.0 point is the >= 1e5 acceptance run);
-	// every size runs at every shard count so the per-size QoR agreement
-	// and the per-shard wall/heap deltas are both on record.
+	// Series: full flows. jpeg spans 5457 -> 109140 instances across
+	// these scales (the 2.0 point is the >= 1e5 acceptance run).
 	design := "jpeg"
 	scales := []float64{0.1, 0.5, 2.0}
-	shards := []int{1, 2, 4}
 	cfg := expt.SuiteConfig{Scale: 1, Workers: 1}
-	pts, err := expt.RunScaleSweep(cfg, design, scales, shards)
+	pts, err := expt.RunScaleSweep(cfg, design, scales)
 	if err != nil {
 		t.Fatal(err)
 	}
 	expt.WriteScaleSweep(os.Stdout, pts)
 
-	// Per-size QoR agreement across shard counts. The sweep runs with
-	// the default per-window wall deadline, so large windows can
-	// truncate at different nodes run to run — agreement is recorded,
-	// not asserted (gate 1 above asserts bit-identity in the
-	// deterministic node-capped regime).
-	type qorKey struct {
-		rwl  int64
-		dm1  int
-		drvs int
-	}
-	bySize := map[int]qorKey{}
-	qorIdentical := true
-	for _, p := range pts {
-		k := qorKey{p.RWL, p.DM1, p.DRVs}
-		if prev, ok := bySize[p.NumInsts]; !ok {
-			bySize[p.NumInsts] = k
-		} else if prev != k {
-			qorIdentical = false
-			t.Logf("QoR diverges at n=%d shards=%d: %+v vs %+v", p.NumInsts, p.Shards, k, prev)
-		}
-	}
-
-	// Sublinearity: at the highest shard count, compare the smallest and
-	// largest sizes. Window count scales with instance count (fixed util
-	// and window size), so peak-heap growth below the instance-count
-	// growth is growth below the window-count growth.
-	kMax := shards[len(shards)-1]
+	// Sublinearity: compare the smallest and largest sizes. Window count
+	// scales with instance count (fixed util and window size), so
+	// peak-heap growth below the instance-count growth is growth below
+	// the window-count growth.
 	var small, large *expt.ScalePoint
 	for i := range pts {
 		p := &pts[i]
-		if p.Shards != kMax {
-			continue
-		}
 		if small == nil || p.NumInsts < small.NumInsts {
 			small = p
 		}
@@ -136,13 +104,11 @@ func TestEmitBenchScaleJSON(t *testing.T) {
 	}
 	peakGrowth := large.PeakHeapMB / small.PeakHeapMB
 	windowGrowth := float64(large.NumInsts) / float64(small.NumInsts)
-	t.Logf("peak heap growth %.2fx over %.2fx window growth (shards=%d)",
-		peakGrowth, windowGrowth, kMax)
+	t.Logf("peak heap growth %.2fx over %.2fx window growth", peakGrowth, windowGrowth)
 
 	type pointJSON struct {
 		Design     string  `json:"design"`
 		NumInsts   int     `json:"num_insts"`
-		Shards     int     `json:"shards"`
 		BuildSec   float64 `json:"build_sec"`
 		OptSec     float64 `json:"opt_sec"`
 		RouteSec   float64 `json:"route_sec"`
@@ -156,7 +122,6 @@ func TestEmitBenchScaleJSON(t *testing.T) {
 		GOMAXPROCS          int         `json:"gomaxprocs"`
 		Workers             int         `json:"workers"`
 		PlacementsIdentical bool        `json:"placements_identical"`
-		QoRIdentical        bool        `json:"qor_identical"`
 		PeakHeapGrowth      float64     `json:"peak_heap_growth"`
 		WindowGrowth        float64     `json:"window_growth"`
 		SublinearPeakHeap   bool        `json:"sublinear_peak_heap"`
@@ -166,14 +131,13 @@ func TestEmitBenchScaleJSON(t *testing.T) {
 		GOMAXPROCS:          runtime.GOMAXPROCS(0),
 		Workers:             cfg.Workers,
 		PlacementsIdentical: true,
-		QoRIdentical:        qorIdentical,
 		PeakHeapGrowth:      peakGrowth,
 		WindowGrowth:        windowGrowth,
 		SublinearPeakHeap:   peakGrowth < windowGrowth,
 	}
 	for _, p := range pts {
 		out.Points = append(out.Points, pointJSON{
-			Design: p.Design, NumInsts: p.NumInsts, Shards: p.Shards,
+			Design: p.Design, NumInsts: p.NumInsts,
 			BuildSec: p.BuildSec, OptSec: p.OptSec, RouteSec: p.RouteSec,
 			PeakHeapMB: p.PeakHeapMB, RWL: p.RWL, DM1: p.DM1, DRVs: p.DRVs,
 		})

@@ -40,14 +40,13 @@ func run() error {
 	objSweep := flag.Bool("objsweep", false,
 		"pluggable-objective workloads: netsep margins, slackalpha weights, track-count variants")
 	scaleSweep := flag.Bool("scalesweep", false,
-		"design-scale sweep: wall, peak heap and routed QoR vs instance and shard count")
+		"design-scale sweep: wall, peak heap and routed QoR vs instance count")
 	archStr := flag.String("arch", "closedm1", "architecture for -fig6")
 	scale := flag.Float64("scale", 0.1, "design scale factor (1.0 = paper instance counts)")
 	workers := flag.Int("workers", 8, "parallel window solvers")
 	sweepDesign := flag.String("sweep-design", "jpeg", "paper design the -scalesweep grows")
 	sweepScales := flag.String("sweep-scales", "0.1,0.5,1.0,2.0",
 		"comma-separated scale factors for -scalesweep (duplicates after the 200-inst floor are dropped)")
-	sweepShards := flag.String("sweep-shards", "1,2,4", "comma-separated shard counts for -scalesweep")
 	flag.Parse()
 
 	cfg := expt.SuiteConfig{Scale: *scale, Workers: *workers}
@@ -150,16 +149,12 @@ func run() error {
 	// so the scale sweep only runs when asked for by name.
 	if *scaleSweep {
 		any = true
-		fmt.Println("== Scale sweep (sharded optimizer) ==")
+		fmt.Println("== Scale sweep ==")
 		scales, err := parseFloats(*sweepScales)
 		if err != nil {
 			return fmt.Errorf("-sweep-scales: %w", err)
 		}
-		shards, err := parseInts(*sweepShards)
-		if err != nil {
-			return fmt.Errorf("-sweep-shards: %w", err)
-		}
-		pts, err := expt.RunScaleSweep(cfg, *sweepDesign, scales, shards)
+		pts, err := expt.RunScaleSweep(cfg, *sweepDesign, scales)
 		if err != nil {
 			return err
 		}
@@ -179,18 +174,6 @@ func parseFloats(s string) ([]float64, error) {
 	var out []float64
 	for _, f := range strings.Split(s, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad value %q: %w", f, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func parseInts(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
 		if err != nil {
 			return nil, fmt.Errorf("bad value %q: %w", f, err)
 		}

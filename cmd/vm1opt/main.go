@@ -3,8 +3,9 @@
 // printing the before/after metric row of Table 2.
 //
 // The flow runs under a signal-aware context: Ctrl-C (SIGINT/SIGTERM)
-// cancels it gracefully — the optimizer stops at the next window-family
-// boundary, the router at the next batch commit — and the partial metrics
+// cancels it gracefully — the optimizer stops starting windows and commits
+// the ones in flight, the router stops at the next batch commit — and the
+// partial metrics
 // accumulated so far are printed before exiting nonzero.
 //
 // Usage (synthetic design):
@@ -66,8 +67,6 @@ func run() error {
 	workers := flag.Int("workers", 8, "parallel window solvers")
 	solverWorkers := flag.Int("solver-workers", 0,
 		"branch-and-bound workers inside each window MILP (0: sequential)")
-	shards := flag.Int("shards", 0,
-		"spatial window-grid shards run concurrently (0/1: single shard; any count gives identical placements)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this path")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this path on exit")
 	guided := flag.Bool("guided", false,
@@ -146,7 +145,6 @@ func run() error {
 		Sequence:         seq,
 		Workers:          *workers,
 		SolverWorkers:    *solverWorkers,
-		Shards:           *shards,
 		Guided:           *guided,
 		GuidedColdFrac:   *guidedCold,
 		GuidedShrink:     *guidedShrink,
@@ -241,9 +239,6 @@ func runOnDEF(ctx context.Context, lefPath, defPath, outPath string, cfg expt.Fl
 	}
 	if cfg.Workers > 0 {
 		prm.Workers = cfg.Workers
-	}
-	if cfg.Shards > 1 {
-		prm.Shards = cfg.Shards
 	}
 	if cfg.Guided {
 		// DEF path has no init-route feedback stage; the estimator runs

@@ -49,10 +49,6 @@ var deterministicPkgPrefixes = []string{
 	// The congestion proxy feeds guided family selection, whose plan must
 	// be a pure function of the placement (see internal/core/guided.go).
 	"vm1place/internal/proxy",
-	// The shard partition decides which stripe solves each window; the
-	// sharded optimizer's bit-identity across shard counts requires the
-	// partition itself to be a pure function of its inputs.
-	"vm1place/internal/shard",
 	// Geometry objectives emit the MILP rows whose ordering steers simplex
 	// pivoting; any map-ordered iteration here breaks the golden flows.
 	"vm1place/internal/objective",

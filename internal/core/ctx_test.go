@@ -10,7 +10,7 @@ import (
 )
 
 // TestVM1OptCtxCanceledBeforeStart: a context canceled up front must end
-// the run at the first family boundary — no moves, empty history, legal
+// the run before any window starts — no moves, empty history, legal
 // placement — with an errors.Is-able cancellation error.
 func TestVM1OptCtxCanceledBeforeStart(t *testing.T) {
 	p := genPlaced(t, tech.ClosedM1, 300, 7, 0.75)
@@ -42,7 +42,7 @@ func TestVM1OptCtxCanceledBeforeStart(t *testing.T) {
 }
 
 // TestVM1OptCtxCancelMidRun cancels while the optimizer is working. The
-// run must stop at a family boundary with a legal placement, a truncated
+// run must stop at a window commit with a legal placement, a truncated
 // history, and a Final objective that matches a fresh full rescan of the
 // partial placement.
 func TestVM1OptCtxCancelMidRun(t *testing.T) {

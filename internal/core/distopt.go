@@ -54,9 +54,9 @@ func DistOpt(p *layout.Placement, prm Params, ps ParamSet, tx, ty int64,
 		t.AttachEstimator(prm.Proxy)
 	}
 	// ctx-ok: context-free compatibility entry point; cancellable callers use distPass via VM1OptCtx.
-	obj, _ := distPass(context.Background(), t, ps, makeGrid(p, ps, tx, ty),
-		newSolverPool(poolWorkers(prm)), allowMove, allowFlip)
-	return obj
+	r, _ := distPass(context.Background(), t, ps, makeGrid(p, ps, tx, ty),
+		newSolverPool(workersOf(prm)), allowMove, allowFlip)
+	return r.obj
 }
 
 // diagonalFamilies groups the grid's windows into diagonal families:
@@ -86,10 +86,10 @@ func diagonalFamilies(g passGrid) [][]int {
 }
 
 // appendWindowMoves appends one solved window's accepted relocations to
-// moves, comparing each candidate against the live (pre-commit)
-// placement so unmoved cells produce no Move. Shared by the pipelined
-// and sharded inner loops: during a family the placement is read-only,
-// so the comparison is race-free wherever extraction happens.
+// moves, comparing each candidate against the live placement so unmoved
+// cells produce no Move. Only the window itself moves its cells, and it
+// has not committed yet, so the comparison reads their pass-start state
+// whatever other windows commit meanwhile.
 func appendWindowMoves(moves []Move, p *layout.Placement, w *window, assign []int) []Move {
 	if assign == nil {
 		return moves
@@ -104,29 +104,39 @@ func appendWindowMoves(moves []Move, p *layout.Placement, w *window, assign []in
 	return moves
 }
 
-// distPass runs one DistOpt pass through an ObjTracker. Each family's
-// windows are built against the live placement and solved in parallel;
-// every build in a family completes (and only reads) before any of the
-// family's moves are applied, and families with disjoint projections never
-// conflict, so no placement snapshot is needed. Accepted relocations are
-// funneled through t.ApplyMoves, which updates only the nets incident to
-// moved cells instead of rescanning the design.
+// passResult is the outcome of one DistOpt pass.
+type passResult struct {
+	obj   Objective // the tracked objective after the pass
+	stats PassStats
+	idle  time.Duration // worker idle time; timing only
+}
+
+// passFunc runs one DistOpt pass. VM1Opt runs distPass; tests substitute
+// a family-barrier reference loop.
+type passFunc func(ctx context.Context, t *ObjTracker, ps ParamSet, g passGrid,
+	pool *solverPool, allowMove, allowFlip bool) (passResult, error)
+
+// distPass runs one DistOpt pass through an ObjTracker on the dataflow
+// window scheduler (winSched, DESIGN.md §4f). Workers claim windows in
+// plan order as the nets they share allow, and build, solve and release
+// each one; this goroutine is the single committer, applying each window's
+// accepted relocations as its own tracker batch, which updates only the
+// nets incident to moved cells. The objective is assembled once, at pass
+// end. Every window reads the placement a family barrier would show it,
+// so results are bit-identical for every worker count.
 //
-// The pass pipelines build against solve across neighboring diagonal
-// families: while family f's windows are being solved, the same workers
-// also prebuild family f+1's geometry stage (movable sets, blocked sites,
-// candidates — see window.buildGeom for why that stage is invariant under
-// family f's moves). Only the net/pair stage, which reads terminal
-// positions anywhere on the die, waits for family f's moves to commit.
-//
-// Cancellation is checked between window families — the pass's commit
-// boundaries — so an interrupted pass returns with the placement legal and
-// the tracker consistent, together with the ctx error. A context deadline
-// additionally clamps the per-window MILP wall budget: familyParams
-// derives one budget from the shared pass deadline at pass start, and the
-// milp solver arms lp.Arena.SetDeadline with exactly that budget.
+// Cancellation stops workers from claiming further windows; windows in
+// flight finish and commit, so an interrupted pass returns with the
+// placement legal and the tracker consistent, together with the ctx
+// error. A context deadline additionally clamps the per-window MILP wall
+// budget: familyParams derives one budget from the shared pass deadline at
+// pass start, and the milp solver arms lp.Arena.SetDeadline with exactly
+// that budget.
 func distPass(ctx context.Context, t *ObjTracker, ps ParamSet, g passGrid,
-	pool *solverPool, allowMove, allowFlip bool) (Objective, error) {
+	pool *solverPool, allowMove, allowFlip bool) (passResult, error) {
+	if err := ctx.Err(); err != nil {
+		return passResult{obj: t.Objective()}, err
+	}
 	p, prm := t.p, t.prm
 	fprm := familyParams(ctx, prm)
 	families := diagonalFamilies(g)
@@ -134,121 +144,82 @@ func distPass(ctx context.Context, t *ObjTracker, ps ParamSet, g passGrid,
 	// Guided selection: score the windows with the QoR proxy and derive
 	// the family processing order, skip set and per-window budgets;
 	// otherwise run every family in diagonal order under the uniform
-	// budget. Reordering and skipping are safe for the build/solve
-	// pipeline below: windows of different families occupy disjoint
-	// rectangles and boundary straddlers are immovable, so a family's
-	// geometry stage is invariant under any other family's moves,
-	// whichever one runs first.
+	// budget. Any order is safe: the scheduler derives its dependencies
+	// from the plan.
 	plan := uniformPlan(g, families, fprm.TimeLimit)
 	if prm.guided() {
 		plan = guidedPlan(prm, prm.Proxy, g, families, fprm.TimeLimit)
 	}
-	winPrm := func(wi int) Params {
-		q := fprm
-		q.TimeLimit = plan.wtl[wi]
-		return q
-	}
+	s := newWinSched(t, g, families, plan.order)
+	defer context.AfterFunc(ctx, s.stop)()
+	ports := newPortIndex(p.Design)
 
-	if shardsOf(prm) > 1 {
-		// Spatially sharded inner loop (distopt_shard.go): column stripes
-		// of the grid run concurrently, windows are materialized lazily
-		// and released per window, and each family's moves merge at the
-		// barrier in family window order — the identical single batch the
-		// loop below commits, so placements match bit for bit.
-		return distPassSharded(ctx, t, ps, g, pool, fprm, families, plan,
-			allowMove, allowFlip)
-	}
-
-	var moves []Move
-	var pre []*window // prebuilt geometry for the family about to run
-	for oi := 0; oi < len(plan.order); oi++ {
-		if err := ctx.Err(); err != nil {
-			pool.putWindows(pre)
-			return t.Objective(), err
-		}
-		fi := plan.order[oi]
-		curFam := families[fi]
-		cur := pre
-		if cur == nil {
-			// First family: no prebuild happened yet; its windows are
-			// built from scratch inside the solve tasks below.
-			cur = make([]*window, len(curFam))
-		}
-		var next []*window
-		var nextFam []int
-		if oi+1 < len(plan.order) {
-			nextFam = families[plan.order[oi+1]]
-			next = make([]*window, len(nextFam))
-		}
-		pre = next
-
-		// Combined task list for this family's barrier: first the solve
-		// tasks (finish nets/pairs on prebuilt geometry, then solve), then
-		// the geometry prebuilds for the next family. Workers drain the
-		// list through an atomic cursor; results land at fixed indices, so
-		// scheduling order never affects the outcome.
-		assigns := make([][]int, len(cur))
-		total := len(cur) + len(next)
-		workers := pool.workers
-		if workers > total {
-			workers = total
-		}
-		var cursor atomic.Int64
-		var wg sync.WaitGroup
-		for wk := 0; wk < workers; wk++ {
-			wg.Add(1)
-			sv := <-pool.solvers
-			go func(sv *winSolver) {
-				defer wg.Done()
-				defer func() { pool.solvers <- sv }()
-				for {
-					i := int(cursor.Add(1)) - 1
-					if i >= total {
-						return
-					}
-					if i < len(cur) {
-						w := cur[i]
-						if w == nil {
-							w = pool.getWindow()
-							w.buildGeom(p, winPrm(curFam[i]), g.rects[curFam[i]], ps,
-								g.buckets[curFam[i]], allowMove, allowFlip)
-							cur[i] = w
-						}
-						w.buildNetsPairs()
-						w.sv = sv
-						assigns[i] = w.solve()
-						w.sv = nil
-					} else {
-						j := i - len(cur)
-						w := pool.getWindow()
-						w.buildGeom(p, winPrm(nextFam[j]), g.rects[nextFam[j]], ps,
-							g.buckets[nextFam[j]], allowMove, allowFlip)
-						next[j] = w
-					}
+	workers := min(pool.workers, len(s.win))
+	start := time.Now()   // clock-ok: worker idle time for Result.PassIdle; never feeds a decision
+	var busy atomic.Int64 // nanoseconds workers spent building and solving
+	var wg sync.WaitGroup
+	for wk := 0; wk < workers; wk++ {
+		sv := <-pool.solvers
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { pool.solvers <- sv }()
+			var moves []Move
+			for {
+				k, ok := s.claim()
+				if !ok {
+					return
 				}
-			}(sv)
-		}
-		wg.Wait()
-
-		moves = moves[:0]
-		for k, w := range cur {
-			moves = appendWindowMoves(moves, p, w, assigns[k])
-		}
-		pool.putWindows(cur)
-		if len(moves) > 0 {
-			t.ApplyMoves(moves)
-		}
+				t0 := time.Now() // clock-ok: idle-time accounting only
+				wid := s.win[k]
+				q := fprm
+				q.TimeLimit = plan.wtl[wid]
+				// A window lives from its claim until its moves are
+				// extracted, so live window storage is bounded by the
+				// worker count, not the grid.
+				w := pool.getWindow()
+				w.buildGeom(p, q, g.rects[wid], ps, g.buckets[wid], allowMove, allowFlip)
+				w.buildNetsPairs(&ports)
+				s.built(k)
+				w.sv = sv
+				assign := w.solve()
+				w.sv = nil
+				moves = appendWindowMoves(moves[:0], p, w, assign)
+				pool.putWindow(w)
+				busy.Add(int64(time.Since(t0))) // clock-ok: idle-time accounting only
+				s.solved(k, moves)
+			}
+		}()
 	}
-	return t.Objective(), nil
+
+	var res passResult
+	for {
+		k, moves, ok := s.nextCommit()
+		if !ok {
+			break
+		}
+		if len(moves) > 0 {
+			t.commit(moves)
+			res.stats.Commits++
+		}
+		s.committed(k)
+	}
+	wg.Wait()
+	res.stats.Windows = s.started
+	res.idle = time.Duration(workers)*time.Since(start) - time.Duration(busy.Load()) // clock-ok: idle-time accounting only
+	res.obj = t.Objective()
+	if s.started < len(s.win) {
+		return res, ctx.Err()
+	}
+	return res, nil
 }
 
 // familyParams clamps the per-window MILP budget of one pass to the
 // remaining time before the context deadline. The budget is derived once
-// at pass start from the shared deadline — not re-read per family — so
-// every family of the pass solves under the same wall budget and an
-// untimed run's params pass through untouched, keeping that path identical
-// to the pre-context engine. (The per-family ctx.Err() gate in distPass is
-// what stops a pass whose deadline has already expired.)
+// at pass start from the shared deadline — not re-read per window — so
+// every window of the pass solves under the same wall budget and an
+// untimed run's params pass through untouched. (Cancellation, not the
+// budget, is what stops a pass whose deadline has already expired.)
 func familyParams(ctx context.Context, prm Params) Params {
 	dl, ok := ctx.Deadline()
 	if !ok {

@@ -30,11 +30,6 @@ type famPlan struct {
 	// passGrid rects index). Uniform plans give every window the
 	// pass-wide budget.
 	wtl []time.Duration
-	// score is the proxy's per-window load prediction, indexed like wtl.
-	// Guided plans fill it so the spatial shard partition balances
-	// stripes by predicted work; uniform plans leave it nil and sharding
-	// falls back to window instance populations.
-	score []float64
 }
 
 // uniformPlan is the identity schedule: every family in diagonal order,
@@ -117,7 +112,7 @@ func guidedPlan(prm Params, sc WindowScorer, g passGrid, families [][]int,
 		return fa < fb
 	})
 
-	pl := famPlan{wtl: make([]time.Duration, len(g.rects)), score: winScore}
+	pl := famPlan{wtl: make([]time.Duration, len(g.rects))}
 	if maxS <= 0 {
 		// Nothing predicted anywhere (or a degenerate scorer): fall back
 		// to the uniform schedule rather than skipping on noise.

@@ -140,6 +140,16 @@ func (t *ObjTracker) refreshNet(ni int) {
 // returns the updated global objective, re-evaluating only the nets
 // incident to the moved instances.
 func (t *ObjTracker) ApplyMoves(moves []Move) Objective {
+	t.commit(moves)
+	return t.Objective()
+}
+
+// commit is ApplyMoves without assembling the objective, an O(nets)
+// reduction: DistOpt commits every window as its own batch and reads the
+// objective once per pass. The per-net caches are recomputed from
+// positions and align/over are integer sums, so any split of a pass's
+// moves into batches ends in the same tracker state.
+func (t *ObjTracker) commit(moves []Move) {
 	t.epoch++
 	t.touched = t.touched[:0]
 	for _, mv := range moves {
@@ -165,7 +175,6 @@ func (t *ObjTracker) ApplyMoves(moves []Move) Objective {
 		}
 		t.est.Update(t.instBuf)
 	}
-	return t.Objective()
 }
 
 // Objective assembles the tracked global objective. HPWL, the weighted sum

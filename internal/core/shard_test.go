@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -8,101 +9,65 @@ import (
 	"vm1place/internal/tech"
 )
 
-// TestVM1OptShardsInvariance is the sharded optimizer's core guarantee:
-// splitting the window grid into spatial stripes (Params.Shards) must
-// not change the result at all. Every shard count — including 1, i.e.
-// the pipelined single-shard engine, and counts exceeding the grid
-// width — produces bit-identical placements and objectives, because
-// window solves are independent of where they run and each family's
-// moves merge at the barrier in family window order, the single batch
-// the unsharded loop commits. Mirrors PR 7's worker-invariance tests.
+// checkShardsIgnored pins Params.Shards as a no-op: the field outlived
+// the sharded inner loop it selected, so Shards 1, 2 and 8 must reproduce
+// the unset run bit for bit — placement and Result — and stay legal.
+func checkShardsIgnored(t *testing.T, guided bool) {
+	t.Helper()
+	run := func(shards int) ([]int, []int, []bool, Result) {
+		p := genPlaced(t, tech.ClosedM1, 200, 29, 0.75)
+		prm := DefaultParams(p.Tech, tech.ClosedM1)
+		prm.Workers = 2
+		prm.Shards = shards
+		prm.MaxNodes = 25
+		prm.TimeLimit = 0
+		prm.MaxOuterIters = 1
+		if guided {
+			prm.Guided = true
+			prm.Proxy = proxy.New(p, proxy.DefaultConfig(p.Tech, tech.ClosedM1))
+		}
+		res := VM1Opt(p, prm, Sequence{{BW: 1000, BH: 1000, LX: 2, LY: 1}})
+		if err := p.CheckLegal(); err != nil {
+			t.Fatalf("Shards=%d guided=%v: illegal placement: %v", shards, guided, err)
+		}
+		res.Duration, res.PassIdle = 0, nil
+		return p.SiteX, p.Row, p.Flip, res
+	}
+	bs, br, bf, bres := run(0)
+	for _, k := range []int{1, 2, 8} {
+		s, r, f, res := run(k)
+		if !reflect.DeepEqual(res, bres) {
+			t.Fatalf("Shards=%d guided=%v result diverged:\n got %+v\nwant %+v", k, guided, res, bres)
+		}
+		for i := range bs {
+			if s[i] != bs[i] || r[i] != br[i] || f[i] != bf[i] {
+				t.Fatalf("Shards=%d guided=%v placement diverged at inst %d", k, guided, i)
+			}
+		}
+	}
+}
+
+// TestVM1OptShardsInvariance checks Shards is ignored under the uniform
+// schedule.
 func TestVM1OptShardsInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs several full optimizer passes")
 	}
-	type snap struct {
-		site []int
-		row  []int
-		flip []bool
-		res  Result
-	}
-	run := func(shards int) snap {
-		p := genPlaced(t, tech.ClosedM1, 300, 29, 0.75)
-		prm := DefaultParams(p.Tech, tech.ClosedM1)
-		prm.Workers = 1
-		prm.Shards = shards
-		prm.MaxNodes = 40
-		prm.TimeLimit = 0 // untimed: identical work regardless of wall clock
-		prm.MaxOuterIters = 1
-		res := VM1Opt(p, prm, Sequence{{BW: 2000, BH: 2000, LX: 3, LY: 1}})
-		return snap{
-			site: append([]int(nil), p.SiteX...),
-			row:  append([]int(nil), p.Row...),
-			flip: append([]bool(nil), p.Flip...),
-			res:  res,
-		}
-	}
-	base := run(1)
-	for _, k := range []int{2, 4, 8} {
-		got := run(k)
-		if got.res.Final != base.res.Final {
-			t.Fatalf("Shards=%d final objective diverged:\n got %+v\nwant %+v",
-				k, got.res.Final, base.res.Final)
-		}
-		for i := range base.site {
-			if got.site[i] != base.site[i] || got.row[i] != base.row[i] ||
-				got.flip[i] != base.flip[i] {
-				t.Fatalf("Shards=%d placement diverged at inst %d: "+
-					"(%d,%d,%v) vs (%d,%d,%v)", k, i,
-					got.site[i], got.row[i], got.flip[i],
-					base.site[i], base.row[i], base.flip[i])
-			}
-		}
-	}
+	checkShardsIgnored(t, false)
 }
 
-// TestVM1OptShardsGuidedInvariance repeats the invariance claim with
-// guided scheduling active: there the stripe partition is balanced by
-// the proxy's window scores (famPlan.score) instead of instance
-// populations, and the guided family order/budgets must survive
-// sharding unchanged.
+// TestVM1OptShardsGuidedInvariance checks Shards is ignored under the
+// guided schedule, whose family order and budgets come from the proxy.
 func TestVM1OptShardsGuidedInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs several full optimizer passes")
 	}
-	run := func(shards int) ([]int, []int, []bool, Result) {
-		p := genPlaced(t, tech.ClosedM1, 300, 41, 0.75)
-		prm := DefaultParams(p.Tech, tech.ClosedM1)
-		prm.Workers = 1
-		prm.Shards = shards
-		prm.MaxNodes = 40
-		prm.TimeLimit = 0
-		prm.MaxOuterIters = 1
-		prm.Guided = true
-		prm.Proxy = proxy.New(p, proxy.DefaultConfig(p.Tech, tech.ClosedM1))
-		res := VM1Opt(p, prm, Sequence{{BW: 2000, BH: 2000, LX: 3, LY: 1}})
-		return append([]int(nil), p.SiteX...), append([]int(nil), p.Row...),
-			append([]bool(nil), p.Flip...), res
-	}
-	bs, br, bf, bres := run(1)
-	for _, k := range []int{2, 4} {
-		gs, gr, gf, gres := run(k)
-		if gres.Final != bres.Final {
-			t.Fatalf("guided Shards=%d final objective diverged:\n got %+v\nwant %+v",
-				k, gres.Final, bres.Final)
-		}
-		for i := range bs {
-			if gs[i] != bs[i] || gr[i] != br[i] || gf[i] != bf[i] {
-				t.Fatalf("guided Shards=%d placement diverged at inst %d", k, i)
-			}
-		}
-	}
+	checkShardsIgnored(t, true)
 }
 
-// TestVM1OptShardsLegalAndTracked checks the sharded path composes with
-// the deadline machinery: a short timed run with Shards=2 and multiple
-// workers per stripe stays legal and its tracked Final matches a fresh
-// rescan.
+// TestVM1OptShardsLegalAndTracked checks a short timed run with Shards
+// set and several workers composes with the deadline machinery: the
+// placement stays legal and the tracked Final matches a fresh rescan.
 func TestVM1OptShardsLegalAndTracked(t *testing.T) {
 	p := genPlaced(t, tech.ClosedM1, 300, 31, 0.75)
 	prm := DefaultParams(p.Tech, tech.ClosedM1)
@@ -113,7 +78,7 @@ func TestVM1OptShardsLegalAndTracked(t *testing.T) {
 	prm.MaxOuterIters = 1
 	res := VM1Opt(p, prm, Sequence{{BW: 2000, BH: 2000, LX: 3, LY: 1}})
 	if err := p.CheckLegal(); err != nil {
-		t.Fatalf("illegal after sharded pass: %v", err)
+		t.Fatalf("illegal after timed pass: %v", err)
 	}
 	if want := CalculateObj(p, prm); res.Final != want {
 		t.Fatalf("final objective diverged from rescan:\n got %+v\nwant %+v",

@@ -18,8 +18,25 @@ type Result struct {
 	History []Objective
 	// Iters counts DistOpt pairs executed.
 	Iters int
+	// Passes holds the scheduler counts of every DistOpt pass run, in
+	// order, including an interrupted last pass. They count work, not
+	// time, so untimed runs reproduce them exactly.
+	Passes []PassStats
+	// PassIdle is the worker idle time of each pass in Passes: workers x
+	// pass wall time, less the time workers spent building and solving
+	// windows. Timing only; it varies from run to run.
+	PassIdle []time.Duration
 	// Duration is wall time of the optimization.
 	Duration time.Duration
+}
+
+// PassStats counts the work of one DistOpt pass.
+type PassStats struct {
+	// Windows is the number of windows built and solved.
+	Windows int
+	// Commits is the number of windows whose moves changed the placement;
+	// each commits as its own tracker batch.
+	Commits int
 }
 
 // VM1Opt is Algorithm 1: for each parameter set u in the sequence U,
@@ -39,16 +56,17 @@ func VM1Opt(p *layout.Placement, prm Params, u Sequence) Result {
 	return res
 }
 
-// VM1OptCtx is VM1Opt under a context: cancellation is checked between
-// window families (the optimizer's commit boundaries), so the placement is
-// always legal when it returns, and a context deadline additionally clamps
-// the per-window MILP wall budget (threaded down to lp.Arena.SetDeadline)
-// so in-flight window solves stop at the deadline too. On cancellation it
+// VM1OptCtx is VM1Opt under a context: cancellation stops the optimizer
+// from starting further windows, and the windows in flight finish and
+// commit whole, so the placement is always legal when it returns. A
+// context deadline additionally clamps the per-window MILP wall budget
+// (threaded down to lp.Arena.SetDeadline) so in-flight window solves stop
+// at the deadline too. On cancellation it
 // returns the partial Result accumulated so far — Final reflects the
 // current placement and History is truncated at the last completed pair —
 // together with an error wrapping ctx.Err().
 func VM1OptCtx(ctx context.Context, p *layout.Placement, prm Params, u Sequence) (Result, error) {
-	return vm1optRun(ctx, p, prm, u, false)
+	return vm1optRun(ctx, p, prm, u, false, distPass)
 }
 
 // VM1OptJoint is the ablation variant of Algorithm 1 that optimizes
@@ -63,12 +81,14 @@ func VM1OptJoint(p *layout.Placement, prm Params, u Sequence) Result {
 
 // VM1OptJointCtx is VM1OptJoint with VM1OptCtx's cancellation semantics.
 func VM1OptJointCtx(ctx context.Context, p *layout.Placement, prm Params, u Sequence) (Result, error) {
-	return vm1optRun(ctx, p, prm, u, true)
+	return vm1optRun(ctx, p, prm, u, true, distPass)
 }
 
 // vm1optRun drives Algorithm 1 in either the sequential perturb-then-flip
-// mode or the joint move+flip ablation mode.
-func vm1optRun(ctx context.Context, p *layout.Placement, prm Params, u Sequence, joint bool) (Result, error) {
+// mode or the joint move+flip ablation mode, running each DistOpt pass
+// with pass.
+func vm1optRun(ctx context.Context, p *layout.Placement, prm Params, u Sequence, joint bool,
+	pass passFunc) (Result, error) {
 	start := time.Now() // clock-ok: stamps Result.Duration for reporting; never feeds a decision
 	t := NewObjTracker(p, prm)
 	if prm.guided() {
@@ -78,7 +98,12 @@ func vm1optRun(ctx context.Context, p *layout.Placement, prm Params, u Sequence,
 	}
 	res := Result{Initial: t.Objective()}
 	obj := res.Initial
-	pool := newSolverPool(poolWorkers(prm))
+	pool := newSolverPool(workersOf(prm))
+	record := func(r passResult, err error) (Objective, error) {
+		res.Passes = append(res.Passes, r.stats)
+		res.PassIdle = append(res.PassIdle, r.idle)
+		return r.obj, err
+	}
 
 	var runErr error
 loop:
@@ -90,17 +115,17 @@ loop:
 			g := makeGrid(p, ps, tx, ty)
 
 			if joint {
-				obj, runErr = distPass(ctx, t, ps, g, pool, true, true)
+				obj, runErr = record(pass(ctx, t, ps, g, pool, true, true))
 			} else {
 				// Perturbation pass: move within (lx, ly), keep orientation.
-				if _, runErr = distPass(ctx, t, ps, g, pool, true, false); runErr == nil {
+				if _, runErr = record(pass(ctx, t, ps, g, pool, true, false)); runErr == nil {
 					// Flip pass: keep location, optimize orientation.
-					obj, runErr = distPass(ctx, t, ps, g, pool, false, true)
+					obj, runErr = record(pass(ctx, t, ps, g, pool, false, true))
 				}
 			}
 			if runErr != nil {
-				// Partial pair: the placement is legal (moves commit at
-				// family boundaries) but the pair did not finish, so the
+				// Partial pair: the placement is legal (each window
+				// commits whole) but the pair did not finish, so the
 				// history is truncated here.
 				break loop
 			}

@@ -18,14 +18,14 @@ type cand struct {
 // window is one MILP subproblem: the movable cells fully inside a window
 // rectangle, their candidates, and the nets/pairs they touch.
 //
-// A window is built in two stages so DistOpt can pipeline families:
-// buildGeom captures everything derivable from the window's own tile
-// (movable set, blocked sites, candidates, candidate costs) — quantities
-// that are invariant under moves in *other* windows, because a cell fully
-// inside one tile appears in no other tile's bucket and straddlers are
-// immovable for the whole pass. buildNetsPairs then resolves net terminals,
-// which may live anywhere on the die, so it must run after the previous
-// family's moves are applied.
+// A window is built in two stages: buildGeom captures everything
+// derivable from the window's own tile (movable set, blocked sites,
+// candidates, candidate costs) — quantities that are invariant under moves
+// in *other* windows, because a cell fully inside one tile appears in no
+// other tile's bucket and straddlers are immovable for the whole pass.
+// buildNetsPairs then resolves net terminals, which may live anywhere on
+// the die, so the DistOpt scheduler (winSched) orders it against the
+// commits of the windows sharing its nets.
 //
 // Windows are pooled (solverPool.getWindow): all per-window storage is
 // carved from slabs owned by the struct and reclaimed by reset(), so a
@@ -52,6 +52,7 @@ type window struct {
 
 	nets  []*winNet
 	pairs []*winPair
+	ports *portIndex // the pass's ports-by-net index, set by buildNetsPairs
 
 	// sv is the per-worker solve workspace threaded from DistOpt for the
 	// duration of one solve; solve()/buildModel lazily create a private one
@@ -176,7 +177,8 @@ func buildWindow(p *layout.Placement, prm Params, rect geom.Rect, ps ParamSet,
 	insts []int, allowMove, allowFlip bool) *window {
 	w := &window{}
 	w.buildGeom(p, prm, rect, ps, insts, allowMove, allowFlip)
-	w.buildNetsPairs()
+	ports := newPortIndex(p.Design)
+	w.buildNetsPairs(&ports)
 	return w
 }
 
@@ -190,26 +192,10 @@ func buildWindow(p *layout.Placement, prm Params, rect geom.Rect, ps ParamSet,
 func (w *window) buildGeom(p *layout.Placement, prm Params, rect geom.Rect, ps ParamSet,
 	insts []int, allowMove, allowFlip bool) {
 	w.reset()
-	t := p.Tech
 	w.p, w.prm = p, prm
 	w.obj = prm.obj()
 	w.wts = prm.weights()
-	w.s0 = int(rect.XLo / t.SiteWidth)
-	w.s1 = int(rect.XHi / t.SiteWidth)
-	w.r0 = int(rect.YLo / t.RowHeight)
-	w.r1 = int(rect.YHi / t.RowHeight)
-	if w.s0 < 0 {
-		w.s0 = 0
-	}
-	if w.r0 < 0 {
-		w.r0 = 0
-	}
-	if w.s1 > p.NumSites {
-		w.s1 = p.NumSites
-	}
-	if w.r1 > p.NumRows {
-		w.r1 = p.NumRows
-	}
+	w.s0, w.s1, w.r0, w.r1 = windowSpan(p, rect)
 	if w.s1 <= w.s0 || w.r1 <= w.r0 {
 		w.blocked = w.blocked[:0]
 		return
@@ -220,13 +206,12 @@ func (w *window) buildGeom(p *layout.Placement, prm Params, rect geom.Rect, ps P
 	clear(w.blocked)
 	blocked := w.blocked
 	for _, i := range insts {
-		wi := p.Design.Insts[i].Master.WidthSites
-		row, site := p.Row[i], p.SiteX[i]
-		inside := row >= w.r0 && row < w.r1 && site >= w.s0 && site+wi <= w.s1
-		if inside {
+		if insideSpan(p, i, w.s0, w.s1, w.r0, w.r1) {
 			w.movable = append(w.movable, i)
 			continue
 		}
+		wi := p.Design.Insts[i].Master.WidthSites
+		row, site := p.Row[i], p.SiteX[i]
 		if row < w.r0 || row >= w.r1 {
 			continue
 		}
@@ -294,11 +279,65 @@ func (w *window) buildGeom(p *layout.Placement, prm Params, rect geom.Rect, ps P
 	w.buildCandCosts(insts)
 }
 
+// windowSpan clamps a window rectangle to the die's site grid: sites
+// [s0, s1) of rows [r0, r1). The span is empty when s1 <= s0 or r1 <= r0.
+func windowSpan(p *layout.Placement, rect geom.Rect) (s0, s1, r0, r1 int) {
+	t := p.Tech
+	s0 = max(int(rect.XLo/t.SiteWidth), 0)
+	s1 = min(int(rect.XHi/t.SiteWidth), p.NumSites)
+	r0 = max(int(rect.YLo/t.RowHeight), 0)
+	r1 = min(int(rect.YHi/t.RowHeight), p.NumRows)
+	return s0, s1, r0, r1
+}
+
+// insideSpan reports whether instance i lies fully inside the span — the
+// predicate that makes a cell movable in a window.
+func insideSpan(p *layout.Placement, i, s0, s1, r0, r1 int) bool {
+	row, site := p.Row[i], p.SiteX[i]
+	return row >= r0 && row < r1 && site >= s0 &&
+		site+p.Design.Insts[i].Master.WidthSites <= s1
+}
+
+// portIndex lists the ports of every net (CSR): the ports of net ni are
+// list[start[ni]:start[ni+1]], in port order. Ports never move, so one
+// index serves every window of a pass.
+type portIndex struct {
+	start []int32
+	list  []int32
+}
+
+func newPortIndex(d *netlist.Design) portIndex {
+	nn := len(d.Nets)
+	ix := portIndex{start: make([]int32, nn+1)}
+	for pi := range d.Ports {
+		if ni := d.Ports[pi].Net; ni >= 0 && ni < nn {
+			ix.start[ni+1]++
+		}
+	}
+	for i := 1; i <= nn; i++ {
+		ix.start[i] += ix.start[i-1]
+	}
+	ix.list = make([]int32, ix.start[nn])
+	fill := append([]int32(nil), ix.start[:nn]...)
+	for pi := range d.Ports {
+		if ni := d.Ports[pi].Net; ni >= 0 && ni < nn {
+			ix.list[fill[ni]] = int32(pi)
+			fill[ni]++
+		}
+	}
+	return ix
+}
+
+// of returns the ports of net ni.
+func (ix *portIndex) of(ni int) []int32 { return ix.list[ix.start[ni]:ix.start[ni+1]] }
+
 // buildNetsPairs resolves the nets and eligible pin pairs touching the
-// movable cells. Net terminals may sit anywhere on the die, so this stage
-// must run against the placement state the window will be solved on — i.e.
-// after the previous family's moves are applied.
-func (w *window) buildNetsPairs() {
+// movable cells, taking net ports from ports. Net terminals may sit
+// anywhere on the die, so this stage must run against the placement state
+// the window will be solved on: the DistOpt scheduler orders it after the
+// commits of every earlier-family window that shares a net with this one.
+func (w *window) buildNetsPairs(ports *portIndex) {
+	w.ports = ports
 	if len(w.movable) == 0 {
 		return
 	}
@@ -500,10 +539,8 @@ func (w *window) buildNet(ni int) *winNet {
 			addFixed(wp.centerX[0], wp.centerY[0])
 		}
 	})
-	for pi := range d.Ports {
-		if d.Ports[pi].Net == ni {
-			addFixed(p.PortXY[pi].X, p.PortXY[pi].Y)
-		}
+	for _, pi := range w.ports.of(ni) {
+		addFixed(p.PortXY[pi].X, p.PortXY[pi].Y)
 	}
 	return wn
 }

@@ -100,30 +100,11 @@ func (sp *solverPool) getWindow() *window {
 	return &window{}
 }
 
-// putWindow returns one window to the freelist. The sharded inner loop
-// releases each window the moment its moves are extracted — instead of
-// holding a whole family like putWindows — so live window storage is
-// bounded by in-flight solves, not by the grid.
+// putWindow returns one window to the freelist the moment its moves are
+// extracted, so live window storage is bounded by in-flight solves, not
+// by the grid.
 func (sp *solverPool) putWindow(w *window) {
-	if w == nil {
-		return
-	}
 	sp.mu.Lock()
 	sp.free = append(sp.free, w)
-	sp.mu.Unlock()
-}
-
-// putWindows returns solved windows to the freelist once their moves have
-// been collected.
-func (sp *solverPool) putWindows(ws []*window) {
-	if len(ws) == 0 {
-		return
-	}
-	sp.mu.Lock()
-	for _, w := range ws {
-		if w != nil {
-			sp.free = append(sp.free, w)
-		}
-	}
 	sp.mu.Unlock()
 }

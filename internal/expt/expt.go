@@ -12,7 +12,7 @@
 //
 // Every flow run is a flow.Pipeline of four stages — build, init-route,
 // optimize, final-route — threaded by one context.Context, so a deadline
-// or cancellation propagates into the optimizer's window families and the
+// or cancellation propagates into the optimizer's window scheduler and the
 // router's batch commits. RunFlow and friends are thin stage compositions
 // over that engine.
 package expt
@@ -128,12 +128,9 @@ type FlowConfig struct {
 	// inside each window MILP (core.Params.SolverWorkers). Zero keeps the
 	// sequential solver; any count >= 2 yields identical placements.
 	SolverWorkers int
-	// Shards splits the optimizer's window grid into that many spatial
-	// column stripes running concurrently with a boundary-straddler halo
-	// (core.Params.Shards). Any shard count yields bit-identical
-	// placements; the sharded loop releases window storage per window, so
-	// large designs peak sublinear in the window count. Zero/one keeps
-	// the pipelined single-shard engine.
+	// Shards is ignored, like core.Params.Shards: the dataflow window
+	// scheduler replaced the sharded optimizer it selected. The field
+	// stays so callers that set it keep compiling.
 	Shards int
 	// TimeLimit overrides the optimizer's per-window MILP wall budget:
 	// positive sets it, negative disables it entirely (node-capped only —
@@ -176,9 +173,6 @@ func (cfg FlowConfig) params(t *tech.Tech) core.Params {
 	}
 	if cfg.SolverWorkers > 0 {
 		prm.SolverWorkers = cfg.SolverWorkers
-	}
-	if cfg.Shards > 1 {
-		prm.Shards = cfg.Shards
 	}
 	switch {
 	case cfg.TimeLimit > 0:
@@ -408,8 +402,8 @@ func RunFlow(spec DesignSpec, cfg FlowConfig) (FlowResult, error) {
 }
 
 // RunFlowCtx is RunFlow under a context: cancellation and deadlines reach
-// every stage (the optimizer stops between window families, the router
-// between batches). The partial FlowResult covers the completed stages.
+// every stage (the optimizer stops starting windows and commits the ones
+// in flight, the router stops between batches). The partial FlowResult covers the completed stages.
 func RunFlowCtx(ctx context.Context, spec DesignSpec, cfg FlowConfig) (FlowResult, error) {
 	return runFlow(ctx, spec, cfg, core.VM1OptCtx, 0, false)
 }

@@ -76,10 +76,8 @@ func TestGoldenFlowDeterministic(t *testing.T) {
 		t.Errorf("golden flow did not improve dM1: %d -> %d", g1.Init.DM1, g1.Final.DM1)
 	}
 
-	// Spatial sharding must be invisible in the golden metrics: the
-	// sharded inner loop commits the identical move batch per family
-	// (merged in family window order at the barrier), so every shard
-	// count reproduces the unsharded flow bit for bit.
+	// FlowConfig.Shards is ignored, so setting it must leave the golden
+	// metrics bit for bit unchanged.
 	for _, k := range []int{2, 4, 8} {
 		ck := cfg
 		ck.Shards = k

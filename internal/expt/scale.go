@@ -10,18 +10,16 @@ import (
 	"vm1place/internal/tech"
 )
 
-// Scale sweep: the full flow at growing instance counts and shard
-// counts, recording wall time, peak heap and routed QoR. This is the
-// harness behind `make bench-scale` (BENCH_scale.json) and the
-// exptables -scalesweep flag; the sharded optimizer's claim — 10x the
-// design scale at sublinear memory in the window count — is what the
-// peak-heap column substantiates.
+// Scale sweep: the full flow at growing instance counts, recording wall
+// time, peak heap and routed QoR. This is the harness behind `make
+// bench-scale` (BENCH_scale.json) and the exptables -scalesweep flag; the
+// optimizer's claim — 10x the design scale at memory sublinear in the
+// window count — is what the peak-heap column substantiates.
 
-// ScalePoint is one (design size, shard count) sample of the sweep.
+// ScalePoint is one design-size sample of the sweep.
 type ScalePoint struct {
 	Design   string
 	NumInsts int
-	Shards   int
 	// OptSec/RouteSec split the flow wall time; BuildSec covers
 	// generation + floorplan + global placement.
 	BuildSec, OptSec, RouteSec float64
@@ -126,61 +124,53 @@ func (s *PeakHeapSampler) Stop() uint64 {
 }
 
 // RunScaleSweep runs the ClosedM1 flow for every deduplicated scale of
-// one design crossed with every shard count, sampling peak heap around
-// each flow. Points run sequentially — concurrent flows would blur the
-// per-point heap attribution — so expect wall time to be the sum of the
-// flows; size the scales to the machine. cfg.Workers feeds the
-// optimizer/router worker pools as usual.
-func RunScaleSweep(cfg SuiteConfig, design string, scales []float64, shards []int) ([]ScalePoint, error) {
+// one design, sampling peak heap around each flow. Points run
+// sequentially — concurrent flows would blur the per-point heap
+// attribution — so expect wall time to be the sum of the flows; size the
+// scales to the machine. cfg.Workers feeds the optimizer/router worker
+// pools as usual.
+func RunScaleSweep(cfg SuiteConfig, design string, scales []float64) ([]ScalePoint, error) {
 	specs, err := ScaleSweepPoints(design, scales)
 	if err != nil {
 		return nil, err
 	}
-	if len(shards) == 0 {
-		shards = []int{1}
-	}
 	var out []ScalePoint
 	for _, spec := range specs {
-		for _, k := range shards {
-			fc := FlowConfig{
-				Arch:          tech.ClosedM1,
-				MaxOuterIters: 1,
-				Workers:       cfg.Workers,
-				Shards:        k,
-			}
-			samp := StartPeakHeapSampler(0)
-			start := time.Now()
-			r, err := RunFlow(spec, fc)
-			wall := time.Since(start).Seconds()
-			peak := samp.Stop()
-			if err != nil {
-				return out, fmt.Errorf("expt: scale sweep %s n=%d shards=%d: %w",
-					spec.Name, spec.NumInsts, k, err)
-			}
-			out = append(out, ScalePoint{
-				Design:     spec.Name,
-				NumInsts:   r.NumInsts,
-				Shards:     k,
-				BuildSec:   wall - r.OptRuntime.Seconds() - r.RouteRuntime.Seconds(),
-				OptSec:     r.OptRuntime.Seconds(),
-				RouteSec:   r.RouteRuntime.Seconds(),
-				PeakHeapMB: float64(peak) / (1 << 20),
-				RWL:        r.Final.RWL,
-				DM1:        r.Final.DM1,
-				DRVs:       r.Final.DRVs,
-			})
+		fc := FlowConfig{
+			Arch:          tech.ClosedM1,
+			MaxOuterIters: 1,
+			Workers:       cfg.Workers,
 		}
+		samp := StartPeakHeapSampler(0)
+		start := time.Now()
+		r, err := RunFlow(spec, fc)
+		wall := time.Since(start).Seconds()
+		peak := samp.Stop()
+		if err != nil {
+			return out, fmt.Errorf("expt: scale sweep %s n=%d: %w", spec.Name, spec.NumInsts, err)
+		}
+		out = append(out, ScalePoint{
+			Design:     spec.Name,
+			NumInsts:   r.NumInsts,
+			BuildSec:   wall - r.OptRuntime.Seconds() - r.RouteRuntime.Seconds(),
+			OptSec:     r.OptRuntime.Seconds(),
+			RouteSec:   r.RouteRuntime.Seconds(),
+			PeakHeapMB: float64(peak) / (1 << 20),
+			RWL:        r.Final.RWL,
+			DM1:        r.Final.DM1,
+			DRVs:       r.Final.DRVs,
+		})
 	}
 	return out, nil
 }
 
 // WriteScaleSweep prints the sweep series.
 func WriteScaleSweep(w io.Writer, pts []ScalePoint) {
-	fmt.Fprintln(w, "# Scale sweep: wall, peak heap and routed QoR vs instance count and shard count (ClosedM1)")
-	fmt.Fprintln(w, "design  insts    shards  build_s  opt_s   route_s  peak_mb   rwl_um      dm1    drvs")
+	fmt.Fprintln(w, "# Scale sweep: wall, peak heap and routed QoR vs instance count (ClosedM1)")
+	fmt.Fprintln(w, "design  insts    build_s  opt_s   route_s  peak_mb   rwl_um      dm1    drvs")
 	for _, p := range pts {
-		fmt.Fprintf(w, "%-6s  %7d  %6d  %7.1f  %6.1f  %7.1f  %7.1f  %10.1f  %6d  %6d\n",
-			p.Design, p.NumInsts, p.Shards, p.BuildSec, p.OptSec, p.RouteSec,
+		fmt.Fprintf(w, "%-6s  %7d  %7.1f  %6.1f  %7.1f  %7.1f  %10.1f  %6d  %6d\n",
+			p.Design, p.NumInsts, p.BuildSec, p.OptSec, p.RouteSec,
 			p.PeakHeapMB, um(p.RWL), p.DM1, p.DRVs)
 	}
 }

@@ -66,35 +66,27 @@ func TestScaleSweepPointsDedupe(t *testing.T) {
 	}
 }
 
-// TestScaleSweepSmoke is the tiny 2-shard sweep behind
-// `make bench-scale-smoke`: two floored flows, shards 1 and 2, whose
-// routed QoR must be bit-identical (the shard-invariance guarantee seen
-// end to end through the flow) and whose peak-heap samples must be
-// positive.
+// TestScaleSweepSmoke is the tiny sweep behind `make bench-scale-smoke`:
+// two sub-floor scales collapse to one floored flow, which must complete,
+// route, and record a positive peak-heap sample.
 func TestScaleSweepSmoke(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs two small full flows")
+		t.Skip("runs a small full flow")
 	}
-	cfg := SuiteConfig{Workers: 1}
-	pts, err := RunScaleSweep(cfg, "m0", []float64{0.005}, []int{1, 2})
+	cfg := SuiteConfig{Workers: 2}
+	pts, err := RunScaleSweep(cfg, "m0", []float64{0.005, 0.01})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 2 {
-		t.Fatalf("got %d points, want 2", len(pts))
+	if len(pts) != 1 {
+		t.Fatalf("got %d points, want 1", len(pts))
 	}
-	a, b := pts[0], pts[1]
-	if a.Shards != 1 || b.Shards != 2 {
-		t.Fatalf("unexpected shard order: %+v", pts)
-	}
-	if a.RWL != b.RWL || a.DM1 != b.DM1 || a.DRVs != b.DRVs {
-		t.Errorf("sharded QoR diverged: shards=1 %+v vs shards=2 %+v", a, b)
-	}
+	a := pts[0]
 	if a.NumInsts != MinScaledInsts {
 		t.Errorf("floored sweep point has %d insts, want %d", a.NumInsts, MinScaledInsts)
 	}
-	if a.PeakHeapMB <= 0 || b.PeakHeapMB <= 0 {
-		t.Errorf("peak heap not sampled: %+v", pts)
+	if a.PeakHeapMB <= 0 || a.RWL <= 0 || a.DM1 <= 0 {
+		t.Errorf("point not measured: %+v", a)
 	}
 	var sb strings.Builder
 	WriteScaleSweep(&sb, pts)
