@@ -31,7 +31,7 @@ race:
 # One iteration of each substrate microbenchmark — a fast sanity pass that
 # the benchmarks still build and run, not a measurement.
 bench-smoke: bench-proxy bench-objective bench-scale-smoke
-	$(GO) test -run '^$$' -bench 'DistOptPass|LPSolve|CalculateObj' -benchtime 1x -timeout 20m .
+	$(GO) test -run '^$$' -bench 'DistOptPass|LPSolve|CalculateObj|RouteAll' -benchtime 1x -timeout 20m .
 
 # One rescan per registered geometry objective (BenchmarkObjectiveEval
 # sub-benches). The measured series lands in BENCH_core.json's

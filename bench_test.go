@@ -6,6 +6,7 @@
 package vm1place_test
 
 import (
+	"context"
 	"encoding/json"
 	"math/rand"
 	"os"
@@ -184,7 +185,10 @@ func benchRouteAll(b *testing.B, workers int) {
 	r := route.New(p, cfg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := r.RouteAll()
+		m, err := r.RouteAllCtx(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
 		if m.RWL == 0 {
 			b.Fatal("no routing")
 		}
@@ -489,7 +493,11 @@ func TestEmitBenchCoreJSON(t *testing.T) {
 		}
 		ps := core.ParamSet{BW: expt.UmToDBU(20), BH: expt.UmToDBU(20), LX: 4, LY: 1}
 		core.DistOpt(p, prm, ps, 0, 0, true, false)
-		return route.New(p, route.DefaultConfig(tc, tech.ClosedM1)).RouteAll()
+		m, err := route.New(p, route.DefaultConfig(tc, tech.ClosedM1)).RouteAllCtx(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
 	var mUniform, mGuided route.Metrics
 	for _, seed := range []int64{5, 11, 23} {
@@ -588,7 +596,7 @@ func TestEmitBenchCoreJSON(t *testing.T) {
 const routeSeedBaselineNs = 3116376386
 
 // TestEmitBenchRouteJSON regenerates BENCH_route.json: the sequential /
-// parallel RouteAll pair, the speedup over the seed router, and a check
+// parallel RouteAllCtx pair, the speedup over the seed router, and a check
 // that both worker counts produced identical Metrics. Skipped unless
 // BENCH_JSON is set:
 //
@@ -619,7 +627,10 @@ func TestEmitBenchRouteJSON(t *testing.T) {
 	for i, w := range workerSeries {
 		cfg := route.DefaultConfig(tc, tech.ClosedM1)
 		cfg.Workers = w
-		m := route.New(p, cfg).RouteAll()
+		m, err := route.New(p, cfg).RouteAllCtx(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
 		if i == 0 {
 			mSeq = m
 		} else if m != mSeq {

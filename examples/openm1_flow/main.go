@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -58,14 +59,21 @@ func run() error {
 	}
 
 	router := route.New(p, route.DefaultConfig(t, tech.OpenM1))
-	before := router.RouteAll()
+	ctx := context.Background()
+	before, err := router.RouteAllCtx(ctx)
+	if err != nil {
+		return err
+	}
 
 	prm := core.DefaultParams(t, tech.OpenM1) // α = 1000, ε > 0, γ = 3
 	fmt.Printf("params: alpha=%.0f epsilon=%.2f gamma=%d rows, delta=%d DBU\n",
 		prm.Alpha, prm.Epsilon, prm.GammaRows, prm.DeltaDBU)
 
 	res := core.VM1Opt(p, prm, expt.DefaultSequence())
-	after := router.RouteAll()
+	after, err := router.RouteAllCtx(ctx)
+	if err != nil {
+		return err
+	}
 
 	fmt.Printf("overlapping pairs: %d -> %d (overlap surplus %d -> %d DBU)\n",
 		res.Initial.Alignments, res.Final.Alignments,

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -57,7 +58,11 @@ func run() error {
 
 	// 4. Route the initial placement and record baseline metrics.
 	router := route.New(p, route.DefaultConfig(t, tech.ClosedM1))
-	before := router.RouteAll()
+	ctx := context.Background()
+	before, err := router.RouteAllCtx(ctx)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("initial:   dM1 %4d   RWL %8.1f um   via12 %5d\n",
 		before.DM1, float64(before.RWL)/1000, before.Via12)
 
@@ -68,7 +73,10 @@ func run() error {
 		res.Initial.Alignments, res.Final.Alignments, res.Duration.Round(1e9))
 
 	// 6. Reroute and compare.
-	after := router.RouteAll()
+	after, err := router.RouteAllCtx(ctx)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("optimized: dM1 %4d   RWL %8.1f um   via12 %5d\n",
 		after.DM1, float64(after.RWL)/1000, after.Via12)
 	fmt.Printf("deltas:    dM1 %+.1f%%   RWL %+.2f%%   via12 %+.2f%%\n",

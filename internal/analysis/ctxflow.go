@@ -19,8 +19,8 @@ import (
 //     callee is being run uncancellable).
 //  3. Under internal/, context.Background()/TODO() are banned outright in
 //     non-test code; the only legitimate sites are context-free compat
-//     wrappers (RouteAll around RouteAllCtx, VM1Opt around VM1OptCtx),
-//     which carry an `// ctx-ok: <reason>` tag.
+//     wrappers (VM1Opt around VM1OptCtx), which carry an
+//     `// ctx-ok: <reason>` tag.
 var CtxFlowAnalyzer = &Analyzer{
 	Name: "ctxflow",
 	Doc:  "requires received contexts to be propagated and bans fresh Background/TODO contexts in library code",

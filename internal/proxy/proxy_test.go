@@ -1,6 +1,7 @@
 package proxy_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -174,7 +175,10 @@ func TestTileRankingCorrelatesWithRouter(t *testing.T) {
 	e := proxy.New(p, proxy.DefaultConfig(p.Tech, tech.ClosedM1))
 
 	r := route.New(p, route.DefaultConfig(p.Tech, tech.ClosedM1))
-	m := r.RouteAll()
+	m, err := r.RouteAllCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts, tr := e.TileSize()
 	actual := r.OverflowGrid(ts, tr, nil)
 

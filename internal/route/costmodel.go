@@ -45,7 +45,7 @@ func (cfg Config) CostModel() CostModel {
 	return cm
 }
 
-// OverflowGrid accumulates the per-tile edge overflow of the last RouteAll
+// OverflowGrid accumulates the per-tile edge overflow of the last RouteAllCtx
 // into out, tiling the routing grid with tileSites x tileRows tiles
 // (row-major, ceil(nx/tileSites) x ceil(ny/tileRows) tiles). Every edge's
 // overflow max(0, usage-cap) is charged to the tile of its lower/left
@@ -64,26 +64,10 @@ func (r *Router) OverflowGrid(tileSites, tileRows int, out []int64) []int64 {
 			out[i] = 0
 		}
 	}
-	for l := tech.M1; l <= tech.M4; l++ {
-		lcap := int32(r.cfg.Caps[l])
-		if l.Direction() == tech.Vertical {
-			for y := 0; y < r.ny-1; y++ {
-				base := (y / tileRows) * ntx
-				for x := 0; x < r.nx; x++ {
-					if u := r.usage[l][r.vEdge(x, y)]; u > lcap {
-						out[base+x/tileSites] += int64(u - lcap)
-					}
-				}
-			}
-		} else {
-			for y := 0; y < r.ny; y++ {
-				base := (y / tileRows) * ntx
-				for x := 0; x < r.nx-1; x++ {
-					if u := r.usage[l][r.hEdge(x, y)]; u > lcap {
-						out[base+x/tileSites] += int64(u - lcap)
-					}
-				}
-			}
+	for e, u := range r.usage {
+		if over := u - r.edgeCap[e&3]; over > 0 {
+			c := e / routingLayers
+			out[int(r.cy[c])/tileRows*ntx+int(r.cx[c])/tileSites] += int64(over)
 		}
 	}
 	return out

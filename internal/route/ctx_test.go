@@ -17,11 +17,9 @@ func assertUsageMatchesRoutes(t *testing.T, r *Router) {
 	for ni := range r.routes {
 		r.ripNet(ni)
 	}
-	for l := tech.M1; l <= tech.M4; l++ {
-		for i, u := range r.usage[l] {
-			if u != 0 {
-				t.Fatalf("usage[%v][%d] = %d after ripping all routes", l, i, u)
-			}
+	for e, u := range r.usage {
+		if u != 0 {
+			t.Fatalf("usage[%d] = %d after ripping all routes", e, u)
 		}
 	}
 }
@@ -82,8 +80,8 @@ func TestRouteAllCtxCancelMidRun(t *testing.T) {
 
 	// The interrupted router is not poisoned: a full uncanceled rerun
 	// matches a fresh router bit for bit.
-	got := r.RouteAll()
-	want := New(p, cfg).RouteAll()
+	got := routeAll(t, r)
+	want := routeAll(t, New(p, cfg))
 	if got != want {
 		t.Errorf("rerun after cancel diverged: %+v vs %+v", got, want)
 	}
@@ -105,20 +103,4 @@ func TestRouteAllCtxCancelUsageConsistent(t *testing.T) {
 		t.Skip("routing finished before cancellation landed")
 	}
 	assertUsageMatchesRoutes(t, r)
-}
-
-// TestRouteAllCtxBackgroundMatchesRouteAll: the ctx path with a background
-// context is byte-for-byte the legacy path.
-func TestRouteAllCtxBackgroundMatchesRouteAll(t *testing.T) {
-	p := genPlaced(t, tech.ClosedM1, "ctx-bg", 400, 27, 0.7)
-	cfg := DefaultConfig(p.Tech, tech.ClosedM1)
-
-	want := New(p, cfg).RouteAll()
-	got, err := New(p, cfg).RouteAllCtx(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Errorf("ctx run diverged: %+v vs %+v", got, want)
-	}
 }

@@ -14,7 +14,7 @@
 //
 // Batch composition, deferral decisions and the cleanup order depend only
 // on the placement and configuration — never on the worker count or
-// goroutine scheduling — so RouteAll returns bit-identical Metrics for
+// goroutine scheduling — so RouteAllCtx returns bit-identical Metrics for
 // every Workers value. In particular the single-worker path below walks
 // the same batch-concatenation order the barriers produce (it cannot use
 // plain net order: first-fit coloring can seat a later net in an earlier

@@ -1,6 +1,7 @@
 package route
 
 import (
+	"context"
 	"testing"
 
 	"vm1place/internal/cells"
@@ -23,21 +24,31 @@ func genPlaced(t *testing.T, arch tech.Arch, name string, n int, seed int64, uti
 	return p
 }
 
+// routeAll runs a full uncanceled RouteAllCtx, failing the test on error.
+func routeAll(t testing.TB, r *Router) Metrics {
+	t.Helper()
+	m, err := r.RouteAllCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // TestWorkerCountInvariance is the determinism regression for the parallel
-// engine: RouteAll must return bit-identical Metrics for every Workers
+// engine: RouteAllCtx must return bit-identical Metrics for every Workers
 // value and across repeated runs, on both M1 architectures.
 func TestWorkerCountInvariance(t *testing.T) {
 	for _, arch := range []tech.Arch{tech.ClosedM1, tech.OpenM1} {
 		p := genPlaced(t, arch, "winv", 500, 41, 0.75)
 		cfg := DefaultConfig(p.Tech, arch)
 		cfg.Workers = 1
-		ref := New(p, cfg).RouteAll()
+		ref := routeAll(t, New(p, cfg))
 		if ref.RWL <= 0 {
 			t.Fatalf("%s: reference run routed nothing", arch)
 		}
 		for _, w := range []int{2, 4, 8} {
 			cfg.Workers = w
-			got := New(p, cfg).RouteAll()
+			got := routeAll(t, New(p, cfg))
 			if got != ref {
 				t.Errorf("%s: Workers=%d diverged:\n got %+v\nwant %+v", arch, w, got, ref)
 			}
@@ -45,8 +56,8 @@ func TestWorkerCountInvariance(t *testing.T) {
 		// Repeated runs on the same router must also agree (scratch reuse).
 		cfg.Workers = 8
 		r := New(p, cfg)
-		first := r.RouteAll()
-		second := r.RouteAll()
+		first := routeAll(t, r)
+		second := routeAll(t, r)
 		if first != ref || second != ref {
 			t.Errorf("%s: repeated runs diverged: %+v / %+v vs %+v", arch, first, second, ref)
 		}
@@ -66,13 +77,13 @@ func TestParallelRipupUnderRace(t *testing.T) {
 	cfg.Caps[tech.M3] = 1
 
 	cfg.Workers = 1
-	seq := New(p, cfg).RouteAll()
+	seq := routeAll(t, New(p, cfg))
 	if seq.Overflow == 0 {
 		t.Fatal("setup: design not congested, rip-up never exercised")
 	}
 
 	cfg.Workers = 4
-	par := New(p, cfg).RouteAll()
+	par := routeAll(t, New(p, cfg))
 	if par != seq {
 		t.Errorf("parallel rip-up diverged:\n got %+v\nwant %+v", par, seq)
 	}

@@ -113,9 +113,22 @@ type epRec struct {
 	isPin          bool
 }
 
+// routingLayers is the number of layers the router searches (M1..M4); M0
+// carries pins only and gets no nodes. Node ids keep the layer in their
+// low two bits (id&3, cell id>>2), which relies on it being 4.
+const routingLayers = int(tech.NumLayers - tech.M1)
+
 // Router routes one placement. It retains per-net routes so callers can
-// inspect them; RouteAll may be called repeatedly (e.g., after placement
+// inspect them; RouteAllCtx may be called repeatedly (e.g., after placement
 // changes) and starts from a clean slate each time.
+//
+// Grid nodes interleave the four routing layers per cell: node id =
+// cell*4 + (layer - M1) with cell = y*nx + x, so a cell's via stack is one
+// contiguous run of any node-indexed array and a layer is id&3. Every edge is
+// stored at its lower/left endpoint's node id: the vertical edge
+// (x,y)-(x,y+1) and the horizontal edge (x,y)-(x+1,y) both live at
+// nodeID(l, x, y). The top row of a vertical layer and the right column of
+// a horizontal layer own no edge and stay zero.
 type Router struct {
 	cfg Config
 	p   *layout.Placement
@@ -123,11 +136,10 @@ type Router struct {
 
 	nx, ny int // grid: site columns x rows
 
-	// Edge usage per layer. Vertical layers use index y*nx+x for the edge
-	// (x,y)-(x,y+1); horizontal layers use y*(nx-1)+x for (x,y)-(x+1,y).
-	usage [tech.NumLayers][]int32
+	// usage is the track usage of every edge, indexed by edge node id.
+	usage []int32
 
-	// blockedM1[x*ny+y] = net index + 1 of the ClosedM1 pin occupying the
+	// blockedM1[cell] = net index + 1 of the ClosedM1 pin occupying the
 	// M1 track node, or 0.
 	blockedM1 []int32
 
@@ -136,18 +148,20 @@ type Router struct {
 	// when the congestion weight changes and maintained incrementally by
 	// addUsage, it turns the hot relax-loop cost computation into one
 	// array load.
-	edgeCost [tech.NumLayers][]float64
+	edgeCost []float64
 	curCW    float64
 
-	// edgeBase/edgePitch are the per-layer cost constants behind edgeCost.
-	edgeBase, edgePitch [tech.NumLayers]float64
+	// edgeBase/edgePitch are the per-layer cost constants behind
+	// edgeCost, and edgeCap the per-layer capacity, all indexed by
+	// layer - M1 (id&3).
+	edgeBase, edgePitch [routingLayers]float64
+	edgeCap             [routingLayers]int32
 
-	// xOf/yOf/lOf decode a node id without div/mod (hot in the search
+	// cx/cy decode a cell index without div/mod (hot in the search
 	// kernel).
-	xOf, yOf []int16
-	lOf      []int8
+	cx, cy []int16
 
-	// Per-RouteAll endpoint tables, read-only while batches are in
+	// Per-RouteAllCtx endpoint tables, read-only while batches are in
 	// flight. netEpStart is CSR over eps (one range per net); apNode and
 	// apCost hold every endpoint's access points flat; netRegion is each
 	// net's exclusive routing region; portStart/portList is the CSR
@@ -162,7 +176,7 @@ type Router struct {
 	hpwlKey    []int64
 
 	// searchers are the per-worker A* arenas, grown on demand and reused
-	// across batches and RouteAll calls.
+	// across batches and RouteAllCtx calls.
 	searchers []*searcher
 
 	// sched is the pooled batch-coloring state, reused across every
@@ -192,31 +206,28 @@ func New(p *layout.Placement, cfg Config) *Router {
 		ny:  p.NumRows,
 	}
 	n := r.nx * r.ny
-	for l := tech.M1; l <= tech.M4; l++ {
-		r.usage[l] = make([]int32, n)
-		r.edgeCost[l] = make([]float64, n)
+	for k := 0; k < routingLayers; k++ {
+		l := tech.M1 + tech.Layer(k)
 		if l.Direction() == tech.Vertical {
-			r.edgePitch[l] = float64(r.t.RowHeight)
+			r.edgePitch[k] = float64(r.t.RowHeight)
 		} else {
-			r.edgePitch[l] = float64(r.t.SiteWidth)
+			r.edgePitch[k] = float64(r.t.SiteWidth)
 		}
-		r.edgeBase[l] = r.edgePitch[l]
+		r.edgeBase[k] = r.edgePitch[k]
 		if l == tech.M1 {
-			r.edgeBase[l] *= cfg.M1CostFactor
+			r.edgeBase[k] *= cfg.M1CostFactor
 		}
+		r.edgeCap[k] = int32(cfg.Caps[l])
 	}
+	r.usage = make([]int32, routingLayers*n)
+	r.edgeCost = make([]float64, routingLayers*n)
 	r.blockedM1 = make([]int32, n)
 	r.routes = make(map[int]*netRoute)
-	size := int(tech.NumLayers) * n
-	r.xOf = make([]int16, size)
-	r.yOf = make([]int16, size)
-	r.lOf = make([]int8, size)
-	for id := 0; id < size; id++ {
-		x := id % r.nx
-		rest := id / r.nx
-		r.xOf[id] = int16(x)
-		r.yOf[id] = int16(rest % r.ny)
-		r.lOf[id] = int8(rest / r.ny)
+	r.cx = make([]int16, n)
+	r.cy = make([]int16, n)
+	for c := 0; c < n; c++ {
+		r.cx[c] = int16(c % r.nx)
+		r.cy[c] = int16(c / r.nx)
 	}
 	return r
 }
@@ -225,18 +236,18 @@ func New(p *layout.Placement, cfg Config) *Router {
 // congestion weight cw; addUsage keeps them current between rebuilds.
 func (r *Router) rebuildEdgeCosts(cw float64) {
 	r.curCW = cw
-	for l := tech.M1; l <= tech.M4; l++ {
-		base, pen := r.edgeBase[l], r.edgePitch[l]*cw
-		lcap := int32(r.cfg.Caps[l])
-		u := r.usage[l]
-		ec := r.edgeCost[l]
-		for i, ui := range u {
-			c := base
-			if over := ui + 1 - lcap; over > 0 {
-				c += pen * float64(over)
-			}
-			ec[i] = c
+	var pen [routingLayers]float64
+	for k := range pen {
+		pen[k] = r.edgePitch[k] * cw
+	}
+	ec := r.edgeCost
+	for id, u := range r.usage {
+		k := id & 3
+		c := r.edgeBase[k]
+		if over := u + 1 - r.edgeCap[k]; over > 0 {
+			c += pen[k] * float64(over)
 		}
+		ec[id] = c
 	}
 }
 
@@ -255,20 +266,24 @@ func (r *Router) ensureSearchers(n int) {
 	}
 }
 
-// node encoding: idx = (layer*ny + y)*nx + x.
+// nodeID encodes (layer, x, y) as cell*4 + (layer - M1).
 func (r *Router) nodeID(l tech.Layer, x, y int) int32 {
-	return int32((int(l)*r.ny+y)*r.nx + x)
+	return int32((y*r.nx+x)*routingLayers + int(l-tech.M1))
 }
 
 func (r *Router) nodeOf(id int32) (l tech.Layer, x, y int) {
-	return tech.Layer(r.lOf[id]), int(r.xOf[id]), int(r.yOf[id])
+	c := id >> 2
+	return tech.M1 + tech.Layer(id&3), int(r.cx[c]), int(r.cy[c])
 }
 
-// vEdge returns the usage index of the vertical edge (x,y)-(x,y+1).
-func (r *Router) vEdge(x, y int) int { return y*r.nx + x }
-
-// hEdge returns the usage index of the horizontal edge (x,y)-(x+1,y).
-func (r *Router) hEdge(x, y int) int { return y*(r.nx-1) + x }
+// edgeOf returns the edge id (its lower/left node) of the grid step a-b,
+// or -1 when the step is a via.
+func edgeOf(a, b int32) int32 {
+	if a&3 != b&3 {
+		return -1
+	}
+	return min(a, b)
+}
 
 // accessPoint is one grid node from which a pin can be reached.
 type accessPoint struct {
@@ -373,7 +388,7 @@ const regionPadFactor = 2
 
 // buildEndpoints collects every signal net's terminals and access points
 // into the flat CSR tables, and derives each net's routing region. Built
-// once per RouteAll and reused across the initial pass and every rip-up
+// once per RouteAllCtx and reused across the initial pass and every rip-up
 // pass (the old kernel recomputed endpoints on each routeNet call).
 func (r *Router) buildEndpoints() {
 	d := r.p.Design
@@ -457,12 +472,12 @@ func (r *Router) buildBlockage() {
 			if x < 0 || x >= r.nx {
 				continue
 			}
-			r.blockedM1[r.blockIdx(x, row)] = int32(ni + 1)
+			r.blockedM1[r.cell(x, row)] = int32(ni + 1)
 		}
 	}
 }
 
-func (r *Router) blockIdx(x, y int) int { return y*r.nx + x }
+func (r *Router) cell(x, y int) int { return y*r.nx + x }
 
-// Metrics returns the metrics of the last RouteAll.
+// Metrics returns the metrics of the last RouteAllCtx.
 func (r *Router) Metrics() Metrics { return r.metrics }

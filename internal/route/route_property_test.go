@@ -20,16 +20,14 @@ func TestUsageRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := New(p, DefaultConfig(tc, tech.ClosedM1))
-	r.RouteAll()
+	routeAll(t, r)
 	// Rip every net; all usage must return to zero.
 	for ni := range d.Nets {
 		r.ripNet(ni)
 	}
-	for l := tech.M1; l <= tech.M4; l++ {
-		for i, u := range r.usage[l] {
-			if u != 0 {
-				t.Fatalf("layer %s edge %d usage %d after full rip-up", l, i, u)
-			}
+	for e, u := range r.usage {
+		if u != 0 {
+			t.Fatalf("edge %d usage %d after full rip-up", e, u)
 		}
 	}
 }
@@ -45,7 +43,7 @@ func TestPathsAreConnected(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := New(p, DefaultConfig(tc, tech.OpenM1))
-	r.RouteAll()
+	routeAll(t, r)
 	for ni, nr := range r.routes {
 		for _, path := range nr.paths {
 			for i := 1; i < len(path); i++ {
@@ -95,7 +93,7 @@ func TestDM1PathsRespectGamma(t *testing.T) {
 	}
 	cfg := DefaultConfig(tc, tech.ClosedM1)
 	r := New(p, cfg)
-	r.RouteAll()
+	routeAll(t, r)
 	for ni, nr := range r.routes {
 		for pi, path := range nr.paths {
 			if !nr.dm1[pi] {
@@ -136,7 +134,7 @@ func TestBlockedM1NeverTraversedByForeignNets(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := New(p, DefaultConfig(tc, tech.ClosedM1))
-	r.RouteAll()
+	routeAll(t, r)
 	for ni, nr := range r.routes {
 		for _, path := range nr.paths {
 			for _, id := range path {
@@ -144,7 +142,7 @@ func TestBlockedM1NeverTraversedByForeignNets(t *testing.T) {
 				if l != tech.M1 {
 					continue
 				}
-				b := r.blockedM1[r.blockIdx(x, y)]
+				b := r.blockedM1[r.cell(x, y)]
 				if b != 0 && b != int32(ni+1) {
 					t.Fatalf("net %d traverses M1 node (%d,%d) blocked by net %d",
 						ni, x, y, b-1)
@@ -165,11 +163,11 @@ func TestHigherCapacityLowersOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := DefaultConfig(tc, tech.ClosedM1)
-	mBase := New(p, base).RouteAll()
+	mBase := routeAll(t, New(p, base))
 	roomy := base
 	roomy.Caps[tech.M2] *= 2
 	roomy.Caps[tech.M3] *= 2
-	mRoomy := New(p, roomy).RouteAll()
+	mRoomy := routeAll(t, New(p, roomy))
 	if mRoomy.Overflow > mBase.Overflow {
 		t.Errorf("more capacity raised overflow: %d -> %d", mBase.Overflow, mRoomy.Overflow)
 	}

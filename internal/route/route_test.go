@@ -129,7 +129,7 @@ func TestClosedM1AlignedPairGetsDM1(t *testing.T) {
 	// site 1. Aligned -> direct vertical M1 route.
 	p.SetLoc(0, 0, 0, false)
 	p.SetLoc(1, 1, 1, false)
-	m := r.RouteAll()
+	m := routeAll(t, r)
 	if m.DM1 != 1 {
 		t.Errorf("DM1 = %d, want 1", m.DM1)
 	}
@@ -146,7 +146,7 @@ func TestClosedM1MisalignedPairNoDM1(t *testing.T) {
 	// u1 at site 4: A at site 4, misaligned with u0's ZN at site 1.
 	p.SetLoc(0, 0, 0, false)
 	p.SetLoc(1, 4, 1, false)
-	m := r.RouteAll()
+	m := routeAll(t, r)
 	if m.DM1 != 0 {
 		t.Errorf("DM1 = %d, want 0", m.DM1)
 	}
@@ -165,7 +165,7 @@ func TestClosedM1GammaLimit(t *testing.T) {
 	// it must not count as dM1.
 	p.SetLoc(0, 0, 0, false)
 	p.SetLoc(1, 1, 5, false)
-	m := r.RouteAll()
+	m := routeAll(t, r)
 	if m.DM1 != 0 {
 		t.Errorf("DM1 = %d, want 0 (span 5 > gamma 3)", m.DM1)
 	}
@@ -177,7 +177,7 @@ func TestClosedM1FlipEnablesAlignment(t *testing.T) {
 	// u0 at site 0 (ZN at site 1); u1 at site 0 flipped -> A at site 1.
 	p.SetLoc(0, 0, 0, false)
 	p.SetLoc(1, 0, 1, true)
-	m := r.RouteAll()
+	m := routeAll(t, r)
 	if m.DM1 != 1 {
 		t.Errorf("DM1 = %d, want 1 with flipped sink", m.DM1)
 	}
@@ -204,7 +204,7 @@ func TestClosedM1BlockedTrackPreventsDM1(t *testing.T) {
 	p.SetLoc(u2, 0, 1, false)
 	p.SetLoc(u3, 5, 4, false)
 	r := New(p, DefaultConfig(tc, tech.ClosedM1))
-	mm := r.RouteAll()
+	mm := routeAll(t, r)
 	// Net 0 must not get a dM1 (track blocked); net 1 is misaligned.
 	if mm.DM1 != 0 {
 		t.Errorf("DM1 = %d, want 0 (track blocked by foreign pin)", mm.DM1)
@@ -214,7 +214,7 @@ func TestClosedM1BlockedTrackPreventsDM1(t *testing.T) {
 	}
 	// Control: move the blocker away and the dM1 appears.
 	p.SetLoc(u2, 6, 1, false)
-	mm = r.RouteAll()
+	mm = routeAll(t, r)
 	if mm.DM1 != 1 {
 		t.Errorf("control DM1 = %d, want 1 after moving blocker", mm.DM1)
 	}
@@ -236,7 +236,7 @@ func TestOpenM1OverlapGetsDM1(t *testing.T) {
 	p.SetLoc(u0, 0, 0, false)
 	p.SetLoc(u1, 0, 1, false)
 	r := New(p, DefaultConfig(tc, tech.OpenM1))
-	mm := r.RouteAll()
+	mm := routeAll(t, r)
 	if mm.DM1 != 1 {
 		t.Errorf("DM1 = %d, want 1 for overlapping OpenM1 pins", mm.DM1)
 	}
@@ -259,7 +259,7 @@ func TestOpenM1DisjointNoDM1(t *testing.T) {
 	p.SetLoc(u0, 0, 0, false)
 	p.SetLoc(u1, 8, 1, false)
 	r := New(p, DefaultConfig(tc, tech.OpenM1))
-	mm := r.RouteAll()
+	mm := routeAll(t, r)
 	if mm.DM1 != 0 {
 		t.Errorf("DM1 = %d, want 0 for disjoint OpenM1 pins", mm.DM1)
 	}
@@ -277,7 +277,7 @@ func TestConventionalNoM1Routing(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := New(p, DefaultConfig(tc, tech.Conventional))
-	m := r.RouteAll()
+	m := routeAll(t, r)
 	if m.LayerWL[tech.M1] != 0 {
 		t.Errorf("conventional arch used M1: WL %d", m.LayerWL[tech.M1])
 	}
@@ -299,7 +299,7 @@ func TestFullDesignRoutes(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := New(p, DefaultConfig(tc, arch))
-		m := r.RouteAll()
+		m := routeAll(t, r)
 		if m.FailedConns > 2 {
 			t.Errorf("%s: FailedConns = %d", arch, m.FailedConns)
 		}
@@ -331,9 +331,9 @@ func TestRouteDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	r1 := New(p, DefaultConfig(tc, tech.ClosedM1))
-	m1 := r1.RouteAll()
+	m1 := routeAll(t, r1)
 	r2 := New(p, DefaultConfig(tc, tech.ClosedM1))
-	m2 := r2.RouteAll()
+	m2 := routeAll(t, r2)
 	if m1 != m2 {
 		t.Errorf("routing not deterministic: %+v vs %+v", m1, m2)
 	}
@@ -343,10 +343,10 @@ func TestRouteAllIdempotentReset(t *testing.T) {
 	p, r, _ := mkClosedPair(t)
 	p.SetLoc(0, 0, 0, false)
 	p.SetLoc(1, 1, 1, false)
-	m1 := r.RouteAll()
-	m2 := r.RouteAll()
+	m1 := routeAll(t, r)
+	m2 := routeAll(t, r)
 	if m1 != m2 {
-		t.Errorf("RouteAll not idempotent: %+v vs %+v", m1, m2)
+		t.Errorf("RouteAllCtx not idempotent: %+v vs %+v", m1, m2)
 	}
 }
 
@@ -354,12 +354,12 @@ func TestReroutesAfterPlacementChange(t *testing.T) {
 	p, r, _ := mkClosedPair(t)
 	p.SetLoc(0, 0, 0, false)
 	p.SetLoc(1, 4, 1, false) // misaligned
-	before := r.RouteAll()
+	before := routeAll(t, r)
 	if before.DM1 != 0 {
 		t.Fatalf("setup: DM1 = %d", before.DM1)
 	}
 	p.SetLoc(1, 1, 1, false) // align
-	after := r.RouteAll()
+	after := routeAll(t, r)
 	if after.DM1 != 1 {
 		t.Errorf("after alignment DM1 = %d, want 1", after.DM1)
 	}
@@ -379,10 +379,10 @@ func TestDM1AwareVsPlainRouter(t *testing.T) {
 		t.Fatal(err)
 	}
 	aware := DefaultConfig(tc, tech.ClosedM1)
-	mAware := New(p, aware).RouteAll()
+	mAware := routeAll(t, New(p, aware))
 	plain := aware
 	plain.M1CostFactor = 1.0
-	mPlain := New(p, plain).RouteAll()
+	mPlain := routeAll(t, New(p, plain))
 	if mAware.LayerWL[tech.M1] < mPlain.LayerWL[tech.M1] {
 		t.Errorf("aware router used less M1 (%d) than plain (%d)",
 			mAware.LayerWL[tech.M1], mPlain.LayerWL[tech.M1])

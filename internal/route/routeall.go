@@ -8,29 +8,20 @@ import (
 	"vm1place/internal/tech"
 )
 
-// RouteAll routes every signal net from scratch (clearing any previous
+// RouteAllCtx routes every signal net from scratch (clearing any previous
 // routing), runs the configured rip-up-and-reroute passes, and returns the
 // final metrics. Nets are routed in conflict-free parallel batches (see
 // parallel.go); the result is identical for every cfg.Workers value.
-func (r *Router) RouteAll() Metrics {
-	m, _ := r.RouteAllCtx(context.Background()) // ctx-ok: context-free compat wrapper
-	return m
-}
-
-// RouteAllCtx is RouteAll under a context. Cancellation is checked at the
-// router's commit boundaries — between batches, between sequential cleanup
-// nets, and between rip-up passes — so when it returns early the usage
-// arrays and route records agree: every committed net is fully routed and
-// accounted, every uncommitted net is absent. The returned Metrics are
-// computed from the committed routes, alongside an error wrapping
-// ctx.Err().
+//
+// Cancellation is checked at the router's commit boundaries — between
+// batches, between sequential cleanup nets, and between rip-up passes — so
+// when it returns early the usage arrays and route records agree: every
+// committed net is fully routed and accounted, every uncommitted net is
+// absent. The returned Metrics are computed from the committed routes,
+// alongside an error wrapping ctx.Err().
 func (r *Router) RouteAllCtx(ctx context.Context) (Metrics, error) {
 	// Reset state.
-	for l := tech.M1; l <= tech.M4; l++ {
-		for i := range r.usage[l] {
-			r.usage[l][i] = 0
-		}
-	}
+	clear(r.usage)
 	r.routes = make(map[int]*netRoute, len(r.p.Design.Nets))
 	r.metrics = Metrics{}
 	for _, s := range r.searchers {
@@ -53,7 +44,7 @@ func (r *Router) RouteAllCtx(ctx context.Context) (Metrics, error) {
 	})
 
 	if err := r.routeBatched(ctx, nets, r.cfg.CongWeight); err != nil {
-		return r.finishMetrics(), fmt.Errorf("route: RouteAll interrupted: %w", err)
+		return r.finishMetrics(), fmt.Errorf("route: RouteAllCtx interrupted: %w", err)
 	}
 
 	// Negotiated-congestion rip-up: nets crossing overflowed edges are
@@ -64,7 +55,7 @@ func (r *Router) RouteAllCtx(ctx context.Context) (Metrics, error) {
 			break
 		}
 		if err := ctx.Err(); err != nil {
-			return r.finishMetrics(), fmt.Errorf("route: RouteAll interrupted: %w", err)
+			return r.finishMetrics(), fmt.Errorf("route: RouteAllCtx interrupted: %w", err)
 		}
 		cw *= 2
 		victims := r.overflowVictims(nets)
@@ -72,7 +63,7 @@ func (r *Router) RouteAllCtx(ctx context.Context) (Metrics, error) {
 			r.ripNet(ni)
 		}
 		if err := r.routeBatched(ctx, victims, cw); err != nil {
-			return r.finishMetrics(), fmt.Errorf("route: RouteAll interrupted: %w", err)
+			return r.finishMetrics(), fmt.Errorf("route: RouteAllCtx interrupted: %w", err)
 		}
 	}
 
@@ -145,23 +136,7 @@ func (r *Router) overflowVictims(nets []int) []int {
 
 func (r *Router) pathOverflows(path []int32) bool {
 	for i := 1; i < len(path); i++ {
-		la, xa, ya := r.nodeOf(path[i-1])
-		lb, xb, yb := r.nodeOf(path[i])
-		if la != lb {
-			continue
-		}
-		var u int32
-		switch {
-		case xa == xb && yb == ya+1:
-			u = r.usage[la][r.vEdge(xa, ya)]
-		case xa == xb && yb == ya-1:
-			u = r.usage[la][r.vEdge(xa, yb)]
-		case ya == yb && xb == xa+1:
-			u = r.usage[la][r.hEdge(xa, ya)]
-		case ya == yb && xb == xa-1:
-			u = r.usage[la][r.hEdge(xb, ya)]
-		}
-		if int(u) > r.cfg.Caps[la] {
+		if e := edgeOf(path[i-1], path[i]); e >= 0 && r.usage[e] > r.edgeCap[e&3] {
 			return true
 		}
 	}
@@ -169,26 +144,13 @@ func (r *Router) pathOverflows(path []int32) bool {
 }
 
 // totalOverflow sums edge overflow across all layers (the DRV proxy).
+// Edge slots past the grid's top row / right column are never used, so
+// summing every slot counts exactly the real edges.
 func (r *Router) totalOverflow() int {
 	total := 0
-	for l := tech.M1; l <= tech.M4; l++ {
-		cap := int32(r.cfg.Caps[l])
-		if l.Direction() == tech.Vertical {
-			for x := 0; x < r.nx; x++ {
-				for y := 0; y < r.ny-1; y++ {
-					if u := r.usage[l][r.vEdge(x, y)]; u > cap {
-						total += int(u - cap)
-					}
-				}
-			}
-		} else {
-			for y := 0; y < r.ny; y++ {
-				for x := 0; x < r.nx-1; x++ {
-					if u := r.usage[l][r.hEdge(x, y)]; u > cap {
-						total += int(u - cap)
-					}
-				}
-			}
+	for e, u := range r.usage {
+		if over := u - r.edgeCap[e&3]; over > 0 {
+			total += int(over)
 		}
 	}
 	return total

@@ -2,18 +2,19 @@ package route
 
 import (
 	"math/bits"
+	"slices"
 
 	"vm1place/internal/tech"
 )
 
 // pq is a bucketed ("untidy") priority queue specialized for the A*
 // kernel. Priorities are quantized into buckets of bqQuantum cost units
-// arranged in a circular window of bqBuckets; push appends the entry's
-// sequence number to its bucket and pop drains the lowest non-empty
-// bucket LIFO. Entries beyond the window land in an overflow list that is
-// harvested when the window empties; entries below the cursor (possible
-// because the heuristic is mildly inflated) are clamped to the current
-// bucket. Every operation is O(1) amortized with sequential memory
+// arranged in a circular window of bqBuckets; push links the entry onto
+// the front of its bucket's intrusive list and pop drains the lowest
+// non-empty bucket LIFO. Entries beyond the window land in an overflow
+// list that is harvested when the window empties; entries below the cursor
+// (possible because the heuristic is mildly inflated) are clamped to the
+// current bucket. Every operation is O(1) amortized with sequential memory
 // access — replacing the d-ary heap whose pointer-chasing sift and branch
 // mispredictions dominated the router's profile — at the price of a
 // bounded (≤ one quantum per hop) and fully deterministic reordering.
@@ -23,40 +24,53 @@ const (
 	bqMask    = bqBuckets - 1
 )
 
+// pqEnt is push #seq's payload and its bucket-list link (the next older
+// entry of the same bucket, or -1).
+type pqEnt struct {
+	node, next int32
+}
+
 type pq struct {
 	invQ  float64 // 1 / quantum
 	curQ  uint32  // quantum index of the cursor bucket
 	n     int     // live entries in window buckets
 	first bool    // no push seen since reset
 
-	buckets [bqBuckets][]uint32
-	mask    [bqWords]uint64
-	over    []uint64 // fq<<32 | seq, beyond-window entries
-	nodes   []int32  // payload: nodes[seq] = node id of push #seq
+	// head[b] is the newest entry of bucket b; it is meaningful only
+	// while b's mask bit is set, so reset clears the mask alone.
+	head [bqBuckets]int32
+	mask [bqWords]uint64
+	over []uint64 // fq<<32 | seq, beyond-window entries
+	ents []pqEnt  // ents[seq] = push #seq
 }
 
 func (q *pq) reset() {
-	if q.n > 0 {
-		for w := range q.mask {
-			for m := q.mask[w]; m != 0; m &= m - 1 {
-				b := w<<6 | bits.TrailingZeros64(m)
-				q.buckets[b] = q.buckets[b][:0]
-			}
-			q.mask[w] = 0
-		}
-	}
+	q.mask = [bqWords]uint64{}
 	q.over = q.over[:0]
-	q.nodes = q.nodes[:0]
+	q.ents = q.ents[:0]
 	q.n = 0
 	q.first = true
 }
 
 func (q *pq) empty() bool { return q.n == 0 && len(q.over) == 0 }
 
+// link pushes entry seq onto the front of bucket b.
+func (q *pq) link(b uint32, seq int32) {
+	w, bit := b>>6, uint64(1)<<(b&63)
+	if q.mask[w]&bit == 0 {
+		q.ents[seq].next = -1
+		q.mask[w] |= bit
+	} else {
+		q.ents[seq].next = q.head[b]
+	}
+	q.head[b] = seq
+	q.n++
+}
+
 // push inserts node with priority f and returns its sequence stamp.
 func (q *pq) push(f float64, node int32) int32 {
-	seq := int32(len(q.nodes))
-	q.nodes = append(q.nodes, node)
+	seq := int32(len(q.ents))
+	q.ents = append(q.ents, pqEnt{node: node})
 	fq := uint32(f * q.invQ)
 	if q.first {
 		q.first = false
@@ -69,39 +83,33 @@ func (q *pq) push(f float64, node int32) int32 {
 		q.over = append(q.over, uint64(fq)<<32|uint64(uint32(seq)))
 		return seq
 	}
-	b := fq & bqMask
-	q.buckets[b] = append(q.buckets[b], uint32(seq))
-	q.mask[b>>6] |= 1 << (b & 63)
-	q.n++
+	q.link(fq&bqMask, seq)
 	return seq
 }
 
 // pop removes the entry with the (quantized) lowest priority.
 func (q *pq) pop() int32 {
-	for {
-		if q.n == 0 {
-			q.harvest()
-		}
-		b := q.curQ & bqMask
-		w := int(b >> 6)
-		m := q.mask[w] >> (b & 63)
-		for m == 0 {
-			w = (w + 1) & (bqWords - 1)
-			q.curQ = (q.curQ &^ 63) + 64
-			b = q.curQ & bqMask
-			m = q.mask[w]
-		}
-		q.curQ += uint32(bits.TrailingZeros64(m))
-		b = q.curQ & bqMask
-		bk := q.buckets[b]
-		seq := bk[len(bk)-1]
-		q.buckets[b] = bk[:len(bk)-1]
-		if len(bk) == 1 {
-			q.mask[b>>6] &^= 1 << (b & 63)
-		}
-		q.n--
-		return int32(seq)
+	if q.n == 0 {
+		q.harvest()
 	}
+	b := q.curQ & bqMask
+	w := int(b >> 6)
+	m := q.mask[w] >> (b & 63)
+	for m == 0 {
+		w = (w + 1) & (bqWords - 1)
+		q.curQ = (q.curQ &^ 63) + 64
+		m = q.mask[w]
+	}
+	q.curQ += uint32(bits.TrailingZeros64(m))
+	b = q.curQ & bqMask
+	seq := q.head[b]
+	if next := q.ents[seq].next; next >= 0 {
+		q.head[b] = next
+	} else {
+		q.mask[b>>6] &^= 1 << (b & 63)
+	}
+	q.n--
+	return seq
 }
 
 // harvest rebases the window on the overflow list (callers guarantee it is
@@ -121,10 +129,7 @@ func (q *pq) harvest() {
 			keep = append(keep, e)
 			continue
 		}
-		b := fq & bqMask
-		q.buckets[b] = append(q.buckets[b], uint32(e))
-		q.mask[b>>6] |= 1 << (b & 63)
-		q.n++
+		q.link(fq&bqMask, int32(uint32(e)))
 	}
 	q.over = keep
 }
@@ -172,55 +177,67 @@ func intersectRegion(a, b region) region {
 // Edge traversal costs are read from the Router's edgeCost cache (see
 // rebuildEdgeCosts); addUsage keeps the cache in sync as paths commit.
 
-// m1Enterable reports whether net ni may occupy the M1 node at (x,y).
-func (r *Router) m1Enterable(ni, x, y int) bool {
+// m1Enterable reports whether net ni may occupy the M1 node of cell c.
+func (r *Router) m1Enterable(ni int, c int32) bool {
 	if !r.cfg.M1Routable {
 		return false
 	}
-	b := r.blockedM1[r.blockIdx(x, y)]
+	b := r.blockedM1[c]
 	return b == 0 || b == int32(ni+1)
 }
 
-// nodeState is the per-node A* record: the generation stamp that lazily
-// invalidates it, the best-known cost, and the parent node. Packing the
-// three side-by-side means one cache line per relax instead of three.
+// nodeState is the per-node A* record: the best-known cost, the parent
+// node, and the sequence stamp of the node's live queue entry. Stamps
+// count pushes across the searcher's whole life and each search starts at
+// a fresh base, so a record is current iff seq >= base: the stamp doubles
+// as the lazy invalidation that a separate generation field used to
+// provide, and a popped entry whose stamp differs from the record's is
+// stale. 16 bytes, four per cache line.
 type nodeState struct {
-	gen  int32
-	from int32
 	g    float64
-	// seq is the push sequence of the node's live heap entry; a popped key
-	// whose sequence differs is stale.
-	seq int32
-	_   int32
+	from int32
+	seq  uint32
 }
 
-// searcher owns one worker's complete A* state: the frontier heap, the
-// generation-stamped visit/score/parent arenas, the tree and pin-node
-// marks that replace the per-net maps of the old sequential kernel, and
-// the endpoint-ordering and path scratch reused across nets. Workers never
-// share a searcher, and within a batch their nets' routing regions are
-// pairwise disjoint, so batch routing needs no locks: shared reads
-// (usage, blockage, endpoint tables) are either frozen for the batch or
-// confined to the worker's own region.
+// seqLimit bounds the searcher's push stamps; reaching it wipes the node
+// records and restarts the count, long before uint32 could wrap.
+const seqLimit = 1 << 31
+
+// searcher owns one worker's complete A* state: the frontier queue, the
+// sequence-stamped score/parent arena, the tree marks and pin-node list
+// that replace the per-net maps of the old sequential kernel, and the
+// endpoint-ordering, heuristic and path scratch reused across nets.
+// Workers never share a searcher, and within a batch their nets' routing
+// regions are pairwise disjoint, so batch routing needs no locks: shared
+// reads (usage, blockage, endpoint tables) are either frozen for the batch
+// or confined to the worker's own region.
 type searcher struct {
 	r *Router
 
 	open pq
 
-	gen int32
-	ns  []nodeState
+	// base is the stamp of the in-flight search's first push; records
+	// stamped below it belong to earlier searches.
+	base uint32
+	ns   []nodeState
 
 	// treeMark[id] == treeGen marks id as on the current net's route tree
-	// (the A* target set); pinMark[id] == pinGen marks id as a pin access
-	// node of an already-connected terminal (for dM1 classification).
+	// (the A* target set). pinNodes lists the access nodes of the
+	// current net's already-connected pin terminals (for dM1
+	// classification).
 	treeGen  int32
 	treeMark []int32
-	pinGen   int32
-	pinMark  []int32
+	pinNodes []int32
 
-	// Heuristic parameters of the in-flight search.
+	// hx[x]/hy[y] are the in-flight search's distance terms of the
+	// heuristic over its region.
+	hx, hy     []float64
 	tb         region
 	sw, rh, vc float64
+
+	// from is the parent that relax records: the node being expanded, or
+	// -1 while the sources are seeded.
+	from int32
 
 	// Endpoint-ordering scratch.
 	order []int32
@@ -232,12 +249,14 @@ type searcher struct {
 }
 
 func newSearcher(r *Router) *searcher {
-	size := int(tech.NumLayers) * r.nx * r.ny
+	size := routingLayers * r.nx * r.ny
 	sr := &searcher{
 		r:        r,
+		base:     1, // zeroed records (seq 0) start out stale
 		ns:       make([]nodeState, size),
 		treeMark: make([]int32, size),
-		pinMark:  make([]int32, size),
+		hx:       make([]float64, r.nx),
+		hy:       make([]float64, r.ny),
 		sw:       float64(r.t.SiteWidth),
 		rh:       float64(r.t.RowHeight),
 		vc:       float64(r.cfg.ViaCost),
@@ -252,71 +271,100 @@ func newSearcher(r *Router) *searcher {
 	return sr
 }
 
-// h is the slightly inflated distance-to-target-box heuristic, plus a via
-// lower bound: a node that still needs horizontal progress while sitting
-// on a vertical layer (or vice versa, or needing both directions) must pay
-// at least one layer change. Inflation (and pricing vertical moves at the
-// full row pitch even though M1 may be cheaper) trades strict optimality
-// for a near-beeline search — the standard maze-router compromise;
-// congestion still shapes the path through g.
-func (s *searcher) h(l tech.Layer, x, y int) float64 {
-	var dx, dy int
-	if x < s.tb.xlo {
-		dx = s.tb.xlo - x
-	} else if x > s.tb.xhi {
-		dx = x - s.tb.xhi
-	}
-	if y < s.tb.ylo {
-		dy = s.tb.ylo - y
-	} else if y > s.tb.yhi {
-		dy = y - s.tb.yhi
-	}
-	d := float64(dx)*s.sw + float64(dy)*s.rh
-	if dx != 0 {
-		if dy != 0 || l.Direction() == tech.Vertical {
-			d += s.vc
+// setHeuristic fills hx/hy for target box s.tb over region rg.
+//
+// The heuristic is the slightly inflated distance to the target box, plus
+// a via lower bound: a node that still needs horizontal progress while
+// sitting on a vertical layer (or vice versa, or needing both directions)
+// must pay at least one layer change. Inflation (and pricing vertical
+// moves at the full row pitch even though M1 may be cheaper) trades strict
+// optimality for a near-beeline search — the standard maze-router
+// compromise; congestion still shapes the path through g.
+func (s *searcher) setHeuristic(rg region) {
+	for x := rg.xlo; x <= rg.xhi; x++ {
+		var dx int
+		if x < s.tb.xlo {
+			dx = s.tb.xlo - x
+		} else if x > s.tb.xhi {
+			dx = x - s.tb.xhi
 		}
-	} else if dy != 0 && l.Direction() == tech.Horizontal {
+		s.hx[x] = float64(dx) * s.sw
+	}
+	for y := rg.ylo; y <= rg.yhi; y++ {
+		var dy int
+		if y < s.tb.ylo {
+			dy = s.tb.ylo - y
+		} else if y > s.tb.yhi {
+			dy = y - s.tb.yhi
+		}
+		s.hy[y] = float64(dy) * s.rh
+	}
+}
+
+// h evaluates the heuristic at node id. A node off the box in its
+// layer's cross direction needs a via: a vertical layer (M1, M3: even
+// id&3) when dx != 0, a horizontal one when dy != 0.
+func (s *searcher) h(id int32) float64 {
+	c := id >> 2
+	hx, hy := s.hx[s.r.cx[c]], s.hy[s.r.cy[c]]
+	d := hx + hy
+	if vertical := id&1 == 0; vertical && hx != 0 || !vertical && hy != 0 {
 		d += s.vc
 	}
 	return d * 1.05
 }
 
-func (s *searcher) relax(id int32, l tech.Layer, x, y int, g float64, from int32) {
-	st := &s.ns[id]
-	if st.gen == s.gen && st.g <= g {
-		return
+// relax offers node id at cost g via the node being expanded (s.from).
+// The reject test is kept small enough to inline into the expansion loop;
+// only improvements pay for the heuristic and the push.
+func (s *searcher) relax(id int32, g float64) {
+	if st := s.ns[id]; st.seq < s.base || g < st.g {
+		s.improve(id, g)
 	}
-	st.gen = s.gen
+}
+
+func (s *searcher) improve(id int32, g float64) {
+	st := &s.ns[id]
 	st.g = g
-	st.from = from
-	st.seq = s.open.push(g+s.h(l, x, y), id)
+	st.from = s.from
+	st.seq = s.base + uint32(s.open.push(g+s.h(id), id))
 }
 
 // astar searches from the access points [apStart, apEnd) to any node on
-// the current tree marks, bounded by rg. The returned path (source node
-// first) lives in the searcher's scratch buffer, valid until the next
-// search; nil when no path exists.
+// the current tree marks, bounded by rg. Access points always lie inside
+// rg (every search region covers its endpoint's access bbox), and
+// expansion never leaves it, so the heuristic tables cover every node the
+// search touches. The returned path (source node first) lives in the
+// searcher's scratch buffer, valid until the next search; nil when no
+// path exists.
 func (s *searcher) astar(ni int, apStart, apEnd int32, rg region) []int32 {
 	r := s.r
-	s.gen++
+	s.base += uint32(len(s.open.ents))
+	if s.base >= seqLimit {
+		clear(s.ns)
+		s.base = 1
+	}
 	s.open.reset()
+	s.setHeuristic(rg)
 
+	s.from = -1
 	for k := apStart; k < apEnd; k++ {
 		id := r.apNode[k]
-		l, x, y := r.nodeOf(id)
-		if l == tech.M1 && !r.m1Enterable(ni, x, y) {
-			continue
+		if id&3 == 0 && !r.m1Enterable(ni, id>>2) {
+			continue // an M1 access node blocked for this net
 		}
-		s.relax(id, l, x, y, float64(r.apCost[k]), -1)
+		s.relax(id, float64(r.apCost[k]))
 	}
 
-	vc := float64(r.cfg.ViaCost)
+	vc := s.vc
+	ec := r.edgeCost
+	row := int32(routingLayers * r.nx) // id step of one row
+	const col = int32(routingLayers)   // id step of one column
 	for !s.open.empty() {
 		seq := s.open.pop()
-		id := s.open.nodes[seq]
+		id := s.open.ents[seq].node
 		st := &s.ns[id]
-		if st.gen != s.gen || st.seq != seq {
+		if st.seq != s.base+uint32(seq) {
 			continue // stale entry
 		}
 		g := st.g
@@ -333,33 +381,48 @@ func (s *searcher) astar(ni int, apStart, apEnd int32, rg region) []int32 {
 			return buf
 		}
 
-		l, x, y := r.nodeOf(id)
-		ec := r.edgeCost[l]
-		// Preferred-direction edges.
-		if l.Direction() == tech.Vertical {
-			if y+1 <= rg.yhi && (l != tech.M1 || r.m1Enterable(ni, x, y+1)) {
-				s.relax(id+int32(r.nx), l, x, y+1, g+ec[y*r.nx+x], id)
+		// Preferred-direction edges (+ before -), then the via down (the
+		// graph never descends below M1), then the via up.
+		s.from = id
+		c := id >> 2
+		x, y := int(r.cx[c]), int(r.cy[c])
+		switch id & 3 {
+		case 0: // M1, vertical
+			if y+1 <= rg.yhi && r.m1Enterable(ni, c+int32(r.nx)) {
+				s.relax(id+row, g+ec[id])
 			}
-			if y-1 >= rg.ylo && (l != tech.M1 || r.m1Enterable(ni, x, y-1)) {
-				s.relax(id-int32(r.nx), l, x, y-1, g+ec[(y-1)*r.nx+x], id)
+			if y-1 >= rg.ylo && r.m1Enterable(ni, c-int32(r.nx)) {
+				s.relax(id-row, g+ec[id-row])
 			}
-		} else {
+			s.relax(id+1, g+vc)
+		case 1: // M2, horizontal
 			if x+1 <= rg.xhi {
-				s.relax(id+1, l, x+1, y, g+ec[y*(r.nx-1)+x], id)
+				s.relax(id+col, g+ec[id])
 			}
 			if x-1 >= rg.xlo {
-				s.relax(id-1, l, x-1, y, g+ec[y*(r.nx-1)+x-1], id)
+				s.relax(id-col, g+ec[id-col])
 			}
-		}
-		// Vias (the graph never descends below M1).
-		plane := int32(r.nx * r.ny)
-		if l > tech.M1 {
-			if l-1 != tech.M1 || r.m1Enterable(ni, x, y) {
-				s.relax(id-plane, l-1, x, y, g+vc, id)
+			if r.m1Enterable(ni, c) {
+				s.relax(id-1, g+vc)
 			}
-		}
-		if l < tech.M4 {
-			s.relax(id+plane, l+1, x, y, g+vc, id)
+			s.relax(id+1, g+vc)
+		case 2: // M3, vertical
+			if y+1 <= rg.yhi {
+				s.relax(id+row, g+ec[id])
+			}
+			if y-1 >= rg.ylo {
+				s.relax(id-row, g+ec[id-row])
+			}
+			s.relax(id-1, g+vc)
+			s.relax(id+1, g+vc)
+		default: // M4, horizontal
+			if x+1 <= rg.xhi {
+				s.relax(id+col, g+ec[id])
+			}
+			if x-1 >= rg.xlo {
+				s.relax(id-col, g+ec[id-col])
+			}
+			s.relax(id-1, g+vc)
 		}
 	}
 	return nil
@@ -388,13 +451,13 @@ func (s *searcher) routeNet(ni int, bound region, canDefer bool) (*netRoute, boo
 	// Grow a route tree starting at the first endpoint (the driver when
 	// the net has one), connecting remaining endpoints nearest-first.
 	s.treeGen++
-	s.pinGen++
+	s.pinNodes = s.pinNodes[:0]
 	first := &r.eps[epStart]
 	for a := first.apStart; a < first.apEnd; a++ {
 		s.treeMark[r.apNode[a]] = s.treeGen
-		if first.isPin {
-			s.pinMark[r.apNode[a]] = s.pinGen
-		}
+	}
+	if first.isPin {
+		s.pinNodes = append(s.pinNodes, r.apNode[first.apStart:first.apEnd]...)
 	}
 	treeGrid := r.apRegionOf(first.apStart, first.apEnd)
 
@@ -455,9 +518,7 @@ func (s *searcher) routeNet(ni int, bound region, canDefer bool) (*netRoute, boo
 			s.treeMark[id] = s.treeGen
 		}
 		if ep.isPin {
-			for a := ep.apStart; a < ep.apEnd; a++ {
-				s.pinMark[r.apNode[a]] = s.pinGen
-			}
+			s.pinNodes = append(s.pinNodes, r.apNode[ep.apStart:ep.apEnd]...)
 		}
 		treeGrid = growRegion(treeGrid, path, r)
 
@@ -492,7 +553,7 @@ func (s *searcher) classifyDM1(path []int32, fromPin bool) bool {
 	}
 	r := s.r
 	last := path[len(path)-1]
-	if s.pinMark[last] != s.pinGen {
+	if !slices.Contains(s.pinNodes, last) {
 		return false
 	}
 	_, x0, y0 := r.nodeOf(path[0])
@@ -554,44 +615,17 @@ func growRegion(rg region, path []int32, r *Router) region {
 // the cached edge costs in sync at the current congestion weight.
 func (r *Router) addUsage(path []int32, delta int32) {
 	for i := 1; i < len(path); i++ {
-		la, xa, ya := r.nodeOf(path[i-1])
-		lb, xb, yb := r.nodeOf(path[i])
-		if la != lb {
+		e := edgeOf(path[i-1], path[i])
+		if e < 0 {
 			continue // via
 		}
-		var idx int
-		switch {
-		case xa == xb && yb == ya+1:
-			idx = r.vEdge(xa, ya)
-		case xa == xb && yb == ya-1:
-			idx = r.vEdge(xa, yb)
-		case ya == yb && xb == xa+1:
-			idx = r.hEdge(xa, ya)
-		case ya == yb && xb == xa-1:
-			idx = r.hEdge(xb, ya)
-		default:
-			continue
+		u := r.usage[e] + delta
+		r.usage[e] = u
+		k := e & 3
+		c := r.edgeBase[k]
+		if over := u + 1 - r.edgeCap[k]; over > 0 {
+			c += r.edgePitch[k] * r.curCW * float64(over)
 		}
-		u := r.usage[la][idx] + delta
-		r.usage[la][idx] = u
-		c := r.edgeBase[la]
-		if over := u + 1 - int32(r.cfg.Caps[la]); over > 0 {
-			c += r.edgePitch[la] * r.curCW * float64(over)
-		}
-		r.edgeCost[la][idx] = c
+		r.edgeCost[e] = c
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
