@@ -221,19 +221,10 @@ func reportLPStats(b *testing.B, start lp.Stats) {
 	b.ReportMetric(float64(end.FillNnz-start.FillNnz)/n, "fill-nnz/op")
 }
 
-// BenchmarkDistOptPass measures one parallel window-optimization pass at
-// the default in-window solver (SolverWorkers=0; kept under its seed name
-// so runs stay comparable across the repo's history).
-func BenchmarkDistOptPass(b *testing.B) { benchDistOptPass(b, 0, false) }
-
-// BenchmarkDistOptPassSolver2 / Solver4 run the same pass with the
-// speculative parallel branch-and-bound inside each window MILP. Placements
-// are bit-identical for every count >= 2 (canonical-order commits, see
-// internal/milp/parallel.go); wall time per family is deadline-bound
-// (Params.TimeLimit), so on a single-core host these mostly show the
-// per-node overhead of cold relaxation solves rather than a speedup.
-func BenchmarkDistOptPassSolver2(b *testing.B) { benchDistOptPass(b, 2, false) }
-func BenchmarkDistOptPassSolver4(b *testing.B) { benchDistOptPass(b, 4, false) }
+// BenchmarkDistOptPass measures one parallel window-optimization pass
+// (kept under its seed name so runs stay comparable across the repo's
+// history).
+func BenchmarkDistOptPass(b *testing.B) { benchDistOptPass(b, false) }
 
 // BenchmarkDistOptPassGuided runs the same pass with proxy-guided
 // scheduling: windows are scored with the congestion estimator before the
@@ -241,13 +232,12 @@ func BenchmarkDistOptPassSolver4(b *testing.B) { benchDistOptPass(b, 4, false) }
 // window's MILP budget is scaled by its score (see
 // internal/core/guided.go). The wall delta against BenchmarkDistOptPass is
 // the guided saving recorded in BENCH_core.json.
-func BenchmarkDistOptPassGuided(b *testing.B) { benchDistOptPass(b, 0, true) }
+func BenchmarkDistOptPassGuided(b *testing.B) { benchDistOptPass(b, true) }
 
-func benchDistOptPass(b *testing.B, solverWorkers int, guided bool) {
+func benchDistOptPass(b *testing.B, guided bool) {
 	p := placedDesign(b, tech.ClosedM1, 800)
 	prm := core.DefaultParams(p.Tech, tech.ClosedM1)
 	prm.Workers = 8
-	prm.SolverWorkers = solverWorkers
 	if guided {
 		prm.Guided = true
 		prm.Proxy = proxy.New(p, proxy.DefaultConfig(p.Tech, tech.ClosedM1))
@@ -415,10 +405,9 @@ const coreSeedBaselineNs = 8550000000
 
 // TestEmitBenchCoreJSON regenerates BENCH_core.json, the machine-readable
 // record of the core-substrate microbenchmarks that the performance
-// acceptance gates compare against — including the per-solver-worker
-// DistOptPass series and a determinism check that SolverWorkers counts >= 2
-// produce identical placements. Skipped unless BENCH_JSON is set (it runs
-// the real benchmarks, minutes of wall time):
+// acceptance gates compare against, plus a determinism check that window
+// Workers counts 1 and 4 produce identical placements. Skipped unless
+// BENCH_JSON is set (it runs the real benchmarks, minutes of wall time):
 //
 //	BENCH_JSON=1 go test -run TestEmitBenchCoreJSON -timeout 30m .
 func TestEmitBenchCoreJSON(t *testing.T) {
@@ -430,21 +419,20 @@ func TestEmitBenchCoreJSON(t *testing.T) {
 		AllocsPerOp int64 `json:"allocs_per_op"`
 		BytesPerOp  int64 `json:"bytes_per_op"`
 		N           int   `json:"n"`
-		// Workers / SolverWorkers record the window-level and in-window
-		// parallelism of the run (0 = substrate default).
-		Workers       int `json:"workers,omitempty"`
-		SolverWorkers int `json:"solver_workers,omitempty"`
+		// Workers records the window-level parallelism of the run
+		// (0 = substrate default).
+		Workers int `json:"workers,omitempty"`
 		// Extra carries the custom per-op metrics a benchmark reported —
 		// for the LP-backed benches the simplex-kernel counters
 		// (pivots/op, refactors/op, fill-nnz/op, lp-solves/op).
 		Extra map[string]float64 `json:"extra,omitempty"`
 	}
 
-	// The per-worker series is only meaningful if the solver counts agree
-	// exactly: run one untimed pass per count on identical placements and
-	// require bit-identical results (mirrors BENCH_route.json's
-	// metrics_identical gate).
-	distOptAt := func(solverWorkers int) *layout.Placement {
+	// The series are only comparable across hosts if the window worker
+	// count cannot change results: run one untimed pass per count on
+	// identical placements and require bit-identical results (mirrors
+	// BENCH_route.json's metrics_identical gate).
+	distOptAt := func(workers int) *layout.Placement {
 		tc := tech.Default()
 		lib := cells.MustNewLibrary(tc, tech.ClosedM1)
 		d := netlist.MustGenerate(lib, netlist.DefaultGenConfig("bench-det", 300, 5))
@@ -453,18 +441,17 @@ func TestEmitBenchCoreJSON(t *testing.T) {
 			t.Fatal(err)
 		}
 		prm := core.DefaultParams(tc, tech.ClosedM1)
-		prm.Workers = 4
-		prm.SolverWorkers = solverWorkers
+		prm.Workers = workers
 		prm.MaxNodes = 40
 		prm.TimeLimit = 0
 		ps := core.ParamSet{BW: expt.UmToDBU(10), BH: expt.UmToDBU(10), LX: 3, LY: 1}
 		core.DistOpt(p, prm, ps, 0, 0, true, false)
 		return p
 	}
-	p2, p8 := distOptAt(2), distOptAt(8)
-	for i := range p2.SiteX {
-		if p2.SiteX[i] != p8.SiteX[i] || p2.Row[i] != p8.Row[i] || p2.Flip[i] != p8.Flip[i] {
-			t.Fatalf("placements diverge between solver-worker counts at inst %d", i)
+	p1, p4 := distOptAt(1), distOptAt(4)
+	for i := range p1.SiteX {
+		if p1.SiteX[i] != p4.SiteX[i] || p1.Row[i] != p4.Row[i] || p1.Flip[i] != p4.Flip[i] {
+			t.Fatalf("placements diverge between window worker counts at inst %d", i)
 		}
 	}
 
@@ -510,31 +497,25 @@ func TestEmitBenchCoreJSON(t *testing.T) {
 		mGuided.DM1 += mg.DM1
 	}
 
-	benches := []struct {
-		name          string
-		fn            func(*testing.B)
-		workers       int
-		solverWorkers int
-	}{
-		{"DistOptPass", BenchmarkDistOptPass, 8, 0},
-		{"DistOptPassGuided", BenchmarkDistOptPassGuided, 8, 0},
-		{"DistOptPassSolver2", BenchmarkDistOptPassSolver2, 8, 2},
-		{"DistOptPassSolver4", BenchmarkDistOptPassSolver4, 8, 4},
-		{"ProxyEval", BenchmarkProxyEval, 0, 0},
-		{"LPSolve", BenchmarkLPSolve, 0, 0},
-		{"CalculateObjIncremental", BenchmarkCalculateObjIncremental, 0, 0},
-		{"CalculateObjFull", BenchmarkCalculateObjFull, 0, 0},
+	type bench struct {
+		name    string
+		fn      func(*testing.B)
+		workers int
+	}
+	benches := []bench{
+		{"DistOptPass", BenchmarkDistOptPass, 8},
+		{"DistOptPassGuided", BenchmarkDistOptPassGuided, 8},
+		{"ProxyEval", BenchmarkProxyEval, 0},
+		{"LPSolve", BenchmarkLPSolve, 0},
+		{"CalculateObjIncremental", BenchmarkCalculateObjIncremental, 0},
+		{"CalculateObjFull", BenchmarkCalculateObjFull, 0},
 	}
 	// Per-objective rescan series (make bench-objective runs the same
 	// benchmarks standalone); Names() is sorted, so the series order is
 	// stable run to run.
 	for _, name := range objective.Names() {
-		benches = append(benches, struct {
-			name          string
-			fn            func(*testing.B)
-			workers       int
-			solverWorkers int
-		}{"ObjectiveEval/" + name, func(b *testing.B) { benchObjectiveEval(b, name) }, 0, 0})
+		benches = append(benches, bench{"ObjectiveEval/" + name,
+			func(b *testing.B) { benchObjectiveEval(b, name) }, 0})
 	}
 	type qor struct {
 		RWL      int64 `json:"rwl"`
@@ -563,13 +544,12 @@ func TestEmitBenchCoreJSON(t *testing.T) {
 	for _, bm := range benches {
 		r := testing.Benchmark(bm.fn)
 		out.Results[bm.name] = entry{
-			NsPerOp:       r.NsPerOp(),
-			AllocsPerOp:   r.AllocsPerOp(),
-			BytesPerOp:    r.AllocedBytesPerOp(),
-			N:             r.N,
-			Workers:       bm.workers,
-			SolverWorkers: bm.solverWorkers,
-			Extra:         r.Extra,
+			NsPerOp:     r.NsPerOp(),
+			AllocsPerOp: r.AllocsPerOp(),
+			BytesPerOp:  r.AllocedBytesPerOp(),
+			N:           r.N,
+			Workers:     bm.workers,
+			Extra:       r.Extra,
 		}
 		t.Logf("%s: %s", bm.name, r)
 	}

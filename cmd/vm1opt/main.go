@@ -23,6 +23,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"runtime"
@@ -64,9 +65,8 @@ func run() error {
 	util := flag.Float64("util", 0.75, "placement utilization")
 	alpha := flag.Float64("alpha", -1, "alignment weight (negative: architecture default)")
 	seqStr := flag.String("seq", "", "U sequence 'bwUm:lx:ly,...' (default 20:4:1)")
-	workers := flag.Int("workers", 8, "parallel window solvers")
-	solverWorkers := flag.Int("solver-workers", 0,
-		"branch-and-bound workers inside each window MILP (0: sequential)")
+	workers := flag.Int("workers", 0,
+		"parallel window solvers and router workers (0: available parallelism)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this path")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this path on exit")
 	guided := flag.Bool("guided", false,
@@ -81,6 +81,11 @@ func run() error {
 	defPath := flag.String("def", "", "read placed DEF (with -lef)")
 	outPath := flag.String("out", "", "write optimized DEF to this path")
 	flag.Parse()
+
+	arch, err := parseArch(*archStr)
+	if err != nil {
+		return err
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -113,10 +118,6 @@ func run() error {
 		}()
 	}
 
-	arch := tech.ClosedM1
-	if *archStr == "openm1" {
-		arch = tech.OpenM1
-	}
 	if *objStr != "" {
 		// Validate here so a typo is a clean error, not a panic deep in the
 		// flow; the objective dictates the pin architecture it scores.
@@ -129,7 +130,6 @@ func run() error {
 
 	var seq core.Sequence
 	if *seqStr != "" {
-		var err error
 		seq, err = parseSeq(*seqStr)
 		if err != nil {
 			return err
@@ -144,7 +144,6 @@ func run() error {
 		Util:             *util,
 		Sequence:         seq,
 		Workers:          *workers,
-		SolverWorkers:    *solverWorkers,
 		Guided:           *guided,
 		GuidedColdFrac:   *guidedCold,
 		GuidedShrink:     *guidedShrink,
@@ -317,7 +316,21 @@ func measure(ctx context.Context, p *layout.Placement, arch tech.Arch) (quickMet
 	return quickMetrics{dm1: m.DM1, rwl: m.RWL, hpwl: p.TotalHPWL(), wns: rep.WNS}, nil
 }
 
-// parseSeq parses "20:4:1,10:3:0" into a core.Sequence.
+// parseArch maps an -arch value to the cell architecture it names. The
+// optimizer has an objective only for the two vertical-M1 architectures,
+// so anything else (conventional, other spellings, typos) is an error.
+func parseArch(s string) (tech.Arch, error) {
+	switch s {
+	case "closedm1":
+		return tech.ClosedM1, nil
+	case "openm1":
+		return tech.OpenM1, nil
+	}
+	return 0, fmt.Errorf("unknown -arch %q (want closedm1|openm1)", s)
+}
+
+// parseSeq parses "20:4:1,10:3:0" into a core.Sequence. Window widths must
+// be positive and finite, move ranges non-negative.
 func parseSeq(s string) (core.Sequence, error) {
 	var out core.Sequence
 	for _, part := range strings.Split(s, ",") {
@@ -328,7 +341,8 @@ func parseSeq(s string) (core.Sequence, error) {
 		bw, err1 := strconv.ParseFloat(fields[0], 64)
 		lx, err2 := strconv.Atoi(fields[1])
 		ly, err3 := strconv.Atoi(fields[2])
-		if err1 != nil || err2 != nil || err3 != nil {
+		if err1 != nil || err2 != nil || err3 != nil ||
+			!(bw > 0) || math.IsInf(bw, 1) || lx < 0 || ly < 0 {
 			return nil, fmt.Errorf("bad sequence element %q", part)
 		}
 		out = append(out, core.ParamSet{

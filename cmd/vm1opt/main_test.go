@@ -1,0 +1,71 @@
+package main
+
+import (
+	"slices"
+	"strings"
+	"testing"
+
+	"vm1place/internal/core"
+	"vm1place/internal/expt"
+	"vm1place/internal/tech"
+)
+
+func TestParseArch(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want tech.Arch
+		ok   bool
+	}{
+		{"closedm1", tech.ClosedM1, true},
+		{"openm1", tech.OpenM1, true},
+		{"OpenM1", 0, false},
+		{"ClosedM1", 0, false},
+		{"open-m1", 0, false},
+		{"conventional", 0, false},
+		{"openm1 ", 0, false},
+		{"", 0, false},
+	} {
+		got, err := parseArch(tc.in)
+		if !tc.ok {
+			if err == nil || !strings.Contains(err.Error(), "closedm1|openm1") {
+				t.Errorf("parseArch(%q) = %v, %v; want an error naming closedm1|openm1",
+					tc.in, got, err)
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("parseArch(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+}
+
+func TestParseSeq(t *testing.T) {
+	ps := func(bwUm float64, lx, ly int) core.ParamSet {
+		return core.ParamSet{BW: expt.UmToDBU(bwUm), BH: expt.UmToDBU(bwUm), LX: lx, LY: ly}
+	}
+	good := []struct {
+		in   string
+		want core.Sequence
+	}{
+		{"20:4:1", core.Sequence{ps(20, 4, 1)}},
+		{"10:3:1,20:4:0", core.Sequence{ps(10, 3, 1), ps(20, 4, 0)}},
+		{" 10:3:1 , 20:4:0 ", core.Sequence{ps(10, 3, 1), ps(20, 4, 0)}},
+		{"2.5:0:0", core.Sequence{ps(2.5, 0, 0)}},
+	}
+	for _, tc := range good {
+		if got, err := parseSeq(tc.in); err != nil || !slices.Equal(got, tc.want) {
+			t.Errorf("parseSeq(%q) = %+v, %v; want %+v", tc.in, got, err, tc.want)
+		}
+	}
+	for _, in := range []string{
+		"", "garbage", "20:4", "20:4:1:0", "20:4:1,", ",20:4:1",
+		"x:4:1", "20:a:1", "20:4:b", "20:4.5:1",
+		"0:4:1", "-10:3:1", "NaN:3:1", "Inf:3:1", "20:-1:0", "20:4:-1",
+	} {
+		if got, err := parseSeq(in); err == nil {
+			t.Errorf("parseSeq(%q) = %v, want an error", in, got)
+		} else if !strings.Contains(err.Error(), "bad sequence element") {
+			t.Errorf("parseSeq(%q): error %q does not name the bad element", in, err)
+		}
+	}
+}

@@ -85,14 +85,6 @@ type Params struct {
 	// to the machine's available parallelism (the paper's experiments use
 	// 8 threads on an 8-core host — the same policy, not a magic count).
 	Workers int
-	// SolverWorkers is the speculative branch-and-bound worker count
-	// inside each window MILP (milp.Params.Workers): at >= 2 node
-	// relaxations are solved in parallel with canonically-ordered commits,
-	// so any such count yields identical placements. <= 1 keeps the
-	// sequential warm-started solver. Orthogonal to Workers, which
-	// parallelizes across windows; the default of 0 leaves all parallelism
-	// at the window level.
-	SolverWorkers int
 	// Shards is ignored. It selected a spatially sharded inner loop that
 	// the dataflow window scheduler replaced (DESIGN.md §4f); that
 	// scheduler already bounds live window storage by the worker count.

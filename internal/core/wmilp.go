@@ -363,7 +363,6 @@ func (w *window) solveMILP() []int {
 	res := milp.Solve(mm, milp.Params{
 		MaxNodes:     w.prm.MaxNodes,
 		TimeLimit:    w.prm.TimeLimit,
-		Workers:      w.prm.SolverWorkers,
 		Incumbent:    incumbent,
 		IncumbentObj: curObj,
 		Rounder:      rounder,

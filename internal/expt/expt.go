@@ -124,10 +124,6 @@ type FlowConfig struct {
 	// substrate defaults (GOMAXPROCS). Routed Metrics are identical for
 	// every value — see internal/route/parallel.go.
 	Workers int
-	// SolverWorkers sets the speculative branch-and-bound worker count
-	// inside each window MILP (core.Params.SolverWorkers). Zero keeps the
-	// sequential solver; any count >= 2 yields identical placements.
-	SolverWorkers int
 	// Shards is ignored, like core.Params.Shards: the dataflow window
 	// scheduler replaced the sharded optimizer it selected. The field
 	// stays so callers that set it keep compiling.
@@ -170,9 +166,6 @@ func (cfg FlowConfig) params(t *tech.Tech) core.Params {
 	}
 	if cfg.Workers > 0 {
 		prm.Workers = cfg.Workers
-	}
-	if cfg.SolverWorkers > 0 {
-		prm.SolverWorkers = cfg.SolverWorkers
 	}
 	switch {
 	case cfg.TimeLimit > 0:

@@ -90,13 +90,6 @@ func (a *Arena) SetDeadline(t time.Time) {
 	a.hasDL = !t.IsZero()
 }
 
-// InvalidateWarm drops the warm-start state, forcing the next solve through
-// the deterministic cold path regardless of what this arena solved before.
-// Parallel branch-and-bound uses it so a node relaxation's result is a pure
-// function of (model, bounds, hint) — independent of which worker's arena
-// solved it, and of what that arena solved previously.
-func (a *Arena) InvalidateWarm() { a.warm = false }
-
 // Stats returns the cumulative simplex-kernel counters of every solve that
 // used this arena (solves, pivots, refactorizations, fill-in, eta file
 // growth). See GlobalStats for the process-wide aggregate.
@@ -132,7 +125,7 @@ func (a *Arena) bind(m *Model) bool {
 			a.cols[n+rows+i] = a.unit[rows+i : rows+i+1 : rows+i+1]
 		}
 		a.colNorm = a.colNorm[:0] // recomputed lazily by iterate
-		a.rowPtr = a.rowPtr[:0] // CSR rebuilt lazily by ensureRowMatrix
+		a.rowPtr = a.rowPtr[:0]   // CSR rebuilt lazily by ensureRowMatrix
 		a.rhs = growSlice(a.rhs, rows)
 		copy(a.rhs, m.rhs)
 		perturbRHS(a.rhs)

@@ -123,10 +123,6 @@ type Params struct {
 	// one DistOpt worker's window sequence). nil allocates a private one,
 	// so arena reuse within a solve is always on.
 	Scratch *lp.Arena
-	// Workers >= 2 explores the tree with that many speculative LP solvers
-	// under canonical-order commits (parallel.go); the result is identical
-	// for any such count. <= 1 runs the sequential solver.
-	Workers int
 }
 
 // Result is the outcome of a Solve.
@@ -242,10 +238,6 @@ func Solve(m *Model, p Params) Result {
 	s.scratch = p.Scratch
 	if s.scratch == nil {
 		s.scratch = lp.NewArena()
-	}
-	if p.Workers > 1 {
-		// Parallel mode arms the deadline on every worker arena itself.
-		return solveParallel(m, p, s)
 	}
 	if s.hasDL {
 		// Interrupt long individual relaxation solves too (a big window's
@@ -418,9 +410,32 @@ func (s *solver) branchVar(lo, hi []float64, j int, x []float64) (float64, float
 // members (hi already 0) stay fixed in both children.
 func (s *solver) branchGroup(lo, hi []float64, gi int, x []float64) (float64, float64) {
 	// Active members sorted by LP value descending; S = active[:cut] holds
-	// at least half the LP mass, which balances the children (groupSplit,
-	// shared with the parallel committer so both branch identically).
-	active, cut := groupSplit(s, s.m.Groups[gi], hi, x)
+	// at least half the LP mass, which balances the children.
+	active := s.getInts(len(s.m.Groups[gi]))
+	for _, j := range s.m.Groups[gi] {
+		if hi[j] > 0.5 {
+			active = append(active, j)
+		}
+	}
+	for i := 0; i < len(active); i++ {
+		for k := i + 1; k < len(active); k++ {
+			if x[active[k]] > x[active[i]] {
+				active[i], active[k] = active[k], active[i]
+			}
+		}
+	}
+	var mass, total float64
+	for _, j := range active {
+		total += x[j]
+	}
+	cut := 0
+	for cut < len(active)-1 {
+		mass += x[active[cut]]
+		cut++
+		if mass >= total/2 {
+			break
+		}
+	}
 
 	// Child A: winner inside S (zero the complement).
 	hiA := s.getBounds(hi)

@@ -412,3 +412,155 @@ func TestStatusStrings(t *testing.T) {
 		}
 	}
 }
+
+// windowLike is a random window-shaped MILP plus the data needed to
+// enumerate its integer solutions.
+type windowLike struct {
+	mm              *Model
+	cost, pos       [][]float64 // [cell][candidate]
+	vars            [][]int
+	vmax, d         int
+	vmaxCost, dCost float64
+	conflicts       [][4]int // (g1, k1, g2, k2): not both chosen
+	dPair           [2]int   // d = 1 needs cells 0 and 1 on these candidates
+}
+
+// buildWindowLike constructs a random MILP shaped like the paper's window
+// problems: exactly-one candidate groups with distinct fractional costs, a
+// continuous net-bound variable vmax tied to the candidate choice, conflict
+// rows, and an indicator binary d with a big-G reward when two choices pair
+// up. Fractional costs keep LP optima unique, which is the regime the
+// window MILPs live in after the lp package's deterministic RHS
+// perturbation.
+func buildWindowLike(rng *rand.Rand) *windowLike {
+	m := lp.NewModel()
+	w := &windowLike{mm: NewModel(m)}
+	nGroups := 2 + rng.Intn(3) // 2..4 cells
+	w.cost = make([][]float64, nGroups)
+	w.pos = make([][]float64, nGroups)
+	w.vars = make([][]int, nGroups)
+	for g := range w.vars {
+		size := 2 + rng.Intn(4) // 2..5 candidates
+		w.cost[g] = make([]float64, size)
+		w.pos[g] = make([]float64, size)
+		w.vars[g] = make([]int, size)
+		terms := make([]lp.Term, size)
+		for k := range terms {
+			w.cost[g][k] = rng.Float64() * 10
+			w.vars[g][k] = m.AddVar(0, 1, w.cost[g][k], "l")
+			w.pos[g][k] = float64(rng.Intn(20)) + rng.Float64()
+			terms[k] = lp.Term{Var: w.vars[g][k], Coef: 1}
+		}
+		m.AddRow(lp.EQ, 1, terms...)
+		w.mm.AddGroup(w.vars[g])
+	}
+	w.vmaxCost = 1 + rng.Float64()
+	w.vmax = m.AddVar(0, math.Inf(1), w.vmaxCost, "max")
+	for g := range w.vars {
+		for k, v := range w.vars[g] {
+			m.AddRow(lp.GE, 0, lp.Term{Var: w.vmax, Coef: 1},
+				lp.Term{Var: v, Coef: -w.pos[g][k]})
+		}
+	}
+	for c, nc := 0, 2+rng.Intn(3); c < nc; c++ {
+		g1, g2 := rng.Intn(nGroups), rng.Intn(nGroups)
+		if g1 == g2 {
+			continue
+		}
+		cf := [4]int{g1, rng.Intn(len(w.vars[g1])), g2, rng.Intn(len(w.vars[g2]))}
+		w.conflicts = append(w.conflicts, cf)
+		m.AddRow(lp.LE, 1, lp.Term{Var: w.vars[g1][cf[1]], Coef: 1},
+			lp.Term{Var: w.vars[g2][cf[3]], Coef: 1})
+	}
+	// d <= (l0 + l1)/2: an integral d is 1 only when both choices hold.
+	w.dCost = -(1 + rng.Float64())
+	w.d = m.AddVar(0, 1, w.dCost, "d")
+	w.mm.MarkInt(w.d)
+	w.dPair = [2]int{rng.Intn(len(w.vars[0])), rng.Intn(len(w.vars[1]))}
+	m.AddRow(lp.LE, 0, lp.Term{Var: w.d, Coef: 1},
+		lp.Term{Var: w.vars[0][w.dPair[0]], Coef: -0.5},
+		lp.Term{Var: w.vars[1][w.dPair[1]], Coef: -0.5})
+	return w
+}
+
+// value returns the objective of cell g choosing candidate sel[g] with
+// indicator d and vmax at its cheapest, max(0, largest chosen position),
+// and whether that assignment is feasible.
+func (w *windowLike) value(sel []int, d int) (float64, bool) {
+	for _, cf := range w.conflicts {
+		if sel[cf[0]] == cf[1] && sel[cf[2]] == cf[3] {
+			return 0, false
+		}
+	}
+	if d == 1 && (sel[0] != w.dPair[0] || sel[1] != w.dPair[1]) {
+		return 0, false
+	}
+	obj, vmax := w.dCost*float64(d), 0.0
+	for g, k := range sel {
+		obj += w.cost[g][k]
+		vmax = math.Max(vmax, w.pos[g][k])
+	}
+	return obj + w.vmaxCost*vmax, true
+}
+
+// TestWindowLikeVsBrute checks Solve on window-shaped MILPs: untimed solves
+// must reach the optimum found by enumerating every candidate choice and
+// indicator value, and a solve cut by a 1 ms deadline must keep a seeded
+// incumbent or improve on it.
+func TestWindowLikeVsBrute(t *testing.T) {
+	rng := rand.New(rand.NewSource(2718))
+	for trial := 0; trial < 60; trial++ {
+		w := buildWindowLike(rng)
+		sel := make([]int, len(w.vars))
+		want, found := math.Inf(1), false
+		var visit func(g int)
+		visit = func(g int) {
+			if g == len(sel) {
+				for d := 0; d <= 1; d++ {
+					if obj, ok := w.value(sel, d); ok && obj < want {
+						want, found = obj, true
+					}
+				}
+				return
+			}
+			for sel[g] = range w.vars[g] {
+				visit(g + 1)
+			}
+		}
+		visit(0)
+		res := Solve(w.mm, Params{MaxNodes: 5000})
+		if !found {
+			if res.Status != Infeasible {
+				t.Fatalf("trial %d: brute infeasible, milp %s", trial, res.Status)
+			}
+			continue
+		}
+		if res.Status != Optimal || math.Abs(res.Obj-want) > 1e-6 {
+			t.Fatalf("trial %d: milp %s obj %.9f != brute %.9f", trial, res.Status, res.Obj, want)
+		}
+	}
+
+	rng = rand.New(rand.NewSource(5150))
+	seeded := 0
+	for trial := 0; trial < 60; trial++ {
+		w := buildWindowLike(rng)
+		incObj, ok := w.value(make([]int, len(w.vars)), 0)
+		if !ok {
+			continue // a conflict row excludes the first-candidate choice
+		}
+		seeded++
+		inc := make([]float64, w.mm.LP.NumVars())
+		for g := range w.vars {
+			inc[w.vars[g][0]] = 1
+			inc[w.vmax] = math.Max(inc[w.vmax], w.pos[g][0])
+		}
+		res := Solve(w.mm, Params{TimeLimit: time.Millisecond, Incumbent: inc, IncumbentObj: incObj})
+		if res.X == nil || res.Obj > incObj+1e-9 {
+			t.Fatalf("trial %d: %s, X nil %v, obj %v vs incumbent %v",
+				trial, res.Status, res.X == nil, res.Obj, incObj)
+		}
+	}
+	if seeded < 20 {
+		t.Fatalf("only %d of 60 timed trials had a feasible first-candidate incumbent", seeded)
+	}
+}
