@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint test race bench-smoke bench-proxy bench-objective bench-json bench-core bench-route bench-scale bench-scale-smoke
+.PHONY: check vet lint test race bench-smoke bench-objective bench-json bench-core bench-route bench-scale bench-scale-smoke
 
 check: vet lint test race bench-smoke
 
@@ -30,7 +30,7 @@ race:
 
 # One iteration of each substrate microbenchmark — a fast sanity pass that
 # the benchmarks still build and run, not a measurement.
-bench-smoke: bench-proxy bench-objective bench-scale-smoke
+bench-smoke: bench-objective bench-scale-smoke
 	$(GO) test -run '^$$' -bench 'DistOptPass|LPSolve|CalculateObj|RouteAll' -benchtime 1x -timeout 20m .
 
 # One rescan per registered geometry objective (BenchmarkObjectiveEval
@@ -45,13 +45,6 @@ bench-objective:
 # (TestScaleSweepSmoke, ~5 s).
 bench-scale-smoke:
 	$(GO) test -run TestScaleSweepSmoke -timeout 10m ./internal/expt/
-
-# The congestion-proxy evaluation hot path (incremental update + full
-# window-grid scoring). Measured, not smoked: the guided selection design
-# budget is <= ~50 us per family evaluation with a zero-alloc steady state
-# (TestSteadyStateZeroAlloc in internal/proxy pins the alloc half).
-bench-proxy:
-	$(GO) test -run '^$$' -bench 'ProxyEval' -benchtime 100x -timeout 10m .
 
 bench-json:
 	BENCH_JSON=1 $(GO) test -run TestEmitBenchCoreJSON -timeout 30m -v .

@@ -22,7 +22,6 @@ import (
 	"vm1place/internal/netlist"
 	"vm1place/internal/objective"
 	"vm1place/internal/place"
-	"vm1place/internal/proxy"
 	"vm1place/internal/route"
 	"vm1place/internal/sta"
 	"vm1place/internal/tech"
@@ -224,24 +223,10 @@ func reportLPStats(b *testing.B, start lp.Stats) {
 // BenchmarkDistOptPass measures one parallel window-optimization pass
 // (kept under its seed name so runs stay comparable across the repo's
 // history).
-func BenchmarkDistOptPass(b *testing.B) { benchDistOptPass(b, false) }
-
-// BenchmarkDistOptPassGuided runs the same pass with proxy-guided
-// scheduling: windows are scored with the congestion estimator before the
-// pass, families run hottest-first, near-empty ones are skipped, and each
-// window's MILP budget is scaled by its score (see
-// internal/core/guided.go). The wall delta against BenchmarkDistOptPass is
-// the guided saving recorded in BENCH_core.json.
-func BenchmarkDistOptPassGuided(b *testing.B) { benchDistOptPass(b, true) }
-
-func benchDistOptPass(b *testing.B, guided bool) {
+func BenchmarkDistOptPass(b *testing.B) {
 	p := placedDesign(b, tech.ClosedM1, 800)
 	prm := core.DefaultParams(p.Tech, tech.ClosedM1)
 	prm.Workers = 8
-	if guided {
-		prm.Guided = true
-		prm.Proxy = proxy.New(p, proxy.DefaultConfig(p.Tech, tech.ClosedM1))
-	}
 	ps := core.ParamSet{BW: expt.UmToDBU(20), BH: expt.UmToDBU(20), LX: 4, LY: 1}
 	b.ResetTimer()
 	stats := lp.GlobalStats()
@@ -249,48 +234,6 @@ func benchDistOptPass(b *testing.B, guided bool) {
 		core.DistOpt(p, prm, ps, 0, 0, true, false)
 	}
 	reportLPStats(b, stats)
-}
-
-// BenchmarkProxyEval measures the guided-selection hot path: one
-// incremental estimator update over a 16-move batch (the tracker's
-// per-family feed) followed by scoring every window of a 20 um grid —
-// i.e. the full proxy cost of one window family. The steady state must
-// stay allocation-free (TestSteadyStateZeroAlloc pins allocs == 0; this
-// records the wall cost).
-func BenchmarkProxyEval(b *testing.B) {
-	p := placedDesign(b, tech.ClosedM1, 800)
-	est := proxy.New(p, proxy.DefaultConfig(p.Tech, tech.ClosedM1))
-	rng := rand.New(rand.NewSource(7))
-	insts := make([]int, 16)
-	bw := expt.UmToDBU(20)
-	die := p.DieRect()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for k := range insts {
-			inst := rng.Intn(len(p.Design.Insts))
-			wi := p.Design.Insts[inst].Master.WidthSites
-			p.SetLoc(inst, rng.Intn(p.NumSites-wi+1), rng.Intn(p.NumRows), rng.Intn(2) == 0)
-			insts[k] = inst
-		}
-		est.Update(insts)
-		var s float64
-		for y := die.YLo; y < die.YHi; y += bw {
-			for x := die.XLo; x < die.XHi; x += bw {
-				r := die
-				r.XLo, r.YLo = x, y
-				if r.XHi = x + bw; r.XHi > die.XHi {
-					r.XHi = die.XHi
-				}
-				if r.YHi = y + bw; r.YHi > die.YHi {
-					r.YHi = die.YHi
-				}
-				s += est.WindowScore(r)
-			}
-		}
-		if s < 0 {
-			b.Fatal("negative score")
-		}
-	}
 }
 
 // BenchmarkCalculateObjIncremental measures ObjTracker.ApplyMoves — the
@@ -455,48 +398,6 @@ func TestEmitBenchCoreJSON(t *testing.T) {
 		}
 	}
 
-	// Guided-vs-uniform QoR gate: the wall saving recorded by the
-	// DistOptPassGuided series only counts if guided scheduling does not
-	// cost routed quality. Run one pass each way in the same timed regime
-	// as the benchmark series (default 400 ms window budget — the regime
-	// where guided budget shaping actually bites) and route both, summed
-	// over three netlist seeds: timed runs are wall-clock
-	// nondeterministic and a single design's routed metrics swing more
-	// run-to-run than guided-vs-uniform moves them (EXPERIMENTS.md §
-	// "Guided window scheduling" uses the same seed set).
-	guidedQoR := func(guided bool, seed int64) route.Metrics {
-		tc := tech.Default()
-		lib := cells.MustNewLibrary(tc, tech.ClosedM1)
-		d := netlist.MustGenerate(lib, netlist.DefaultGenConfig("bench-qor", 800, seed))
-		p := layout.MustNewFloorplan(tc, d, 0.75)
-		if err := place.Global(p, place.Options{}); err != nil {
-			t.Fatal(err)
-		}
-		prm := core.DefaultParams(tc, tech.ClosedM1)
-		prm.Workers = 4
-		if guided {
-			prm.Guided = true
-			prm.Proxy = proxy.New(p, proxy.DefaultConfig(tc, tech.ClosedM1))
-		}
-		ps := core.ParamSet{BW: expt.UmToDBU(20), BH: expt.UmToDBU(20), LX: 4, LY: 1}
-		core.DistOpt(p, prm, ps, 0, 0, true, false)
-		m, err := route.New(p, route.DefaultConfig(tc, tech.ClosedM1)).RouteAllCtx(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	var mUniform, mGuided route.Metrics
-	for _, seed := range []int64{5, 11, 23} {
-		mu, mg := guidedQoR(false, seed), guidedQoR(true, seed)
-		mUniform.RWL += mu.RWL
-		mUniform.Overflow += mu.Overflow
-		mUniform.DM1 += mu.DM1
-		mGuided.RWL += mg.RWL
-		mGuided.Overflow += mg.Overflow
-		mGuided.DM1 += mg.DM1
-	}
-
 	type bench struct {
 		name    string
 		fn      func(*testing.B)
@@ -504,8 +405,6 @@ func TestEmitBenchCoreJSON(t *testing.T) {
 	}
 	benches := []bench{
 		{"DistOptPass", BenchmarkDistOptPass, 8},
-		{"DistOptPassGuided", BenchmarkDistOptPassGuided, 8},
-		{"ProxyEval", BenchmarkProxyEval, 0},
 		{"LPSolve", BenchmarkLPSolve, 0},
 		{"CalculateObjIncremental", BenchmarkCalculateObjIncremental, 0},
 		{"CalculateObjFull", BenchmarkCalculateObjFull, 0},
@@ -517,11 +416,6 @@ func TestEmitBenchCoreJSON(t *testing.T) {
 		benches = append(benches, bench{"ObjectiveEval/" + name,
 			func(b *testing.B) { benchObjectiveEval(b, name) }, 0})
 	}
-	type qor struct {
-		RWL      int64 `json:"rwl"`
-		Overflow int   `json:"overflow"`
-		DM1      int   `json:"dm1"`
-	}
 	out := struct {
 		Note                string           `json:"note"`
 		SeedCommit          string           `json:"seed_commit"`
@@ -529,9 +423,6 @@ func TestEmitBenchCoreJSON(t *testing.T) {
 		GOMAXPROCS          int              `json:"gomaxprocs"`
 		PlacementsIdentical bool             `json:"placements_identical"`
 		SpeedupVsSeed       float64          `json:"speedup_vs_seed"`
-		GuidedWallRatio     float64          `json:"guided_wall_ratio"`
-		UniformQoR          qor              `json:"uniform_qor"`
-		GuidedQoR           qor              `json:"guided_qor"`
 		Results             map[string]entry `json:"results"`
 	}{
 		Note:                "regenerate with: BENCH_JSON=1 go test -run TestEmitBenchCoreJSON -timeout 30m . (or make bench-core)",
@@ -555,12 +446,6 @@ func TestEmitBenchCoreJSON(t *testing.T) {
 	}
 	out.SpeedupVsSeed = float64(coreSeedBaselineNs) /
 		float64(out.Results["DistOptPass"].NsPerOp)
-	out.GuidedWallRatio = float64(out.Results["DistOptPassGuided"].NsPerOp) /
-		float64(out.Results["DistOptPass"].NsPerOp)
-	out.UniformQoR = qor{RWL: mUniform.RWL, Overflow: mUniform.Overflow, DM1: mUniform.DM1}
-	out.GuidedQoR = qor{RWL: mGuided.RWL, Overflow: mGuided.Overflow, DM1: mGuided.DM1}
-	t.Logf("guided wall ratio %.3f; uniform QoR %+v; guided QoR %+v",
-		out.GuidedWallRatio, out.UniformQoR, out.GuidedQoR)
 	buf, err := json.MarshalIndent(&out, "", "  ")
 	if err != nil {
 		t.Fatal(err)

@@ -36,7 +36,6 @@ func run() error {
 	fig8 := flag.Bool("fig8", false, "congestion/DRV study")
 	table2 := flag.Bool("table2", false, "ExptB: full-design results")
 	ablate := flag.Bool("ablate", false, "sequential-vs-joint flip ablation")
-	guided := flag.Bool("guided", false, "uniform-vs-guided window budgeting sweep")
 	objSweep := flag.Bool("objsweep", false,
 		"pluggable-objective workloads: netsep margins, slackalpha weights, track-count variants")
 	scaleSweep := flag.Bool("scalesweep", false,
@@ -120,17 +119,6 @@ func run() error {
 			r.Name,
 			float64(r.BaseRWL)/1000, r.BaseDM1, r.BaseSec,
 			float64(r.VarRWL)/1000, r.VarDM1, r.VarSec)
-		fmt.Println()
-	}
-
-	if *all || *guided {
-		any = true
-		fmt.Println("== Guided window selection (congestion proxy) ==")
-		pts, err := expt.RunGuidedSweep(cfg, nil)
-		if err != nil {
-			return err
-		}
-		expt.WriteGuidedSweep(os.Stdout, pts)
 		fmt.Println()
 	}
 

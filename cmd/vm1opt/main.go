@@ -37,7 +37,6 @@ import (
 	"vm1place/internal/layout"
 	"vm1place/internal/lefdef"
 	"vm1place/internal/objective"
-	"vm1place/internal/proxy"
 	"vm1place/internal/route"
 	"vm1place/internal/sta"
 	"vm1place/internal/tech"
@@ -69,14 +68,6 @@ func run() error {
 		"parallel window solvers and router workers (0: available parallelism)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this path")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this path on exit")
-	guided := flag.Bool("guided", false,
-		"proxy-guided window selection: spend MILP budget hottest-family-first")
-	guidedCold := flag.Float64("guided-cold", 0,
-		"skip families scoring below this fraction of the hottest (0: default 0.01)")
-	guidedShrink := flag.Float64("guided-shrink", 0,
-		"budget floor multiplier for the coldest windows (0: default 0.25)")
-	guidedBoost := flag.Float64("guided-boost", 0,
-		"budget cap multiplier for the hottest windows (0: default 1.5)")
 	lefPath := flag.String("lef", "", "read library LEF (with -def)")
 	defPath := flag.String("def", "", "read placed DEF (with -lef)")
 	outPath := flag.String("out", "", "write optimized DEF to this path")
@@ -144,10 +135,6 @@ func run() error {
 		Util:             *util,
 		Sequence:         seq,
 		Workers:          *workers,
-		Guided:           *guided,
-		GuidedColdFrac:   *guidedCold,
-		GuidedShrink:     *guidedShrink,
-		GuidedBoostCap:   *guidedBoost,
 	}
 	if *alpha >= 0 {
 		cfg.Alpha = *alpha
@@ -178,12 +165,21 @@ func run() error {
 	return nil
 }
 
+// specFor resolves -design, -n and -scale into a design spec. -n must be
+// non-negative (0 keeps the paper count) and -scale positive and finite,
+// so a bad size is an error rather than a silent full-size run.
 func specFor(name string, n int, scale float64) (expt.DesignSpec, error) {
+	if n < 0 {
+		return expt.DesignSpec{}, fmt.Errorf("bad -n %d (want >= 0; 0 keeps the paper count)", n)
+	}
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return expt.DesignSpec{}, fmt.Errorf("bad -scale %v (want a positive finite factor)", scale)
+	}
 	for _, d := range expt.PaperDesigns {
 		if d.Name == name {
 			if n > 0 {
 				d.NumInsts = n
-			} else if scale > 0 && scale != 1.0 {
+			} else if scale != 1.0 {
 				d.NumInsts = int(float64(d.NumInsts) * scale)
 				if d.NumInsts < expt.MinScaledInsts {
 					d.NumInsts = expt.MinScaledInsts
@@ -218,13 +214,11 @@ func runOnDEF(ctx context.Context, lefPath, defPath, outPath string, cfg expt.Fl
 	}
 
 	prm := core.DefaultParams(t, cfg.Arch)
-	var obj objective.GeomObjective
 	if cfg.Objective != "" {
 		o, err := objective.Lookup(cfg.Objective)
 		if err != nil {
 			return fmt.Errorf("-objective: %w", err)
 		}
-		obj = o
 		prm.Objective = o
 		prm.MarginDBU = cfg.MarginDBU
 		if cfg.SlackAlphaWeight > 0 {
@@ -238,20 +232,6 @@ func runOnDEF(ctx context.Context, lefPath, defPath, outPath string, cfg expt.Fl
 	}
 	if cfg.Workers > 0 {
 		prm.Workers = cfg.Workers
-	}
-	if cfg.Guided {
-		// DEF path has no init-route feedback stage; the estimator runs
-		// uncalibrated (neutral per-region multipliers), which still ranks
-		// families by predicted congestion.
-		prm.Guided = true
-		pcfg := proxy.DefaultConfig(t, cfg.Arch)
-		if obj != nil {
-			pcfg = proxy.DefaultConfigForObjective(t, obj)
-		}
-		prm.Proxy = proxy.New(p, pcfg)
-		prm.GuidedColdFrac = cfg.GuidedColdFrac
-		prm.GuidedShrink = cfg.GuidedShrink
-		prm.GuidedBoostCap = cfg.GuidedBoostCap
 	}
 	seq := cfg.Sequence
 	if seq == nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -67,5 +68,52 @@ func TestParseSeq(t *testing.T) {
 		} else if !strings.Contains(err.Error(), "bad sequence element") {
 			t.Errorf("parseSeq(%q): error %q does not name the bad element", in, err)
 		}
+	}
+}
+
+func TestSpecFor(t *testing.T) {
+	aes, err := specFor("aes", 0, 1)
+	if err != nil || aes.NumInsts != 12345 {
+		t.Fatalf("specFor(aes, 0, 1) = %+v, %v; want the paper's 12345 instances", aes, err)
+	}
+	for _, tc := range []struct {
+		n     int
+		scale float64
+		want  int
+	}{
+		{500, 1, 500},
+		{500, 0.5, 500},
+		{0, 0.5, aes.NumInsts / 2},
+		{0, 1e-9, expt.MinScaledInsts},
+	} {
+		got, err := specFor("aes", tc.n, tc.scale)
+		if err != nil || got.Name != "aes" || got.NumInsts != tc.want {
+			t.Errorf("specFor(aes, %d, %v) = %+v, %v; want %d instances",
+				tc.n, tc.scale, got, err, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		n     int
+		scale float64
+		flag  string
+	}{
+		{-5, 1, "-n"},
+		{-1, 0.5, "-n"},
+		{0, 0, "-scale"},
+		{0, -0.5, "-scale"},
+		{100, 0, "-scale"},
+		{0, math.NaN(), "-scale"},
+		{0, math.Inf(1), "-scale"},
+		{0, math.Inf(-1), "-scale"},
+	} {
+		got, err := specFor("aes", tc.n, tc.scale)
+		if err == nil {
+			t.Errorf("specFor(aes, %d, %v) = %+v, want an error", tc.n, tc.scale, got)
+		} else if !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("specFor(aes, %d, %v): error %q does not name %s", tc.n, tc.scale, err, tc.flag)
+		}
+	}
+	if _, err := specFor("nope", 0, 1); err == nil {
+		t.Error("specFor(nope) succeeded, want an unknown-design error")
 	}
 }

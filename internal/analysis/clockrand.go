@@ -23,11 +23,6 @@ import (
 // reproducible idiom netlist generation already uses. Legitimate
 // stragglers (e.g. core's Result.Duration stamp, which reports wall time
 // but never feeds a decision) carry `// clock-ok: <reason>`.
-//
-// internal/proxy sits deliberately in the deny set: its window scores
-// decide which families guided DistOpt runs, so any clock or global-rand
-// read there would break the plan's pure-function-of-placement guarantee
-// (see internal/core/guided.go).
 var ClockRandAnalyzer = &Analyzer{
 	Name: "clockrand",
 	Doc:  "confines wall-clock and global math/rand usage to deadline/timing packages",

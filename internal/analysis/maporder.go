@@ -46,9 +46,6 @@ var deterministicPkgPrefixes = []string{
 	"vm1place/internal/route",
 	"vm1place/internal/place",
 	"vm1place/internal/wmilp",
-	// The congestion proxy feeds guided family selection, whose plan must
-	// be a pure function of the placement (see internal/core/guided.go).
-	"vm1place/internal/proxy",
 	// Geometry objectives emit the MILP rows whose ordering steers simplex
 	// pivoting; any map-ordered iteration here breaks the golden flows.
 	"vm1place/internal/objective",

@@ -55,12 +55,6 @@ type Params struct {
 	// βn > 1 so the optimizer resists stretching them. Nets beyond the
 	// slice bounds or with non-positive entries use 1.
 	NetBeta []float64
-	// PinDensityWeight, when positive, adds a per-candidate penalty
-	// proportional to the signal-pin count already present in the
-	// candidate's site columns (computed from the window snapshot). This
-	// is the paper's future-work pin-density criterion: it steers cells
-	// away from pin-crowded columns that throttle pin access.
-	PinDensityWeight float64
 	// Epsilon weighs total overlap length for OpenM1 (the paper's ε).
 	Epsilon float64
 	// GammaRows is the maximum dM1 span in rows (the paper's γ, OpenM1
@@ -96,65 +90,7 @@ type Params struct {
 	// MaxOuterIters caps Algorithm 1 inner iterations per parameter set
 	// (0: until convergence). ExptA-1 uses 1.
 	MaxOuterIters int
-	// Guided enables proxy-guided window selection and budgeting (requires
-	// Proxy): before each DistOpt pass every window and diagonal family is
-	// scored, families run hottest-first, near-empty families (scoring
-	// below GuidedColdFrac of the hottest) are skipped outright, and each
-	// window's MILP TimeLimit is scaled by its own score — cold windows
-	// drop toward GuidedShrink x the uniform budget, hot windows rise
-	// toward GuidedBoostCap x. The schedule is a pure function of the
-	// placement — (score, familyID) tie-break, single-threaded scoring —
-	// so guided runs stay bit-deterministic across Workers settings.
-	Guided bool
-	// Proxy is the QoR estimator behind guided selection, typically
-	// *proxy.Estimator. It is attached to the run's ObjTracker so every
-	// committed move batch keeps its congestion model current. nil
-	// disables guided selection even when Guided is set.
-	Proxy WindowScorer
-	// GuidedColdFrac is the family skip threshold as a fraction of the
-	// hottest family's score (0: 0.01). Families at or above the threshold
-	// run. The default is deliberately tight — it drops the near-empty
-	// boundary-sliver families a shifted grid produces, not merely
-	// uncongested ones: window objective gains are only weakly predictable
-	// from congestion, so skipping real windows trades QoR away.
-	GuidedColdFrac float64
-	// GuidedShrink is the budget floor multiplier for the coldest windows
-	// (0: 0.25). A cold window still solves, but its MILP wall budget is
-	// GuidedShrink x the uniform TimeLimit — hard-but-cold windows stop
-	// chasing tail improvements the router cannot reward. Untimed runs
-	// (TimeLimit <= 0) are unaffected.
-	GuidedShrink float64
-	// GuidedBoostCap caps the per-window TimeLimit multiplier for the
-	// hottest windows (0: 1.5).
-	GuidedBoostCap float64
 }
-
-// guidedColdFrac returns the effective cold-skip threshold fraction.
-func (prm Params) guidedColdFrac() float64 {
-	if prm.GuidedColdFrac > 0 {
-		return prm.GuidedColdFrac
-	}
-	return 0.01
-}
-
-// guidedShrink returns the effective cold-window budget floor.
-func (prm Params) guidedShrink() float64 {
-	if prm.GuidedShrink > 0 {
-		return prm.GuidedShrink
-	}
-	return 0.25
-}
-
-// guidedBoostCap returns the effective budget-boost cap.
-func (prm Params) guidedBoostCap() float64 {
-	if prm.GuidedBoostCap >= 1 {
-		return prm.GuidedBoostCap
-	}
-	return 1.5
-}
-
-// guided reports whether guided family selection is active.
-func (prm Params) guided() bool { return prm.Guided && prm.Proxy != nil }
 
 // DefaultParams returns paper-faithful defaults for an architecture.
 func DefaultParams(t *tech.Tech, arch tech.Arch) Params {

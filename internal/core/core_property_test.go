@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"vm1place/internal/cells"
-	"vm1place/internal/layout"
 	"vm1place/internal/tech"
 )
 
@@ -140,78 +138,5 @@ func TestParamsAlignGamma(t *testing.T) {
 	zero.GammaRows = 2
 	if zero.alignGamma() != 2 {
 		t.Errorf("zero-value OpenM1 align window = %d, want 2", zero.alignGamma())
-	}
-}
-
-// TestPinDensityCandidateCosts: with a positive weight, candidates that
-// land in pin-crowded columns cost more than candidates in empty columns,
-// and staying put is not penalized by the cell's own pins.
-func TestPinDensityCandidateCosts(t *testing.T) {
-	tc := tech.Default()
-	lib := cells.MustNewLibrary(tc, tech.ClosedM1)
-	m := newManual(lib)
-	u0 := m.addInst("INV_X1") // the cell under test
-	u1 := m.addInst("INV_X1") // crowd
-	u2 := m.addInst("INV_X1") // crowd
-	m.connect(u0, "ZN", [2]interface{}{u1, "A"})
-	m.connect(u1, "ZN", [2]interface{}{u2, "A"})
-	m.tieOff()
-	p := layout.MustNewFloorplan(tc, m.d, 0.05)
-	p.SpreadEven()
-	// u0 alone at the left of row 0; u1/u2 stacked near site 6.
-	p.SetLoc(u0, 0, 0, false)
-	p.SetLoc(u1, 6, 1, false)
-	p.SetLoc(u2, 6, 2, false)
-
-	prm := DefaultParams(tc, tech.ClosedM1)
-	prm.PinDensityWeight = 10
-	ps := ParamSet{BW: p.DieWidth(), BH: p.DieHeight(), LX: 6, LY: 0}
-	w := buildWindow(p, prm, p.DieRect(), ps, []int{u0, u1, u2}, true, false)
-
-	ci := w.cellOf(u0)
-	if ci < 0 {
-		t.Fatal("u0 not movable")
-	}
-	var costAt0, costAt6 float64
-	found0, found6 := false, false
-	for k, cd := range w.cand[ci] {
-		if cd.row != 0 {
-			continue
-		}
-		switch cd.site {
-		case 0:
-			costAt0, found0 = w.candCost[ci][k], true
-		case 6:
-			costAt6, found6 = w.candCost[ci][k], true
-		}
-	}
-	if !found0 || !found6 {
-		t.Fatal("expected candidates at sites 0 and 6")
-	}
-	if costAt0 != 0 {
-		t.Errorf("staying in an empty region costs %f, want 0 (own pins excluded)", costAt0)
-	}
-	if costAt6 <= costAt0 {
-		t.Errorf("crowded column cost %f not above empty column cost %f", costAt6, costAt0)
-	}
-}
-
-// TestPinDensityZeroWeightIsNeutral: zero weight must leave candCost at
-// zero and not perturb the default objective.
-func TestPinDensityZeroWeightIsNeutral(t *testing.T) {
-	p := genPlaced(t, tech.ClosedM1, 150, 66, 0.6)
-	prm := DefaultParams(p.Tech, tech.ClosedM1)
-	ps := ParamSet{BW: 2000, BH: 2000, LX: 2, LY: 1}
-	all := make([]int, len(p.Design.Insts))
-	for i := range all {
-		all[i] = i
-	}
-	w := buildWindow(p, prm, p.DieRect(), ps, all, true, false)
-	for ci := range w.candCost {
-		for _, c := range w.candCost[ci] {
-			if c != 0 {
-				t.Fatal("nonzero candidate cost with zero weight")
-			}
-		}
 	}
 }

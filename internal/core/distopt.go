@@ -50,9 +50,6 @@ func workersOf(prm Params) int {
 func DistOpt(p *layout.Placement, prm Params, ps ParamSet, tx, ty int64,
 	allowMove, allowFlip bool) Objective {
 	t := NewObjTracker(p, prm)
-	if prm.guided() {
-		t.AttachEstimator(prm.Proxy)
-	}
 	// ctx-ok: context-free compatibility entry point; cancellable callers use distPass via VM1OptCtx.
 	r, _ := distPass(context.Background(), t, ps, makeGrid(p, ps, tx, ty),
 		newSolverPool(workersOf(prm)), allowMove, allowFlip)
@@ -118,7 +115,7 @@ type passFunc func(ctx context.Context, t *ObjTracker, ps ParamSet, g passGrid,
 
 // distPass runs one DistOpt pass through an ObjTracker on the dataflow
 // window scheduler (winSched, DESIGN.md §4f). Workers claim windows in
-// plan order as the nets they share allow, and build, solve and release
+// schedule order as the nets they share allow, and build, solve and release
 // each one; this goroutine is the single committer, applying each window's
 // accepted relocations as its own tracker batch, which updates only the
 // nets incident to moved cells. The objective is assembled once, at pass
@@ -139,18 +136,7 @@ func distPass(ctx context.Context, t *ObjTracker, ps ParamSet, g passGrid,
 	}
 	p, prm := t.p, t.prm
 	fprm := familyParams(ctx, prm)
-	families := diagonalFamilies(g)
-
-	// Guided selection: score the windows with the QoR proxy and derive
-	// the family processing order, skip set and per-window budgets;
-	// otherwise run every family in diagonal order under the uniform
-	// budget. Any order is safe: the scheduler derives its dependencies
-	// from the plan.
-	plan := uniformPlan(g, families, fprm.TimeLimit)
-	if prm.guided() {
-		plan = guidedPlan(prm, prm.Proxy, g, families, fprm.TimeLimit)
-	}
-	s := newWinSched(t, g, families, plan.order)
+	s := newWinSched(t, g, diagonalFamilies(g))
 	defer context.AfterFunc(ctx, s.stop)()
 	ports := newPortIndex(p.Design)
 
@@ -172,13 +158,11 @@ func distPass(ctx context.Context, t *ObjTracker, ps ParamSet, g passGrid,
 				}
 				t0 := time.Now() // clock-ok: idle-time accounting only
 				wid := s.win[k]
-				q := fprm
-				q.TimeLimit = plan.wtl[wid]
 				// A window lives from its claim until its moves are
 				// extracted, so live window storage is bounded by the
 				// worker count, not the grid.
 				w := pool.getWindow()
-				w.buildGeom(p, q, g.rects[wid], ps, g.buckets[wid], allowMove, allowFlip)
+				w.buildGeom(p, fprm, g.rects[wid], ps, g.buckets[wid], allowMove, allowFlip)
 				w.buildNetsPairs(&ports)
 				s.built(k)
 				w.sv = sv

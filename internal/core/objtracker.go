@@ -45,20 +45,13 @@ type ObjTracker struct {
 
 	termBuf []pinRef // reused terminal scratch (no per-net allocation)
 
-	// est, when attached, observes every committed move batch so the QoR
-	// proxy's congestion model tracks the placement. instBuf is the
-	// pooled moved-instance list handed to it.
-	est     WindowScorer
-	instBuf []int
+	// onCommit, when set, runs after every committed batch. Tests use it
+	// to act at an exact commit, such as canceling the run.
+	onCommit func()
 
 	align int
 	over  int64
 }
-
-// AttachEstimator registers a QoR estimator to be notified after every
-// ApplyMoves batch. The estimator must already reflect the current
-// placement (build it before moving anything). Passing nil detaches.
-func (t *ObjTracker) AttachEstimator(est WindowScorer) { t.est = est }
 
 // NewObjTracker fully evaluates the placement and builds the incremental
 // caches. Cost is one CalculateObj-equivalent scan plus the inst→nets
@@ -168,12 +161,8 @@ func (t *ObjTracker) commit(moves []Move) {
 		t.align += t.netAlign[ni]
 		t.over += t.netOver[ni]
 	}
-	if t.est != nil {
-		t.instBuf = t.instBuf[:0]
-		for _, mv := range moves {
-			t.instBuf = append(t.instBuf, mv.Inst)
-		}
-		t.est.Update(t.instBuf)
+	if t.onCommit != nil {
+		t.onCommit()
 	}
 }
 

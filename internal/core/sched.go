@@ -9,25 +9,25 @@ import (
 // §4f). Instead of a barrier per diagonal family, it orders window builds
 // and commits by the nets windows share:
 //
-//  1. A window builds once every window of an earlier family (in plan
+//  1. A window builds once every window of an earlier family (in schedule
 //     order) that shares a net with it has committed.
 //  2. A window's moves commit once every same-family window that shares a
 //     net with it has finished building.
-//  3. Workers claim the earliest build-ready window in plan order.
+//  3. Workers claim the earliest build-ready window in schedule order.
 //
 // Together the rules show every window exactly the placement a family
 // barrier would show it, so results do not depend on the worker count.
 //
 // Sharing is tracked per net group: the scheduled windows of one family
-// whose movable cells touch one net. A net's groups form a chain in plan
-// order. A group may build once the group before it in the chain has
+// whose movable cells touch one net. A net's groups form a chain in
+// schedule order. A group may build once the group before it in the chain has
 // fully committed (rule 1), and its windows may commit once the group has
 // fully built (rule 2). The window lists are fixed for the pass: a
 // window's movable cells are moved by that window alone, and it has not
 // run yet when the pass starts.
 type winSched struct {
-	// win[k] is the grid window id of scheduled window k, in plan order:
-	// families in plan order, each family's windows in family order.
+	// win[k] is the grid window id of scheduled window k, in schedule order:
+	// families in diagonal order, each family's windows in family order.
 	win []int
 
 	// The groups of window k are incGrp[incStart[k]:incStart[k+1]], one per
@@ -40,7 +40,7 @@ type winSched struct {
 	incNext  []int32
 
 	grpHead    []int32 // first incidence of each group
-	grpNext    []int32 // the net's next group in plan order, or -1
+	grpNext    []int32 // the net's next group in schedule order, or -1
 	grpUnbuilt []int32 // members still to finish building
 	grpPending []int32 // members still to commit
 
@@ -60,19 +60,19 @@ type winSched struct {
 }
 
 // newWinSched derives the dependency structure of a pass over the
-// families in order. A window's movable cells are its bucket's cells
+// families in diagonal order. A window's movable cells are its bucket's cells
 // inside its span (buildGeom's predicate); their nets come from the
 // tracker's inst→nets index, which lists non-clock nets only, as the
 // window's own net build does.
-func newWinSched(t *ObjTracker, g passGrid, families [][]int, order []int) *winSched {
+func newWinSched(t *ObjTracker, g passGrid, families [][]int) *winSched {
 	p := t.p
 	s := &winSched{}
 	s.cond.L = &s.mu
-	var fam []int32 // family position of each scheduled window
-	for oi, fi := range order {
-		for _, wid := range families[fi] {
+	var fam []int32 // family index of each scheduled window
+	for fi, members := range families {
+		for _, wid := range members {
 			s.win = append(s.win, wid)
-			fam = append(fam, int32(oi))
+			fam = append(fam, int32(fi))
 		}
 	}
 	n := len(s.win)
@@ -267,7 +267,7 @@ func (s *winSched) stop() {
 }
 
 // readyHeap is a min-heap of build-ready scheduled-window indices, so
-// workers claim in plan order (rule 3).
+// workers claim in schedule order (rule 3).
 type readyHeap []int32
 
 func (h readyHeap) Len() int           { return len(h) }

@@ -10,13 +10,11 @@ import (
 	"testing"
 
 	"vm1place/internal/cells"
-	"vm1place/internal/geom"
 	"vm1place/internal/layout"
 	"vm1place/internal/lp"
 	"vm1place/internal/netlist"
 	"vm1place/internal/objective"
 	"vm1place/internal/place"
-	"vm1place/internal/proxy"
 	"vm1place/internal/tech"
 )
 
@@ -27,24 +25,17 @@ import (
 // must read; the dataflow scheduler has to reproduce it bit for bit.
 func refDistPass(ctx context.Context, t *ObjTracker, ps ParamSet, g passGrid,
 	_ *solverPool, allowMove, allowFlip bool) (passResult, error) {
-	p, prm := t.p, t.prm
-	fprm := familyParams(ctx, prm)
-	families := diagonalFamilies(g)
-	plan := uniformPlan(g, families, fprm.TimeLimit)
-	if prm.guided() {
-		plan = guidedPlan(prm, prm.Proxy, g, families, fprm.TimeLimit)
-	}
+	p := t.p
+	fprm := familyParams(ctx, t.prm)
 	var res passResult
-	for _, fi := range plan.order {
+	for _, fam := range diagonalFamilies(g) {
 		if err := ctx.Err(); err != nil {
 			res.obj = t.Objective()
 			return res, err
 		}
-		ws := make([]*window, len(families[fi]))
-		for j, wid := range families[fi] {
-			q := fprm
-			q.TimeLimit = plan.wtl[wid]
-			ws[j] = buildWindow(p, q, g.rects[wid], ps, g.buckets[wid], allowMove, allowFlip)
+		ws := make([]*window, len(fam))
+		for j, wid := range fam {
+			ws[j] = buildWindow(p, fprm, g.rects[wid], ps, g.buckets[wid], allowMove, allowFlip)
 		}
 		var moves []Move
 		for _, w := range ws {
@@ -119,7 +110,7 @@ func (a oracleRun) diff(b oracleRun) string {
 }
 
 // TestDataflowMatchesBarrierReference is the scheduler's bit-identity
-// oracle: for every worker count, objective and guided setting, VM1Opt on
+// oracle: for every worker count and objective, VM1Opt on
 // the dataflow scheduler must reproduce the family-barrier reference loop
 // exactly — placement, objectives, history, per-pass counts and lp work.
 // Seed 1 uses a high-fanout design. Run under -race, Workers 8 exercises
@@ -136,92 +127,67 @@ func TestDataflowMatchesBarrierReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			placed := oracleDesign(t, o.Arch(), seed, seed == 1)
-			for _, guided := range []bool{false, true} {
-				run := func(pass passFunc, workers int) oracleRun {
-					p := placed.Clone()
-					prm := DefaultParams(p.Tech, o.Arch())
-					prm.Objective = o
-					prm.Workers = workers
-					prm.MaxNodes = 10
-					prm.TimeLimit = 0
-					prm.MaxOuterIters = 1
-					if guided {
-						prm.Guided = true
-						prm.Proxy = proxy.New(p, proxy.DefaultConfigForObjective(p.Tech, o))
-					}
-					before := lp.GlobalStats()
-					res, err := vm1optRun(context.Background(), p, prm, seq, false, pass)
-					work := lpDelta(before, lp.GlobalStats())
-					if err != nil {
-						t.Fatal(err)
-					}
-					res.Duration, res.PassIdle = 0, nil
-					return oracleRun{site: p.SiteX, row: p.Row, flip: p.Flip, res: res, work: work}
+			run := func(pass passFunc, workers int) oracleRun {
+				p := placed.Clone()
+				prm := DefaultParams(p.Tech, o.Arch())
+				prm.Objective = o
+				prm.Workers = workers
+				prm.MaxNodes = 10
+				prm.TimeLimit = 0
+				prm.MaxOuterIters = 1
+				before := lp.GlobalStats()
+				res, err := vm1optRun(context.Background(), p, prm, seq, false, pass)
+				work := lpDelta(before, lp.GlobalStats())
+				if err != nil {
+					t.Fatal(err)
 				}
-				want := run(refDistPass, 1)
-				for _, workers := range []int{1, 2, 3, 8} {
-					if d := want.diff(run(distPass, workers)); d != "" {
-						t.Fatalf("seed %d %s guided=%v Workers=%d: %s", seed, name, guided, workers, d)
-					}
+				res.Duration, res.PassIdle = 0, nil
+				return oracleRun{site: p.SiteX, row: p.Row, flip: p.Flip, res: res, work: work}
+			}
+			want := run(refDistPass, 1)
+			for _, workers := range []int{1, 2, 3, 8} {
+				if d := want.diff(run(distPass, workers)); d != "" {
+					t.Fatalf("seed %d %s Workers=%d: %s", seed, name, workers, d)
 				}
 			}
 		}
 	}
 }
 
-// cancelScorer is a WindowScorer that cancels a context at the after-th
-// committed window: the tracker forwards every commit that moved a cell
-// to its estimator. With no inner scorer every score is 0, and guidedPlan
-// falls back to the uniform schedule.
-type cancelScorer struct {
-	inner  *proxy.Estimator
-	cancel context.CancelFunc
-	after  int
-	n      int
-}
-
-func (c *cancelScorer) WindowScore(r geom.Rect) float64 {
-	if c.inner == nil {
-		return 0
-	}
-	return c.inner.WindowScore(r)
-}
-
-func (c *cancelScorer) Update(insts []int) {
-	if c.inner != nil {
-		c.inner.Update(insts)
-	}
-	if c.n++; c.n == c.after && c.cancel != nil {
-		c.cancel()
+// cancelAfter is distPass with the tracker's commit hook armed to cancel
+// the run at its k-th window commit, counted across passes.
+func cancelAfter(cancel context.CancelFunc, k int) passFunc {
+	n := 0
+	return func(ctx context.Context, t *ObjTracker, ps ParamSet, g passGrid,
+		pool *solverPool, allowMove, allowFlip bool) (passResult, error) {
+		t.onCommit = func() {
+			if n++; n == k {
+				cancel()
+			}
+		}
+		return distPass(ctx, t, ps, g, pool, allowMove, allowFlip)
 	}
 }
 
 // TestVM1OptCancelAfterKthCommit cancels the run right after its k-th
-// window commit, k drawn per seed and worker count, under the uniform
-// (odd seeds) and guided (even seeds) schedules. The interrupted run must
-// leave a legal placement, a tracker equal to a rescan, an estimator
-// equal to a rebuild, and a history and pass record that are prefixes of
-// the uninterrupted run's, and report context.Canceled.
+// window commit, k drawn per seed and worker count. The interrupted run
+// must leave a legal placement, a tracker equal to a rescan, and a history
+// and pass record that are prefixes of the uninterrupted run's, and report
+// context.Canceled.
 func TestVM1OptCancelAfterKthCommit(t *testing.T) {
 	seq := Sequence{{BW: 1000, BH: 1000, LX: 2, LY: 1}, {BW: 1500, BH: 1500, LX: 2, LY: 0}}
 	for seed := int64(1); seed <= 5; seed++ {
 		placed := genPlaced(t, tech.ClosedM1, 200, seed, 0.75)
-		guided := seed%2 == 0
-		params := func(p *layout.Placement, workers int, sc *cancelScorer) Params {
+		params := func(p *layout.Placement, workers int) Params {
 			prm := DefaultParams(p.Tech, tech.ClosedM1)
 			prm.Workers = workers
 			prm.MaxNodes = 10
 			prm.TimeLimit = 0
 			prm.MaxOuterIters = 1
-			if guided {
-				sc.inner = proxy.New(p, proxy.DefaultConfig(p.Tech, tech.ClosedM1))
-			}
-			prm.Guided = true
-			prm.Proxy = sc
 			return prm
 		}
 		full := placed.Clone()
-		want, err := VM1OptCtx(context.Background(), full, params(full, 1, &cancelScorer{}), seq)
+		want, err := VM1OptCtx(context.Background(), full, params(full, 1), seq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,9 +205,8 @@ func TestVM1OptCancelAfterKthCommit(t *testing.T) {
 			k := 1 + rng.Intn(commits)
 			p := placed.Clone()
 			ctx, cancel := context.WithCancel(context.Background())
-			sc := &cancelScorer{cancel: cancel, after: k}
-			prm := params(p, workers, sc)
-			res, err := VM1OptCtx(ctx, p, prm, seq)
+			prm := params(p, workers)
+			res, err := vm1optRun(ctx, p, prm, seq, false, cancelAfter(cancel, k))
 			cancel()
 			tag := fmt.Sprintf("seed %d Workers=%d k=%d", seed, workers, k)
 			if !errors.Is(err, context.Canceled) {
@@ -252,11 +217,6 @@ func TestVM1OptCancelAfterKthCommit(t *testing.T) {
 			}
 			if rescan := CalculateObj(p, prm); res.Final != rescan {
 				t.Fatalf("%s: tracker %+v != rescan %+v", tag, res.Final, rescan)
-			}
-			if sc.inner != nil {
-				if err := sc.inner.Check(); err != nil {
-					t.Fatalf("%s: %v", tag, err)
-				}
 			}
 			if res.Iters != len(res.History) || len(res.History) >= len(want.History) ||
 				!slices.Equal(res.History, want.History[:len(res.History)]) {

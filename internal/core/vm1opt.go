@@ -91,11 +91,6 @@ func vm1optRun(ctx context.Context, p *layout.Placement, prm Params, u Sequence,
 	pass passFunc) (Result, error) {
 	start := time.Now() // clock-ok: stamps Result.Duration for reporting; never feeds a decision
 	t := NewObjTracker(p, prm)
-	if prm.guided() {
-		// Keep the guided-selection proxy current: every committed move
-		// batch flows into its incremental congestion model.
-		t.AttachEstimator(prm.Proxy)
-	}
 	res := Result{Initial: t.Objective()}
 	obj := res.Initial
 	pool := newSolverPool(workersOf(prm))

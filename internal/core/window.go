@@ -20,9 +20,9 @@ type cand struct {
 //
 // A window is built in two stages: buildGeom captures everything
 // derivable from the window's own tile (movable set, blocked sites,
-// candidates, candidate costs) — quantities that are invariant under moves
-// in *other* windows, because a cell fully inside one tile appears in no
-// other tile's bucket and straddlers are immovable for the whole pass.
+// candidates) — quantities that are invariant under moves in *other*
+// windows, because a cell fully inside one tile appears in no other
+// tile's bucket and straddlers are immovable for the whole pass.
 // buildNetsPairs then resolves net terminals, which may live anywhere on
 // the die, so the DistOpt scheduler (winSched) orders it against the
 // commits of the windows sharing its nets.
@@ -46,9 +46,6 @@ type window struct {
 	cand    [][]cand // candidates per movable cell
 	curCand []int    // index of the input-placement candidate per cell
 	blocked []bool   // window sites blocked by non-movable cells
-	// candCost[ci][k] is an extra linear objective cost for candidate k of
-	// cell ci (pin-density term; zero when disabled).
-	candCost [][]float64
 
 	nets  []*winNet
 	pairs []*winPair
@@ -64,11 +61,8 @@ type window struct {
 	// earlier carve; carves made before a slab reallocation simply keep the
 	// old backing array alive until the next reset.
 	candSlab []cand
-	costSlab []float64
 	i64Slab  []int64
 	intSlab  []int
-	colPins  []float64
-	ownPins  []float64
 	netSlab  []winNet
 	pairSlab []winPair
 	scoreBuf []scoredPair
@@ -122,11 +116,9 @@ func (w *window) reset() {
 	w.movable = w.movable[:0]
 	w.cand = w.cand[:0]
 	w.curCand = w.curCand[:0]
-	w.candCost = w.candCost[:0]
 	w.nets = w.nets[:0]
 	w.pairs = w.pairs[:0]
 	w.candSlab = w.candSlab[:0]
-	w.costSlab = w.costSlab[:0]
 	w.i64Slab = w.i64Slab[:0]
 	w.intSlab = w.intSlab[:0]
 	w.netSlab = w.netSlab[:0]
@@ -275,8 +267,6 @@ func (w *window) buildGeom(p *layout.Placement, prm Params, rect geom.Rect, ps P
 		w.cand[ci] = w.candSlab[start:len(w.candSlab):len(w.candSlab)]
 		w.curCand[ci] = cur
 	}
-
-	w.buildCandCosts(insts)
 }
 
 // windowSpan clamps a window rectangle to the die's site grid: sites
@@ -342,71 +332,6 @@ func (w *window) buildNetsPairs(ports *portIndex) {
 		return
 	}
 	w.collectNetsAndPairs()
-}
-
-// buildCandCosts precomputes the optional pin-density penalty: for each
-// candidate, the number of signal pins of *other* cells whose access track
-// falls into the candidate's site columns, scaled by PinDensityWeight.
-func (w *window) buildCandCosts(insts []int) {
-	w.candCost = grown(w.candCost, len(w.movable))
-	for ci := range w.movable {
-		n := len(w.cand[ci])
-		start := len(w.costSlab)
-		for j := 0; j < n; j++ {
-			w.costSlab = append(w.costSlab, 0)
-		}
-		w.candCost[ci] = w.costSlab[start : start+n : start+n]
-	}
-	if w.prm.PinDensityWeight <= 0 {
-		return
-	}
-	p := w.p
-	t := p.Tech
-	// Pin counts per window site column (all rows folded: vertical M1
-	// access makes column crowding the relevant quantity).
-	w.colPins = grown(w.colPins, w.s1-w.s0)
-	colPins := w.colPins
-	clear(colPins)
-	for _, i := range insts {
-		m := p.Design.Insts[i].Master
-		for pi := range m.Pins {
-			pin := &m.Pins[pi]
-			if !pin.IsSignal() {
-				continue
-			}
-			cx := p.InstX(i) + cells.AlignX(m, t, pin, p.Flip[i])
-			sx := t.XToSite(cx)
-			if sx >= w.s0 && sx < w.s1 {
-				colPins[sx-w.s0]++
-			}
-		}
-	}
-	w.ownPins = grown(w.ownPins, w.s1-w.s0)
-	own := w.ownPins
-	for ci, i := range w.movable {
-		m := p.Design.Insts[i].Master
-		// Subtract the cell's own pins: they travel with the candidate and
-		// must not penalize staying put.
-		clear(own)
-		for pi := range m.Pins {
-			pin := &m.Pins[pi]
-			if !pin.IsSignal() {
-				continue
-			}
-			cx := p.InstX(i) + cells.AlignX(m, t, pin, p.Flip[i])
-			sx := t.XToSite(cx)
-			if sx >= w.s0 && sx < w.s1 {
-				own[sx-w.s0]++
-			}
-		}
-		for k, cd := range w.cand[ci] {
-			var dens float64
-			for s := cd.site; s < cd.site+m.WidthSites; s++ {
-				dens += colPins[s-w.s0] - own[s-w.s0]
-			}
-			w.candCost[ci][k] = w.prm.PinDensityWeight * dens
-		}
-	}
 }
 
 // cellOf maps an instance to its movable index within the window, or -1.

@@ -14,9 +14,6 @@ import (
 // (pruned) pairs, so MILP incumbents and greedy moves are comparable.
 func (w *window) objective(assign []int) float64 {
 	total := 0.0
-	for ci, k := range assign {
-		total += w.candCost[ci][k]
-	}
 	for _, wn := range w.nets {
 		total += w.prm.betaOf(wn.ni) * float64(w.netWL(wn, assign))
 	}
@@ -167,8 +164,8 @@ func (w *window) buildModel() (*lp.Model, *milp.Model, [][]int, float64) {
 	for ci, cs := range w.cand {
 		start := len(sv.lamSlab)
 		tb = tb[:0]
-		for k := range cs {
-			v := m.AddVar(0, 1, w.candCost[ci][k], "l")
+		for range cs {
+			v := m.AddVar(0, 1, 0, "l")
 			sv.lamSlab = append(sv.lamSlab, v)
 			tb = append(tb, lp.Term{Var: v, Coef: 1})
 		}
@@ -495,7 +492,7 @@ func (w *window) solveGreedy() []int {
 	}
 	sv.netsOf, sv.pairsOf, sv.stamp = netsOf, pairsOf, stamp
 	localObj := func(ci int) float64 {
-		v := w.candCost[ci][assign[ci]]
+		v := 0.0
 		for _, wn := range netsOf[ci] {
 			v += w.prm.betaOf(wn.ni) * float64(w.netWL(wn, assign))
 		}

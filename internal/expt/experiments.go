@@ -410,74 +410,6 @@ func RunJointFlow(spec DesignSpec, cfg FlowConfig) (FlowResult, error) {
 	return runFlow(context.Background(), spec, cfg, core.VM1OptJointCtx, 0, false) // ctx-ok: context-free compat wrapper
 }
 
-// --- Guided window selection (congestion proxy) ----------------------------
-
-// GuidedPoint compares uniform and proxy-guided MILP budgeting at one
-// placement utilization: wall time of the optimizer plus the routed
-// quality metrics that budget reallocation must not degrade.
-type GuidedPoint struct {
-	Util                    float64
-	UniformSec, GuidedSec   float64
-	UniformRWL, GuidedRWL   int64
-	UniformDRVs, GuidedDRVs int
-	UniformDM1, GuidedDM1   int
-}
-
-// RunGuidedSweep runs the aes/ClosedM1 flow at each utilization twice —
-// uniform window-family budgeting versus proxy-guided selection
-// (FlowConfig.Guided) — reporting optimizer wall time, routed wirelength,
-// DRVs and dM1 for both. Higher utilizations concentrate congestion in
-// fewer hotspots, which is where guided budgeting pays.
-func RunGuidedSweep(cfg SuiteConfig, utils []float64) ([]GuidedPoint, error) {
-	if utils == nil {
-		utils = []float64{0.75, 0.82}
-	}
-	spec, err := cfg.design("aes")
-	if err != nil {
-		return nil, err
-	}
-	out := make([]GuidedPoint, len(utils))
-	err = cfg.forEachPoint(len(utils), func(i int) error {
-		u := utils[i]
-		base := FlowConfig{
-			Arch: tech.ClosedM1, Util: u, MaxOuterIters: 2, Workers: cfg.Workers,
-		}
-		uni, err := RunFlow(spec, base)
-		if err != nil {
-			return err
-		}
-		base.Guided = true
-		gd, err := RunFlow(spec, base)
-		if err != nil {
-			return err
-		}
-		out[i] = GuidedPoint{
-			Util:       u,
-			UniformSec: uni.OptRuntime.Seconds(), GuidedSec: gd.OptRuntime.Seconds(),
-			UniformRWL: uni.Final.RWL, GuidedRWL: gd.Final.RWL,
-			UniformDRVs: uni.Final.DRVs, GuidedDRVs: gd.Final.DRVs,
-			UniformDM1: uni.Final.DM1, GuidedDM1: gd.Final.DM1,
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// WriteGuidedSweep prints the guided-vs-uniform comparison series.
-func WriteGuidedSweep(w io.Writer, pts []GuidedPoint) {
-	fmt.Fprintln(w, "# Guided window selection: uniform vs proxy-guided budgeting (aes, ClosedM1)")
-	fmt.Fprintln(w, "util_pct  opt_s_uni  opt_s_gui  rwl_um_uni  rwl_um_gui  drv_uni  drv_gui  dm1_uni  dm1_gui")
-	for _, p := range pts {
-		fmt.Fprintf(w, "%8.0f  %9.2f  %9.2f  %10.1f  %10.1f  %7d  %7d  %7d  %7d\n",
-			p.Util*100, p.UniformSec, p.GuidedSec,
-			um(p.UniformRWL), um(p.GuidedRWL),
-			p.UniformDRVs, p.GuidedDRVs, p.UniformDM1, p.GuidedDM1)
-	}
-}
-
 // --- Timing-aware extension (paper future work (ii)) ----------------------
 
 // TimingAwareBetas derives per-net βn multipliers from a slack analysis of

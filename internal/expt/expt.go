@@ -31,7 +31,6 @@ import (
 	"vm1place/internal/netlist"
 	"vm1place/internal/objective"
 	"vm1place/internal/place"
-	"vm1place/internal/proxy"
 	"vm1place/internal/route"
 	"vm1place/internal/sta"
 	"vm1place/internal/tech"
@@ -133,20 +132,6 @@ type FlowConfig struct {
 	// with Workers=1 the whole flow is then bit-for-bit deterministic),
 	// zero keeps the substrate default.
 	TimeLimit time.Duration
-	// Guided turns on proxy-guided window scheduling: the flow builds a
-	// proxy.Estimator over the placement, calibrates it against the
-	// init-route pass's per-tile overflow, and the optimizer then runs
-	// families hottest-first, skips near-empty ones, and scales each
-	// window's MILP budget by its predicted congestion
-	// (core.Params.Guided). Deterministic for any Workers setting.
-	Guided bool
-	// GuidedColdFrac/GuidedShrink/GuidedBoostCap pass through to
-	// core.Params (0 keeps the defaults there: skip families below 1% of
-	// the hottest, scale per-window budgets within [0.25x, 1.5x] by
-	// score).
-	GuidedColdFrac float64
-	GuidedShrink   float64
-	GuidedBoostCap float64
 }
 
 // DefaultSequence is the paper's preferred single parameter set
@@ -210,13 +195,7 @@ type FlowResult struct {
 // router's worker-pool size (0 keeps the default); the metrics do not
 // depend on it. An interrupted routing run returns the elapsed time and
 // the ctx error; the snapshot is discarded.
-//
-// When cal is non-nil, the router's per-tile overflow grid is fed back
-// into the QoR estimator (proxy.Estimator.Calibrate) before returning:
-// regions the real router congests more than the proxy predicted gain
-// weight in guided window selection, closing the route→proxy→optimizer
-// loop.
-func snapshot(ctx context.Context, p *layout.Placement, arch tech.Arch, workers int, cal *proxy.Estimator) (Snapshot, time.Duration, error) {
+func snapshot(ctx context.Context, p *layout.Placement, arch tech.Arch, workers int) (Snapshot, time.Duration, error) {
 	start := time.Now()
 	rcfg := route.DefaultConfig(p.Tech, arch)
 	if workers > 0 {
@@ -227,10 +206,6 @@ func snapshot(ctx context.Context, p *layout.Placement, arch tech.Arch, workers 
 	elapsed := time.Since(start)
 	if err != nil {
 		return Snapshot{}, elapsed, err
-	}
-	if cal != nil {
-		ts, tr := cal.TileSize()
-		cal.Calibrate(r.OverflowGrid(ts, tr, nil), 1)
 	}
 	rep := sta.Analyze(p, sta.DefaultConfig(), nil)
 	return Snapshot{
@@ -296,7 +271,7 @@ func runFlow(ctx context.Context, spec DesignSpec, cfg FlowConfig, opt optimizer
 	}
 	// Resolve the objective before any stage closure captures cfg: a named
 	// objective fixes the cell architecture every stage (library synthesis,
-	// routing capacity model, proxy config) must agree on.
+	// routing capacity model) must agree on.
 	var obj objective.GeomObjective
 	if cfg.Objective != "" {
 		o, err := objective.Lookup(cfg.Objective)
@@ -313,7 +288,6 @@ func runFlow(ctx context.Context, spec DesignSpec, cfg FlowConfig, opt optimizer
 
 	res := FlowResult{Design: spec.Name, Arch: cfg.Arch, Util: cfg.Util}
 	var prm core.Params
-	var est *proxy.Estimator
 
 	pl := flow.New(
 		flow.Func("build", func(ctx context.Context, st *flow.State) error {
@@ -336,27 +310,11 @@ func runFlow(ctx context.Context, spec DesignSpec, cfg FlowConfig, opt optimizer
 				prm.NetBeta = staCriticalityBetas(
 					staNetSlacks(p, staCfg), staCfg.ClockPeriodNs, timingWeight)
 			}
-			if cfg.Guided {
-				// Guided selection: one estimator spans the flow — built
-				// here, calibrated by init-route's overflow, consulted by
-				// the optimizer before every pass, and kept current by the
-				// tracker after every committed move batch.
-				pcfg := proxy.DefaultConfig(p.Tech, cfg.Arch)
-				if obj != nil {
-					pcfg = proxy.DefaultConfigForObjective(p.Tech, obj)
-				}
-				est = proxy.New(p, pcfg)
-				prm.Guided = true
-				prm.Proxy = est
-				prm.GuidedColdFrac = cfg.GuidedColdFrac
-				prm.GuidedShrink = cfg.GuidedShrink
-				prm.GuidedBoostCap = cfg.GuidedBoostCap
-			}
 			res.Alpha = prm.Alpha
 			return nil
 		}),
 		flow.Func("init-route", func(ctx context.Context, st *flow.State) error {
-			snap, rt, err := snapshot(ctx, st.Placement, cfg.Arch, cfg.Workers, est)
+			snap, rt, err := snapshot(ctx, st.Placement, cfg.Arch, cfg.Workers)
 			res.RouteRuntime += rt
 			if err != nil {
 				return err
@@ -374,7 +332,7 @@ func runFlow(ctx context.Context, spec DesignSpec, cfg FlowConfig, opt optimizer
 			return err
 		}),
 		flow.Func("final-route", func(ctx context.Context, st *flow.State) error {
-			snap, rt, err := snapshot(ctx, st.Placement, cfg.Arch, cfg.Workers, nil)
+			snap, rt, err := snapshot(ctx, st.Placement, cfg.Arch, cfg.Workers)
 			res.RouteRuntime += rt
 			if err != nil {
 				return err
