@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint test race bench-smoke bench-objective bench-json bench-core bench-route bench-scale bench-scale-smoke
+.PHONY: check vet lint test race bench-smoke bench-objective bench-json bench-core bench-route
 
 check: vet lint test race bench-smoke
 
@@ -30,7 +30,7 @@ race:
 
 # One iteration of each substrate microbenchmark — a fast sanity pass that
 # the benchmarks still build and run, not a measurement.
-bench-smoke: bench-objective bench-scale-smoke
+bench-smoke: bench-objective
 	$(GO) test -run '^$$' -bench 'DistOptPass|LPSolve|CalculateObj|RouteAll' -benchtime 1x -timeout 20m .
 
 # One rescan per registered geometry objective (BenchmarkObjectiveEval
@@ -39,12 +39,6 @@ bench-smoke: bench-objective bench-scale-smoke
 # standalone pass.
 bench-objective:
 	$(GO) test -run '^$$' -bench 'ObjectiveEval' -benchtime 1x -timeout 10m .
-
-# CI-sized scale sweep: one tiny design through the full flow, checking
-# the sweep harness completes, routes and samples a peak heap
-# (TestScaleSweepSmoke, ~5 s).
-bench-scale-smoke:
-	$(GO) test -run TestScaleSweepSmoke -timeout 10m ./internal/expt/
 
 bench-json:
 	BENCH_JSON=1 $(GO) test -run TestEmitBenchCoreJSON -timeout 30m -v .
@@ -58,10 +52,3 @@ bench-core: bench-json
 # the speedup over the seed router, with a Metrics-equality check.
 bench-route:
 	BENCH_JSON=1 $(GO) test -run TestEmitBenchRouteJSON -timeout 30m -v .
-
-# Regenerates BENCH_scale.json: Workers 1/2/4 bitwise-invariance gate,
-# then full flows at jpeg scales 0.1/0.5/2.0 recording wall, peak heap
-# and routed QoR. The 2.0 points run a 109k-instance flow each;
-# expect the better part of an hour on one core.
-bench-scale:
-	BENCH_JSON=1 $(GO) test -run TestEmitBenchScaleJSON -timeout 180m -v .

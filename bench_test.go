@@ -40,7 +40,7 @@ func benchCfg(b *testing.B) expt.SuiteConfig {
 func BenchmarkFig5WindowSweep(b *testing.B) {
 	cfg := benchCfg(b)
 	for i := 0; i < b.N; i++ {
-		pts, err := expt.RunFig5(cfg, []float64{10, 20, 40}, [][2]int{{4, 1}})
+		pts, err := expt.RunFig5(context.Background(), cfg, []float64{10, 20, 40}, [][2]int{{4, 1}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -54,7 +54,7 @@ func BenchmarkFig5WindowSweep(b *testing.B) {
 func BenchmarkFig6AlphaSweep(b *testing.B) {
 	cfg := benchCfg(b)
 	for i := 0; i < b.N; i++ {
-		pts, err := expt.RunFig6(cfg, tech.ClosedM1, []float64{0, 1200, 6000})
+		pts, err := expt.RunFig6(context.Background(), cfg, tech.ClosedM1, []float64{0, 1200, 6000})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -69,7 +69,7 @@ func BenchmarkFig7Sequences(b *testing.B) {
 	cfg := benchCfg(b)
 	seqs := []expt.SequenceSpec{expt.PaperSequences[0], expt.PaperSequences[3]}
 	for i := 0; i < b.N; i++ {
-		pts, err := expt.RunFig7(cfg, seqs)
+		pts, err := expt.RunFig7(context.Background(), cfg, seqs)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func BenchmarkFig7Sequences(b *testing.B) {
 func BenchmarkTable2ClosedM1(b *testing.B) {
 	cfg := benchCfg(b)
 	for i := 0; i < b.N; i++ {
-		rows, err := expt.RunTable2(cfg, tech.ClosedM1)
+		rows, err := expt.RunTable2(context.Background(), cfg, tech.ClosedM1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func BenchmarkTable2ClosedM1(b *testing.B) {
 func BenchmarkTable2OpenM1(b *testing.B) {
 	cfg := benchCfg(b)
 	for i := 0; i < b.N; i++ {
-		rows, err := expt.RunTable2(cfg, tech.OpenM1)
+		rows, err := expt.RunTable2(context.Background(), cfg, tech.OpenM1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func BenchmarkTable2OpenM1(b *testing.B) {
 func BenchmarkFig8DRVSweep(b *testing.B) {
 	cfg := benchCfg(b)
 	for i := 0; i < b.N; i++ {
-		pts, err := expt.RunFig8(cfg, []float64{0.75, 0.84})
+		pts, err := expt.RunFig8(context.Background(), cfg, []float64{0.75, 0.84})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -126,7 +126,7 @@ func BenchmarkFig8DRVSweep(b *testing.B) {
 func BenchmarkAblationJointFlip(b *testing.B) {
 	cfg := benchCfg(b)
 	for i := 0; i < b.N; i++ {
-		if _, err := expt.RunAblationJointFlip(cfg); err != nil {
+		if _, err := expt.RunAblationJointFlip(context.Background(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -231,7 +231,9 @@ func BenchmarkDistOptPass(b *testing.B) {
 	b.ResetTimer()
 	stats := lp.GlobalStats()
 	for i := 0; i < b.N; i++ {
-		core.DistOpt(p, prm, ps, 0, 0, true, false)
+		if _, err := core.DistOpt(context.Background(), p, prm, ps, 0, 0, true, false); err != nil {
+			b.Fatal(err)
+		}
 	}
 	reportLPStats(b, stats)
 }
@@ -388,7 +390,9 @@ func TestEmitBenchCoreJSON(t *testing.T) {
 		prm.MaxNodes = 40
 		prm.TimeLimit = 0
 		ps := core.ParamSet{BW: expt.UmToDBU(10), BH: expt.UmToDBU(10), LX: 3, LY: 1}
-		core.DistOpt(p, prm, ps, 0, 0, true, false)
+		if _, err := core.DistOpt(context.Background(), p, prm, ps, 0, 0, true, false); err != nil {
+			t.Fatal(err)
+		}
 		return p
 	}
 	p1, p4 := distOptAt(1), distOptAt(4)

@@ -7,14 +7,19 @@
 //	exptables -all -scale 0.1            # full suite at 10% instance counts
 //	exptables -table2 -scale 1.0         # Table 2 at paper-scale designs
 //	exptables -fig6 -arch openm1
+//
+// The sweeps run under a signal-aware context: Ctrl-C (SIGINT/SIGTERM)
+// cancels the flow points in progress at their next window or routing
+// batch, and exptables exits nonzero with the interruption error.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"vm1place/internal/expt"
@@ -38,15 +43,13 @@ func run() error {
 	ablate := flag.Bool("ablate", false, "sequential-vs-joint flip ablation")
 	objSweep := flag.Bool("objsweep", false,
 		"pluggable-objective workloads: netsep margins, slackalpha weights, track-count variants")
-	scaleSweep := flag.Bool("scalesweep", false,
-		"design-scale sweep: wall, peak heap and routed QoR vs instance count")
 	archStr := flag.String("arch", "closedm1", "architecture for -fig6")
 	scale := flag.Float64("scale", 0.1, "design scale factor (1.0 = paper instance counts)")
 	workers := flag.Int("workers", 8, "parallel window solvers")
-	sweepDesign := flag.String("sweep-design", "jpeg", "paper design the -scalesweep grows")
-	sweepScales := flag.String("sweep-scales", "0.1,0.5,1.0,2.0",
-		"comma-separated scale factors for -scalesweep (duplicates after the 200-inst floor are dropped)")
 	flag.Parse()
+
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 
 	cfg := expt.SuiteConfig{Scale: *scale, Workers: *workers}
 	any := false
@@ -55,7 +58,7 @@ func run() error {
 	if *all || *fig5 {
 		any = true
 		fmt.Println("== ExptA-1 (Figure 5) ==")
-		pts, err := expt.RunFig5(cfg, nil, nil)
+		pts, err := expt.RunFig5(ctx, cfg, nil, nil)
 		if err != nil {
 			return err
 		}
@@ -69,7 +72,7 @@ func run() error {
 			arch = tech.OpenM1
 		}
 		fmt.Println("== ExptA-2 (Figure 6) ==")
-		pts, err := expt.RunFig6(cfg, arch, nil)
+		pts, err := expt.RunFig6(ctx, cfg, arch, nil)
 		if err != nil {
 			return err
 		}
@@ -79,7 +82,7 @@ func run() error {
 	if *all || *fig7 {
 		any = true
 		fmt.Println("== ExptA-3 (Figure 7) ==")
-		pts, err := expt.RunFig7(cfg, nil)
+		pts, err := expt.RunFig7(ctx, cfg, nil)
 		if err != nil {
 			return err
 		}
@@ -90,7 +93,7 @@ func run() error {
 		any = true
 		fmt.Println("== ExptB (Table 2) ==")
 		for _, arch := range []tech.Arch{tech.ClosedM1, tech.OpenM1} {
-			rows, err := expt.RunTable2(cfg, arch)
+			rows, err := expt.RunTable2(ctx, cfg, arch)
 			if err != nil {
 				return err
 			}
@@ -101,7 +104,7 @@ func run() error {
 	if *all || *fig8 {
 		any = true
 		fmt.Println("== Congestion study (Figure 8) ==")
-		pts, err := expt.RunFig8(cfg, nil)
+		pts, err := expt.RunFig8(ctx, cfg, nil)
 		if err != nil {
 			return err
 		}
@@ -111,7 +114,7 @@ func run() error {
 	if *all || *ablate {
 		any = true
 		fmt.Println("== Ablation: sequential vs joint move+flip ==")
-		r, err := expt.RunAblationJointFlip(cfg)
+		r, err := expt.RunAblationJointFlip(ctx, cfg)
 		if err != nil {
 			return err
 		}
@@ -125,28 +128,11 @@ func run() error {
 	if *all || *objSweep {
 		any = true
 		fmt.Println("== Objective sweep (pluggable workloads) ==")
-		pts, err := expt.RunObjSweep(cfg)
+		pts, err := expt.RunObjSweep(ctx, cfg)
 		if err != nil {
 			return err
 		}
 		expt.WriteObjSweep(os.Stdout, pts)
-		fmt.Println()
-	}
-
-	// Deliberately outside -all: sweep points at scale >= 1 run for hours,
-	// so the scale sweep only runs when asked for by name.
-	if *scaleSweep {
-		any = true
-		fmt.Println("== Scale sweep ==")
-		scales, err := parseFloats(*sweepScales)
-		if err != nil {
-			return fmt.Errorf("-sweep-scales: %w", err)
-		}
-		pts, err := expt.RunScaleSweep(cfg, *sweepDesign, scales)
-		if err != nil {
-			return err
-		}
-		expt.WriteScaleSweep(os.Stdout, pts)
 		fmt.Println()
 	}
 
@@ -156,16 +142,4 @@ func run() error {
 	}
 	fmt.Printf("total %s (scale %.2f)\n", time.Since(start).Round(time.Second), *scale)
 	return nil
-}
-
-func parseFloats(s string) ([]float64, error) {
-	var out []float64
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad value %q: %w", f, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }

@@ -14,8 +14,8 @@
 // and the exit status is 0 when clean, 1 when there are findings, and 2
 // when loading or type-checking fails. Suppress a finding by tagging the
 // line (or the line above) with the owning analyzer's marker —
-// // order-ok:, // panic-ok:, // ctx-ok:, // wrap-ok:, // clock-ok: —
-// followed by the reason.
+// // order-ok:, // panic-ok:, // wrap-ok:, // clock-ok: — followed by the
+// reason. ctxflow findings have no marker: fix them.
 package main
 
 import (

@@ -58,9 +58,9 @@ func run() error {
 		"geometry objective: "+strings.Join(objective.Names(), "|")+
 			" (default: the paper objective for -arch; overrides -arch)")
 	marginDBU := flag.Int64("margin", 0,
-		"netsep separation margin in DBU (0: the objective's 4·δ default)")
+		"netsep separation margin in DBU (0: the objective's 4·δ default; needs -objective netsep)")
 	slackWeight := flag.Float64("slack-weight", 0,
-		"slackalpha criticality weight: critical nets get up to (1+w)× α (0: uniform)")
+		"slackalpha criticality weight: critical nets get up to (1+w)× α (0: uniform; needs -objective slackalpha)")
 	util := flag.Float64("util", 0.75, "placement utilization")
 	alpha := flag.Float64("alpha", -1, "alignment weight (negative: architecture default)")
 	seqStr := flag.String("seq", "", "U sequence 'bwUm:lx:ly,...' (default 20:4:1)")
@@ -75,6 +75,9 @@ func run() error {
 
 	arch, err := parseArch(*archStr)
 	if err != nil {
+		return err
+	}
+	if err := checkObjectiveFlags(*objStr, *slackWeight, *marginDBU); err != nil {
 		return err
 	}
 
@@ -165,6 +168,25 @@ func run() error {
 	return nil
 }
 
+// checkObjectiveFlags rejects -slack-weight and -margin values the run
+// would silently ignore: only the slackalpha objective reads the slack
+// weights, and only netsep reads the margin.
+func checkObjectiveFlags(obj string, slackWeight float64, margin int64) error {
+	if math.IsNaN(slackWeight) || math.IsInf(slackWeight, 0) || slackWeight < 0 {
+		return fmt.Errorf("bad -slack-weight %v (want a finite weight >= 0)", slackWeight)
+	}
+	if slackWeight > 0 && obj != "slackalpha" {
+		return fmt.Errorf("-slack-weight %v needs -objective slackalpha", slackWeight)
+	}
+	if margin < 0 {
+		return fmt.Errorf("bad -margin %d (want >= 0; 0 keeps the netsep default)", margin)
+	}
+	if margin > 0 && obj != "netsep" {
+		return fmt.Errorf("-margin %d needs -objective netsep", margin)
+	}
+	return nil
+}
+
 // specFor resolves -design, -n and -scale into a design spec. -n must be
 // non-negative (0 keeps the paper count) and -scale positive and finite,
 // so a bad size is an error rather than a silent full-size run.
@@ -213,25 +235,9 @@ func runOnDEF(ctx context.Context, lefPath, defPath, outPath string, cfg expt.Fl
 		return err
 	}
 
-	prm := core.DefaultParams(t, cfg.Arch)
-	if cfg.Objective != "" {
-		o, err := objective.Lookup(cfg.Objective)
-		if err != nil {
-			return fmt.Errorf("-objective: %w", err)
-		}
-		prm.Objective = o
-		prm.MarginDBU = cfg.MarginDBU
-		if cfg.SlackAlphaWeight > 0 {
-			staCfg := sta.DefaultConfig()
-			prm.NetAlpha = sta.CriticalityBetas(
-				sta.NetSlacks(p, staCfg, nil), staCfg.ClockPeriodNs, cfg.SlackAlphaWeight)
-		}
-	}
-	if cfg.AlphaSet {
-		prm.Alpha = cfg.Alpha
-	}
-	if cfg.Workers > 0 {
-		prm.Workers = cfg.Workers
+	prm, err := cfg.Params(p)
+	if err != nil {
+		return err
 	}
 	seq := cfg.Sequence
 	if seq == nil {

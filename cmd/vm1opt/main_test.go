@@ -117,3 +117,42 @@ func TestSpecFor(t *testing.T) {
 		t.Error("specFor(nope) succeeded, want an unknown-design error")
 	}
 }
+
+func TestCheckObjectiveFlags(t *testing.T) {
+	for _, tc := range []struct {
+		obj    string
+		weight float64
+		margin int64
+		flag   string // "" when the flags must be accepted
+	}{
+		{"", 0, 0, ""},
+		{"closedm1", 0, 0, ""},
+		{"slackalpha", 0, 0, ""},
+		{"slackalpha", 2, 0, ""},
+		{"netsep", 0, 0, ""},
+		{"netsep", 0, 300, ""},
+		{"", 2, 0, "-slack-weight"},
+		{"closedm1", 2, 0, "-slack-weight"},
+		{"netsep", 0.5, 300, "-slack-weight"},
+		{"slackalpha", -1, 0, "-slack-weight"},
+		{"slackalpha", math.NaN(), 0, "-slack-weight"},
+		{"slackalpha", math.Inf(1), 0, "-slack-weight"},
+		{"slackalpha", math.Inf(-1), 0, "-slack-weight"},
+		{"", 0, 300, "-margin"},
+		{"openm1", 0, 300, "-margin"},
+		{"slackalpha", 2, 300, "-margin"},
+		{"netsep", 0, -5, "-margin"},
+	} {
+		err := checkObjectiveFlags(tc.obj, tc.weight, tc.margin)
+		switch {
+		case tc.flag == "" && err != nil:
+			t.Errorf("checkObjectiveFlags(%q, %v, %d) = %v, want nil", tc.obj, tc.weight, tc.margin, err)
+		case tc.flag != "" && err == nil:
+			t.Errorf("checkObjectiveFlags(%q, %v, %d) = nil, want an error naming %s",
+				tc.obj, tc.weight, tc.margin, tc.flag)
+		case tc.flag != "" && !strings.Contains(err.Error(), tc.flag):
+			t.Errorf("checkObjectiveFlags(%q, %v, %d): error %q does not name %s",
+				tc.obj, tc.weight, tc.margin, err, tc.flag)
+		}
+	}
+}

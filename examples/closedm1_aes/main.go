@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -28,7 +29,7 @@ func main() {
 	fmt.Printf("running aes/ClosedM1 with %d instances, alpha=%.0f ...\n",
 		spec.NumInsts, *alpha)
 
-	r, err := expt.RunFlow(spec, expt.FlowConfig{
+	r, err := expt.RunFlowCtx(context.Background(), spec, expt.FlowConfig{
 		Arch:     tech.ClosedM1,
 		Alpha:    *alpha,
 		AlphaSet: true,

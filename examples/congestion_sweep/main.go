@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -38,7 +39,7 @@ func main() {
 
 	cfg := expt.SuiteConfig{Scale: *scale, Workers: *workers}
 	fmt.Printf("sweeping utilization on aes/ClosedM1 at scale %.2f ...\n\n", *scale)
-	pts, err := expt.RunFig8(cfg, utils)
+	pts, err := expt.RunFig8(context.Background(), cfg, utils)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "congestion_sweep:", err)
 		os.Exit(1)

@@ -69,7 +69,10 @@ func run() error {
 	fmt.Printf("params: alpha=%.0f epsilon=%.2f gamma=%d rows, delta=%d DBU\n",
 		prm.Alpha, prm.Epsilon, prm.GammaRows, prm.DeltaDBU)
 
-	res := core.VM1Opt(p, prm, expt.DefaultSequence())
+	res, err := core.VM1OptCtx(ctx, p, prm, expt.DefaultSequence())
+	if err != nil {
+		return err
+	}
 	after, err := router.RouteAllCtx(ctx)
 	if err != nil {
 		return err

@@ -68,7 +68,10 @@ func run() error {
 
 	// 5. Vertical-M1-aware detailed placement (the paper's contribution).
 	prm := core.DefaultParams(t, tech.ClosedM1) // α = 1200
-	res := core.VM1Opt(p, prm, expt.DefaultSequence())
+	res, err := core.VM1OptCtx(ctx, p, prm, expt.DefaultSequence())
+	if err != nil {
+		return err
+	}
 	fmt.Printf("optimizer: alignments %d -> %d in %s\n",
 		res.Initial.Alignments, res.Final.Alignments, res.Duration.Round(1e9))
 

@@ -38,7 +38,8 @@ type Analyzer struct {
 	Doc string
 	// Tag is the suppression-comment prefix (e.g. "order-ok"): a comment
 	// containing "<Tag>:" on the flagged line or the line above silences
-	// this analyzer's diagnostics at that site.
+	// this analyzer's diagnostics at that site. Empty means the
+	// analyzer's findings cannot be suppressed.
 	Tag string
 	// Run reports diagnostics for one type-checked package.
 	Run func(*Pass) error

@@ -18,13 +18,14 @@ import (
 //     calls anything that accepts a context (an ignored ctx means some
 //     callee is being run uncancellable).
 //  3. Under internal/, context.Background()/TODO() are banned outright in
-//     non-test code; the only legitimate sites are context-free compat
-//     wrappers (VM1Opt around VM1OptCtx), which carry an
-//     `// ctx-ok: <reason>` tag.
+//     non-test code: every library entry point that can block takes the
+//     caller's context, so there is no context-free wrapper to exempt.
+//
+// The analyzer has no suppression tag; a fresh context belongs in main,
+// tests and examples only.
 var CtxFlowAnalyzer = &Analyzer{
 	Name: "ctxflow",
 	Doc:  "requires received contexts to be propagated and bans fresh Background/TODO contexts in library code",
-	Tag:  "ctx-ok",
 	Run:  runCtxFlow,
 }
 
@@ -82,7 +83,7 @@ func runCtxFlow(pass *Pass) error {
 			if !ok || reported[call] || !isFreshContext(pass, call) {
 				return true
 			}
-			pass.Reportf(call.Pos(), "context.Background/TODO in internal/ library code: accept and thread the caller's ctx, or tag // ctx-ok: for a compat wrapper")
+			pass.Reportf(call.Pos(), "context.Background/TODO in internal/ library code: accept and thread the caller's ctx")
 			return true
 		})
 	}

@@ -57,7 +57,7 @@ func (t tagIndex) suppressed(tag string, pos token.Position) bool {
 
 // knownTags are the suppression markers the suite recognizes; anything
 // else in a comment is ignored.
-var knownTags = []string{"order-ok", "panic-ok", "ctx-ok", "wrap-ok", "clock-ok"}
+var knownTags = []string{"order-ok", "panic-ok", "wrap-ok", "clock-ok"}
 
 // collectTags scans every comment of the package for suppression tags.
 // Multi-line comment groups register each tag on the line it appears on.

@@ -1,7 +1,7 @@
 // Package cxfix is a ctxflow fixture under internal/: severing an
 // incoming context with a fresh Background/TODO, ignoring a ctx
-// parameter, and minting contexts in library code are flagged; proper
-// threading and tagged compat wrappers pass.
+// parameter, and minting contexts in library code are flagged, even in a
+// context-free wrapper; proper threading passes.
 package cxfix
 
 import "context"
@@ -43,7 +43,7 @@ func mints() error {
 	return work(ctx)
 }
 
-// compat is a sanctioned context-free wrapper: suppressed.
+// compat is a context-free wrapper: flagged, and no tag silences it.
 func compat() error {
-	return work(context.Background()) // ctx-ok: context-free compat wrapper
+	return work(context.Background()) // want `context\.Background/TODO in internal/`
 }

@@ -47,14 +47,6 @@ type Params struct {
 	// MarginDBU is the "netsep" objective's separation margin; <= 0
 	// selects that objective's default (4·δ).
 	MarginDBU int64
-	// Beta weighs net HPWL (the paper's βn, uniform; the paper uses 1).
-	Beta float64
-	// NetBeta, when non-nil, holds per-net multipliers on Beta (indexed
-	// like Design.Nets). This implements the paper's future-work item of
-	// folding timing criticality into the objective: critical nets get
-	// βn > 1 so the optimizer resists stretching them. Nets beyond the
-	// slice bounds or with non-positive entries use 1.
-	NetBeta []float64
 	// Epsilon weighs total overlap length for OpenM1 (the paper's ε).
 	Epsilon float64
 	// GammaRows is the maximum dM1 span in rows (the paper's γ, OpenM1
@@ -103,7 +95,6 @@ func DefaultParams(t *tech.Tech, arch tech.Arch) Params {
 	return Params{
 		Arch:           arch,
 		Alpha:          alpha,
-		Beta:           1.0,
 		Epsilon:        0.02,
 		GammaRows:      t.Gamma,
 		AlignGammaRows: alignGamma,
@@ -235,15 +226,6 @@ func pairEnablesDM1(o objective.GeomObjective, w objective.Weights, gamma int, a
 	return o.PairEval(w, pinGeom(a), pinGeom(b))
 }
 
-// betaOf returns the effective βn for a net.
-func (prm Params) betaOf(ni int) float64 {
-	b := prm.Beta
-	if ni < len(prm.NetBeta) && prm.NetBeta[ni] > 0 {
-		b *= prm.NetBeta[ni]
-	}
-	return b
-}
-
 // alignGamma returns the pair-eligibility row window.
 func (prm Params) alignGamma() int {
 	if prm.AlignGammaRows > 0 {
@@ -285,7 +267,7 @@ func CalculateObj(p *layout.Placement, prm Params) Objective {
 		if p.Design.Nets[ni].IsClock {
 			continue
 		}
-		weighted += prm.betaOf(ni) * float64(p.NetHPWL(ni))
+		weighted += float64(p.NetHPWL(ni))
 		buf = appendNetTerminals(buf[:0], p, ni)
 		align, over := pairStats(prm, buf)
 		obj.Alignments += align

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -93,7 +94,10 @@ func TestJointModePreservesLegality(t *testing.T) {
 	prm := DefaultParams(p.Tech, tech.ClosedM1)
 	prm.MaxNodes = 60
 	prm.MaxOuterIters = 1
-	res := VM1OptJoint(p, prm, Sequence{{BW: 2000, BH: 2000, LX: 2, LY: 1}})
+	res, err := VM1OptJointCtx(context.Background(), p, prm, Sequence{{BW: 2000, BH: 2000, LX: 2, LY: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := p.CheckLegal(); err != nil {
 		t.Fatalf("illegal after joint VM1Opt: %v", err)
 	}
@@ -110,7 +114,7 @@ func TestOpenM1OverlapSumNonNegative(t *testing.T) {
 	prm := DefaultParams(p.Tech, tech.OpenM1)
 	prm.MaxNodes = 40
 	prm.MaxOuterIters = 1
-	res := VM1Opt(p, prm, Sequence{{BW: 2000, BH: 2000, LX: 2, LY: 1}})
+	res := mustVM1Opt(t, p, prm, Sequence{{BW: 2000, BH: 2000, LX: 2, LY: 1}})
 	if res.Initial.OverlapSum < 0 || res.Final.OverlapSum < 0 {
 		t.Errorf("negative overlap sum: %+v", res)
 	}

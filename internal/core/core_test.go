@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"vm1place/internal/cells"
@@ -103,6 +104,17 @@ func genPlaced(t *testing.T, arch tech.Arch, n int, seed int64, util float64) *l
 		t.Fatal(err)
 	}
 	return p
+}
+
+// mustVM1Opt runs VM1OptCtx under context.Background, failing the test
+// on error.
+func mustVM1Opt(t *testing.T, p *layout.Placement, prm Params, u Sequence) Result {
+	t.Helper()
+	res, err := VM1OptCtx(context.Background(), p, prm, u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestCalculateObjManualClosedM1(t *testing.T) {
@@ -337,11 +349,15 @@ func TestDistOptPreservesLegality(t *testing.T) {
 	prm := DefaultParams(p.Tech, tech.ClosedM1)
 	prm.MaxNodes = 50
 	ps := ParamSet{BW: 2000, BH: 2000, LX: 3, LY: 1}
-	DistOpt(p, prm, ps, 0, 0, true, false)
+	if _, err := DistOpt(context.Background(), p, prm, ps, 0, 0, true, false); err != nil {
+		t.Fatal(err)
+	}
 	if err := p.CheckLegal(); err != nil {
 		t.Fatalf("illegal after DistOpt: %v", err)
 	}
-	DistOpt(p, prm, ps, 1000, 1000, false, true)
+	if _, err := DistOpt(context.Background(), p, prm, ps, 1000, 1000, false, true); err != nil {
+		t.Fatal(err)
+	}
 	if err := p.CheckLegal(); err != nil {
 		t.Fatalf("illegal after flip DistOpt: %v", err)
 	}
@@ -354,7 +370,7 @@ func TestVM1OptImprovesObjective(t *testing.T) {
 		prm.MaxNodes = 60
 		prm.MaxOuterIters = 2
 		u := Sequence{{BW: 2000, BH: 2000, LX: 3, LY: 1}}
-		res := VM1Opt(p, prm, u)
+		res := mustVM1Opt(t, p, prm, u)
 		if err := p.CheckLegal(); err != nil {
 			t.Fatalf("%s: illegal after VM1Opt: %v", arch, err)
 		}
@@ -377,7 +393,7 @@ func TestVM1OptAlphaZeroReducesHPWL(t *testing.T) {
 	prm.Alpha = 0 // pure HPWL-driven detailed placement (the baseline)
 	prm.MaxNodes = 60
 	prm.MaxOuterIters = 2
-	res := VM1Opt(p, prm, Sequence{{BW: 2000, BH: 2000, LX: 3, LY: 1}})
+	res := mustVM1Opt(t, p, prm, Sequence{{BW: 2000, BH: 2000, LX: 3, LY: 1}})
 	if res.Final.HPWL >= res.Initial.HPWL {
 		t.Errorf("alpha=0 did not reduce HPWL: %d -> %d", res.Initial.HPWL, res.Final.HPWL)
 	}
@@ -388,7 +404,7 @@ func TestGreedyFallbackWorks(t *testing.T) {
 	prm := DefaultParams(p.Tech, tech.ClosedM1)
 	prm.MaxMILPCells = 1 // force the greedy path everywhere
 	prm.MaxOuterIters = 1
-	res := VM1Opt(p, prm, Sequence{{BW: 2000, BH: 2000, LX: 3, LY: 1}})
+	res := mustVM1Opt(t, p, prm, Sequence{{BW: 2000, BH: 2000, LX: 3, LY: 1}})
 	if err := p.CheckLegal(); err != nil {
 		t.Fatalf("illegal after greedy VM1Opt: %v", err)
 	}
@@ -408,7 +424,7 @@ func TestHigherAlphaMoreAlignments(t *testing.T) {
 		prm.Alpha = alpha
 		prm.MaxNodes = 60
 		prm.MaxOuterIters = 1
-		return VM1Opt(p, prm, Sequence{{BW: 2000, BH: 2000, LX: 3, LY: 1}}).Final
+		return mustVM1Opt(t, p, prm, Sequence{{BW: 2000, BH: 2000, LX: 3, LY: 1}}).Final
 	}
 	low := run(0)
 	high := run(4000)

@@ -10,8 +10,9 @@ import (
 )
 
 // TestVM1OptCtxCanceledBeforeStart: a context canceled up front must end
-// the run before any window starts — no moves, empty history, legal
-// placement — with an errors.Is-able cancellation error.
+// the run (and a standalone DistOpt pass) before any window starts — no
+// moves, empty history, legal placement — with an errors.Is-able
+// cancellation error.
 func TestVM1OptCtxCanceledBeforeStart(t *testing.T) {
 	p := genPlaced(t, tech.ClosedM1, 300, 7, 0.75)
 	prm := DefaultParams(p.Tech, tech.ClosedM1)
@@ -38,6 +39,20 @@ func TestVM1OptCtxCanceledBeforeStart(t *testing.T) {
 	}
 	if res.Final != res.Initial {
 		t.Errorf("final objective drifted without moves: %+v vs %+v", res.Final, res.Initial)
+	}
+
+	// A standalone DistOpt pass under the same context stops the same way.
+	obj, err := DistOpt(ctx, p, prm, ParamSet{BW: 2000, BH: 2000, LX: 3, LY: 1}, 0, 0, true, false)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("DistOpt: want context.Canceled, got %v", err)
+	}
+	if obj != res.Initial {
+		t.Errorf("DistOpt objective drifted without moves: %+v vs %+v", obj, res.Initial)
+	}
+	for i, s := range p.SiteX {
+		if s != before[i] {
+			t.Fatalf("canceled DistOpt moved instance %d", i)
+		}
 	}
 }
 
@@ -111,7 +126,8 @@ func TestVM1OptCtxDeadlineClampsAndStops(t *testing.T) {
 }
 
 // TestVM1OptCtxBackgroundMatchesVM1Opt: with no deadline and a single
-// worker the ctx path must be byte-for-byte the legacy path.
+// worker, a live cancellable context that is never canceled must give
+// byte-for-byte the run under context.Background.
 func TestVM1OptCtxBackgroundMatchesVM1Opt(t *testing.T) {
 	pa := genPlaced(t, tech.ClosedM1, 300, 13, 0.75)
 	pb := genPlaced(t, tech.ClosedM1, 300, 13, 0.75)
@@ -122,8 +138,13 @@ func TestVM1OptCtxBackgroundMatchesVM1Opt(t *testing.T) {
 	prm.TimeLimit = 0 // node-capped only: fully deterministic
 	prm.MaxOuterIters = 1
 
-	ra := VM1Opt(pa, prm, u)
-	rb, err := VM1OptCtx(context.Background(), pb, prm, u)
+	ra, err := VM1OptCtx(context.Background(), pa, prm, u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	rb, err := VM1OptCtx(ctx, pb, prm, u)
 	if err != nil {
 		t.Fatal(err)
 	}

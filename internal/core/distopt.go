@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,15 +46,18 @@ func workersOf(prm Params) int {
 // pass mode of Algorithm 1 (perturb with f=0, or flip-only with f=1).
 //
 // This entry point builds a fresh objective tracker and grid for a single
-// standalone pass; VM1Opt drives distPass directly so the tracker, grid
-// and solve workspaces persist across passes.
-func DistOpt(p *layout.Placement, prm Params, ps ParamSet, tx, ty int64,
-	allowMove, allowFlip bool) Objective {
-	t := NewObjTracker(p, prm)
-	// ctx-ok: context-free compatibility entry point; cancellable callers use distPass via VM1OptCtx.
-	r, _ := distPass(context.Background(), t, ps, makeGrid(p, ps, tx, ty),
+// standalone pass; VM1OptCtx drives distPass directly so the tracker, grid
+// and solve workspaces persist across passes. Cancellation behaves as in
+// VM1OptCtx: the windows in flight commit whole, and the returned
+// objective is the tracked one of the legal placement left behind.
+func DistOpt(ctx context.Context, p *layout.Placement, prm Params, ps ParamSet, tx, ty int64,
+	allowMove, allowFlip bool) (Objective, error) {
+	r, err := distPass(ctx, NewObjTracker(p, prm), ps, makeGrid(p, ps, tx, ty),
 		newSolverPool(workersOf(prm)), allowMove, allowFlip)
-	return r.obj
+	if err != nil {
+		return r.obj, fmt.Errorf("core: DistOpt interrupted: %w", err)
+	}
+	return r.obj, nil
 }
 
 // diagonalFamilies groups the grid's windows into diagonal families:
@@ -108,7 +112,7 @@ type passResult struct {
 	idle  time.Duration // worker idle time; timing only
 }
 
-// passFunc runs one DistOpt pass. VM1Opt runs distPass; tests substitute
+// passFunc runs one DistOpt pass. VM1OptCtx runs distPass; tests substitute
 // a family-barrier reference loop.
 type passFunc func(ctx context.Context, t *ObjTracker, ps ParamSet, g passGrid,
 	pool *solverPool, allowMove, allowFlip bool) (passResult, error)

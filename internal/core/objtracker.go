@@ -32,7 +32,6 @@ type ObjTracker struct {
 	prm Params
 
 	netHPWL   []int64   // per-net HPWL, zero for clock nets (as TotalHPWL)
-	netWght   []float64 // per-net βn·HPWL, zero for clock nets
 	netAlign  []int     // per-net dM1-eligible pair count (non-clock)
 	netOver   []int64   // per-net overlap surplus (OpenM1, non-clock)
 	netReward []float64 // per-net PairAlpha·align (non-clock)
@@ -63,7 +62,6 @@ func NewObjTracker(p *layout.Placement, prm Params) *ObjTracker {
 		p:         p,
 		prm:       prm,
 		netHPWL:   make([]int64, nNets),
-		netWght:   make([]float64, nNets),
 		netAlign:  make([]int, nNets),
 		netOver:   make([]int64, nNets),
 		netReward: make([]float64, nNets),
@@ -120,7 +118,6 @@ func (t *ObjTracker) refreshNet(ni int) {
 		return // never contributes; caches stay zero
 	}
 	t.netHPWL[ni] = p.NetHPWL(ni)
-	t.netWght[ni] = prm.betaOf(ni) * float64(t.netHPWL[ni])
 	terms := appendNetTerminals(t.termBuf[:0], p, ni)
 	t.termBuf = terms
 	align, over := pairStats(prm, terms)
@@ -174,7 +171,7 @@ func (t *ObjTracker) Objective() Objective {
 	var weighted, reward float64
 	for ni := range t.netHPWL {
 		obj.HPWL += t.netHPWL[ni]
-		weighted += t.netWght[ni]
+		weighted += float64(t.netHPWL[ni])
 		reward += t.netReward[ni]
 	}
 	obj.Alignments = t.align

@@ -94,7 +94,7 @@ func TestObjTrackerFullRun(t *testing.T) {
 	prm.MaxNodes = 40
 	prm.TimeLimit = 100 * time.Millisecond
 	prm.MaxOuterIters = 2
-	res := VM1Opt(p, prm, Sequence{{BW: 2000, BH: 2000, LX: 3, LY: 1}})
+	res := mustVM1Opt(t, p, prm, Sequence{{BW: 2000, BH: 2000, LX: 3, LY: 1}})
 	want := CalculateObj(p, prm)
 	if res.Final != want {
 		t.Fatalf("VM1Opt final objective diverged from rescan:\n got %+v\nwant %+v",

@@ -24,7 +24,7 @@ func TestVM1OptShardsInvariance(t *testing.T) {
 		prm.MaxNodes = 25
 		prm.TimeLimit = 0
 		prm.MaxOuterIters = 1
-		res := VM1Opt(p, prm, Sequence{{BW: 1000, BH: 1000, LX: 2, LY: 1}})
+		res := mustVM1Opt(t, p, prm, Sequence{{BW: 1000, BH: 1000, LX: 2, LY: 1}})
 		if err := p.CheckLegal(); err != nil {
 			t.Fatalf("Shards=%d: illegal placement: %v", shards, err)
 		}
@@ -56,7 +56,7 @@ func TestVM1OptShardsLegalAndTracked(t *testing.T) {
 	prm.MaxNodes = 40
 	prm.TimeLimit = 100 * time.Millisecond
 	prm.MaxOuterIters = 1
-	res := VM1Opt(p, prm, Sequence{{BW: 2000, BH: 2000, LX: 3, LY: 1}})
+	res := mustVM1Opt(t, p, prm, Sequence{{BW: 2000, BH: 2000, LX: 3, LY: 1}})
 	if err := p.CheckLegal(); err != nil {
 		t.Fatalf("illegal after timed pass: %v", err)
 	}

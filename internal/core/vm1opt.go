@@ -9,7 +9,7 @@ import (
 	"vm1place/internal/layout"
 )
 
-// Result summarizes one VM1Opt run.
+// Result summarizes one VM1OptCtx run.
 type Result struct {
 	// Initial and Final objectives.
 	Initial, Final Objective
@@ -39,7 +39,7 @@ type PassStats struct {
 	Commits int
 }
 
-// VM1Opt is Algorithm 1: for each parameter set u in the sequence U,
+// VM1OptCtx is Algorithm 1: for each parameter set u in the sequence U,
 // alternate a perturbation pass (f=0) and a flip pass (f=1) of DistOpt,
 // shifting the window grid between iterations to cover boundary cells,
 // until the relative objective improvement drops below θ; then advance to
@@ -51,17 +51,12 @@ type PassStats struct {
 // the same offset), and each worker keeps one solve workspace (LP arena,
 // pooled models, assembly buffers) plus a window freelist for the whole
 // run, so the steady-state inner loop allocates per pass, not per window.
-func VM1Opt(p *layout.Placement, prm Params, u Sequence) Result {
-	res, _ := VM1OptCtx(context.Background(), p, prm, u) // ctx-ok: context-free compat wrapper
-	return res
-}
-
-// VM1OptCtx is VM1Opt under a context: cancellation stops the optimizer
-// from starting further windows, and the windows in flight finish and
-// commit whole, so the placement is always legal when it returns. A
-// context deadline additionally clamps the per-window MILP wall budget
-// (threaded down to lp.Arena.SetDeadline) so in-flight window solves stop
-// at the deadline too. On cancellation it
+//
+// Cancellation stops the optimizer from starting further windows, and the
+// windows in flight finish and commit whole, so the placement is always
+// legal when it returns. A context deadline additionally clamps the
+// per-window MILP wall budget (threaded down to lp.Arena.SetDeadline) so
+// in-flight window solves stop at the deadline too. On cancellation it
 // returns the partial Result accumulated so far — Final reflects the
 // current placement and History is truncated at the last completed pair —
 // together with an error wrapping ctx.Err().
@@ -69,17 +64,12 @@ func VM1OptCtx(ctx context.Context, p *layout.Placement, prm Params, u Sequence)
 	return vm1optRun(ctx, p, prm, u, false, distPass)
 }
 
-// VM1OptJoint is the ablation variant of Algorithm 1 that optimizes
+// VM1OptJointCtx is the ablation variant of Algorithm 1 that optimizes
 // location and orientation *simultaneously* in each window MILP instead of
 // the paper's sequential perturb-then-flip passes. The paper observes the
 // sequential scheme is faster at similar quality (§4.2); this variant
-// exists to reproduce that comparison.
-func VM1OptJoint(p *layout.Placement, prm Params, u Sequence) Result {
-	res, _ := VM1OptJointCtx(context.Background(), p, prm, u) // ctx-ok: context-free compat wrapper
-	return res
-}
-
-// VM1OptJointCtx is VM1OptJoint with VM1OptCtx's cancellation semantics.
+// exists to reproduce that comparison. Cancellation behaves as in
+// VM1OptCtx.
 func VM1OptJointCtx(ctx context.Context, p *layout.Placement, prm Params, u Sequence) (Result, error) {
 	return vm1optRun(ctx, p, prm, u, true, distPass)
 }

@@ -9,13 +9,13 @@ import (
 )
 
 // objective evaluates the window-local objective of an assignment
-// (candidate index per movable cell): Σ β·wn − Σ αn·#pairs − ε·Σ surplus.
+// (candidate index per movable cell): Σ wn − Σ αn·#pairs − ε·Σ surplus.
 // It is exactly the MILP objective restricted to this window's nets and
 // (pruned) pairs, so MILP incumbents and greedy moves are comparable.
 func (w *window) objective(assign []int) float64 {
 	total := 0.0
 	for _, wn := range w.nets {
-		total += w.prm.betaOf(wn.ni) * float64(w.netWL(wn, assign))
+		total += float64(w.netWL(wn, assign))
 	}
 	for _, pr := range w.pairs {
 		hit, over := w.pairState(pr, assign)
@@ -223,7 +223,6 @@ func (w *window) buildModel() (*lp.Model, *milp.Model, [][]int, float64) {
 	// feasible.
 	constK := 0.0
 	for _, wn := range w.nets {
-		beta := w.prm.betaOf(wn.ni)
 		for axi := 0; axi < 2; axi++ {
 			var fLo, fHi int64
 			if axi == 0 {
@@ -248,12 +247,12 @@ func (w *window) buildModel() (*lp.Model, *milp.Model, [][]int, float64) {
 			if len(contrib) == 0 {
 				sv.contrib = contrib
 				if wn.hasFixed {
-					constK += beta * float64(fHi-fLo)
+					constK += float64(fHi - fLo)
 				}
 				continue
 			}
-			vmax := m.AddVar(lo, inf, beta, "max")
-			vmin := m.AddVar(-inf, hi, -beta, "min")
+			vmax := m.AddVar(lo, inf, 1, "max")
+			vmin := m.AddVar(-inf, hi, -1, "min")
 			for _, mp := range contrib {
 				tb = tb[:0]
 				tb, _ = appendPin(tb, mp, axisVals(mp, axi), -1)
@@ -494,7 +493,7 @@ func (w *window) solveGreedy() []int {
 	localObj := func(ci int) float64 {
 		v := 0.0
 		for _, wn := range netsOf[ci] {
-			v += w.prm.betaOf(wn.ni) * float64(w.netWL(wn, assign))
+			v += float64(w.netWL(wn, assign))
 		}
 		for _, pr := range pairsOf[ci] {
 			if hit, over := w.pairState(pr, assign); hit {

@@ -98,7 +98,7 @@ type Fig5Point struct {
 
 // RunFig5 sweeps square window sizes (and optionally perturbation ranges)
 // on aes/ClosedM1 with a single DistOpt pair, as in ExptA-1.
-func RunFig5(cfg SuiteConfig, windowsUm []float64, perturbations [][2]int) ([]Fig5Point, error) {
+func RunFig5(ctx context.Context, cfg SuiteConfig, windowsUm []float64, perturbations [][2]int) ([]Fig5Point, error) {
 	if windowsUm == nil {
 		windowsUm = []float64{5, 10, 20, 40, 80}
 	}
@@ -122,7 +122,7 @@ func RunFig5(cfg SuiteConfig, windowsUm []float64, perturbations [][2]int) ([]Fi
 	out := make([]Fig5Point, len(cases))
 	err = cfg.forEachPoint(len(cases), func(i int) error {
 		c := cases[i]
-		r, err := RunFlow(spec, FlowConfig{
+		r, err := RunFlowCtx(ctx, spec, FlowConfig{
 			Arch: tech.ClosedM1,
 			Sequence: core.Sequence{{
 				BW: UmToDBU(c.um), BH: UmToDBU(c.um), LX: c.lp[0], LY: c.lp[1],
@@ -175,7 +175,7 @@ type Fig6Point struct {
 
 // RunFig6 sweeps α on aes with the given architecture, reporting RWL and
 // #dM1 after optimization + reroute (ExptA-2).
-func RunFig6(cfg SuiteConfig, arch tech.Arch, alphas []float64) ([]Fig6Point, error) {
+func RunFig6(ctx context.Context, cfg SuiteConfig, arch tech.Arch, alphas []float64) ([]Fig6Point, error) {
 	if alphas == nil {
 		alphas = []float64{0, 10, 100, 400, 800, 1200, 2000, 4000, 6000}
 	}
@@ -186,7 +186,7 @@ func RunFig6(cfg SuiteConfig, arch tech.Arch, alphas []float64) ([]Fig6Point, er
 	out := make([]Fig6Point, len(alphas))
 	err = cfg.forEachPoint(len(alphas), func(i int) error {
 		a := alphas[i]
-		r, err := RunFlow(spec, FlowConfig{
+		r, err := RunFlowCtx(ctx, spec, FlowConfig{
 			Arch:          arch,
 			Alpha:         a,
 			AlphaSet:      true,
@@ -239,7 +239,7 @@ type Fig7Point struct {
 }
 
 // RunFig7 evaluates the five U sequences on aes/ClosedM1 (ExptA-3).
-func RunFig7(cfg SuiteConfig, seqs []SequenceSpec) ([]Fig7Point, error) {
+func RunFig7(ctx context.Context, cfg SuiteConfig, seqs []SequenceSpec) ([]Fig7Point, error) {
 	if seqs == nil {
 		seqs = PaperSequences
 	}
@@ -257,7 +257,7 @@ func RunFig7(cfg SuiteConfig, seqs []SequenceSpec) ([]Fig7Point, error) {
 				LX: st[1], LY: st[2],
 			})
 		}
-		r, err := RunFlow(spec, FlowConfig{
+		r, err := RunFlowCtx(ctx, spec, FlowConfig{
 			Arch:          tech.ClosedM1,
 			Sequence:      u,
 			MaxOuterIters: 2,
@@ -287,14 +287,14 @@ func WriteFig7(w io.Writer, pts []Fig7Point) {
 // --- ExptB / Table 2 ------------------------------------------------------
 
 // RunTable2 runs the full flow on every design for one architecture.
-func RunTable2(cfg SuiteConfig, arch tech.Arch) ([]FlowResult, error) {
+func RunTable2(ctx context.Context, cfg SuiteConfig, arch tech.Arch) ([]FlowResult, error) {
 	out := make([]FlowResult, len(PaperDesigns))
 	err := cfg.forEachPoint(len(PaperDesigns), func(i int) error {
 		spec, err := cfg.design(PaperDesigns[i].Name)
 		if err != nil {
 			return err
 		}
-		out[i], err = RunFlow(spec, FlowConfig{Arch: arch, Workers: cfg.Workers})
+		out[i], err = RunFlowCtx(ctx, spec, FlowConfig{Arch: arch, Workers: cfg.Workers})
 		return err
 	})
 	if err != nil {
@@ -324,7 +324,7 @@ type Fig8Point struct {
 // RunFig8 sweeps placement utilization on aes/ClosedM1 and reports DRVs
 // before and after optimization plus the final dM1 count (the congestion
 // study of ExptB-1).
-func RunFig8(cfg SuiteConfig, utils []float64) ([]Fig8Point, error) {
+func RunFig8(ctx context.Context, cfg SuiteConfig, utils []float64) ([]Fig8Point, error) {
 	if utils == nil {
 		utils = []float64{0.75, 0.78, 0.81, 0.82, 0.83, 0.84}
 	}
@@ -335,7 +335,7 @@ func RunFig8(cfg SuiteConfig, utils []float64) ([]Fig8Point, error) {
 	out := make([]Fig8Point, len(utils))
 	err = cfg.forEachPoint(len(utils), func(i int) error {
 		u := utils[i]
-		r, err := RunFlow(spec, FlowConfig{Arch: tech.ClosedM1, Util: u, Workers: cfg.Workers})
+		r, err := RunFlowCtx(ctx, spec, FlowConfig{Arch: tech.ClosedM1, Util: u, Workers: cfg.Workers})
 		if err != nil {
 			return err
 		}
@@ -372,14 +372,14 @@ type AblationResult struct {
 // RunAblationJointFlip compares the paper's sequential perturb-then-flip
 // DistOpt pairs against a joint move+flip optimization (§4.2's
 // observation: sequential is faster at similar quality).
-func RunAblationJointFlip(cfg SuiteConfig) (AblationResult, error) {
+func RunAblationJointFlip(ctx context.Context, cfg SuiteConfig) (AblationResult, error) {
 	spec, err := cfg.design("aes")
 	if err != nil {
 		return AblationResult{}, err
 	}
 	seq := DefaultSequence()
 
-	base, err := RunFlow(spec, FlowConfig{
+	base, err := RunFlowCtx(ctx, spec, FlowConfig{
 		Arch: tech.ClosedM1, Sequence: seq, MaxOuterIters: 2, Workers: cfg.Workers,
 	})
 	if err != nil {
@@ -387,10 +387,11 @@ func RunAblationJointFlip(cfg SuiteConfig) (AblationResult, error) {
 	}
 
 	// Joint variant: one DistOpt with both degrees of freedom per
-	// iteration (implemented via the core JointMode sequence flag).
-	joint, err := RunJointFlow(spec, FlowConfig{
+	// iteration, the same four-stage pipeline with the joint optimizer
+	// plugged into the optimize stage.
+	joint, err := runFlow(ctx, spec, FlowConfig{
 		Arch: tech.ClosedM1, Sequence: seq, MaxOuterIters: 2, Workers: cfg.Workers,
-	})
+	}, core.VM1OptJointCtx)
 	if err != nil {
 		return AblationResult{}, err
 	}
@@ -401,34 +402,4 @@ func RunAblationJointFlip(cfg SuiteConfig) (AblationResult, error) {
 		BaseDM1: base.Final.DM1, VarDM1: joint.Final.DM1,
 		BaseSec: base.OptRuntime.Seconds(), VarSec: joint.OptRuntime.Seconds(),
 	}, nil
-}
-
-// RunJointFlow mirrors RunFlow but optimizes moves and flips
-// simultaneously in each window MILP. It is the same four-stage pipeline
-// with the joint optimizer plugged into the optimize stage.
-func RunJointFlow(spec DesignSpec, cfg FlowConfig) (FlowResult, error) {
-	return runFlow(context.Background(), spec, cfg, core.VM1OptJointCtx, 0, false) // ctx-ok: context-free compat wrapper
-}
-
-// --- Timing-aware extension (paper future work (ii)) ----------------------
-
-// TimingAwareBetas derives per-net βn multipliers from a slack analysis of
-// the current placement: critical nets get up to (1+weight)× the HPWL
-// weight so the optimizer resists stretching them while hunting
-// alignments.
-func TimingAwareBetas(spec DesignSpec, arch tech.Arch, util, weight float64) ([]float64, error) {
-	p, err := BuildPlaced(spec, arch, util)
-	if err != nil {
-		return nil, err
-	}
-	cfg := staDefault()
-	slacks := staNetSlacks(p, cfg)
-	return staCriticalityBetas(slacks, cfg.ClockPeriodNs, weight), nil
-}
-
-// RunTimingAwareFlow mirrors RunFlow with slack-derived NetBeta weights:
-// the build stage additionally runs the slack analysis on the fresh
-// placement and threads the criticality betas into the optimizer params.
-func RunTimingAwareFlow(spec DesignSpec, cfg FlowConfig, weight float64) (FlowResult, error) {
-	return runFlow(context.Background(), spec, cfg, core.VM1OptCtx, weight, true) // ctx-ok: context-free compat wrapper
 }

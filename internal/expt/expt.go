@@ -13,8 +13,8 @@
 // Every flow run is a flow.Pipeline of four stages — build, init-route,
 // optimize, final-route — threaded by one context.Context, so a deadline
 // or cancellation propagates into the optimizer's window scheduler and the
-// router's batch commits. RunFlow and friends are thin stage compositions
-// over that engine.
+// router's batch commits. RunFlowCtx and every RunFig/RunTable2 sweep
+// take that context and are thin stage compositions over that engine.
 package expt
 
 import (
@@ -66,8 +66,8 @@ var PaperDesigns = []DesignSpec{
 // saturate: m0 (9922 insts) hits it below scale ≈ 0.0202, so a sweep
 // sampling scales under MinScaledInsts/NumInsts returns the *same*
 // design point again — identical name, instance count and seed — not a
-// smaller one. Sweep drivers should dedupe on NumInsts (see
-// ScaleSweepPoints) rather than assume every scale is distinct.
+// smaller one. Callers sweeping small scales should dedupe on NumInsts
+// rather than assume every scale is distinct.
 const MinScaledInsts = 200
 
 // ScaledDesigns returns the paper designs scaled by factor, clamped to
@@ -140,9 +140,32 @@ func DefaultSequence() core.Sequence {
 	return core.Sequence{{BW: UmToDBU(20), BH: UmToDBU(20), LX: 4, LY: 1}}
 }
 
-// params expands the config into optimizer parameters.
-func (cfg FlowConfig) params(t *tech.Tech) core.Params {
-	prm := core.DefaultParams(t, cfg.Arch)
+// resolveObjective returns the named geometry objective and the cell
+// architecture it scores, or (nil, cfg.Arch) when no objective is named.
+func (cfg FlowConfig) resolveObjective() (objective.GeomObjective, tech.Arch, error) {
+	if cfg.Objective == "" {
+		return nil, cfg.Arch, nil
+	}
+	o, err := objective.Lookup(cfg.Objective)
+	if err != nil {
+		return nil, 0, err
+	}
+	return o, o.Arch(), nil
+}
+
+// Params derives the optimizer parameters for a placed design: the
+// architecture defaults, the config's overrides, the named objective with
+// its margin, and, when SlackAlphaWeight > 0, per-net α multipliers from
+// STA slack on the placement as it stands. Every flow's build stage and
+// the vm1opt -def path derive their parameters here.
+func (cfg FlowConfig) Params(p *layout.Placement) (core.Params, error) {
+	obj, arch, err := cfg.resolveObjective()
+	if err != nil {
+		return core.Params{}, fmt.Errorf("expt: params: %w", err)
+	}
+	prm := core.DefaultParams(p.Tech, arch)
+	prm.Objective = obj
+	prm.MarginDBU = cfg.MarginDBU
 	if cfg.AlphaSet || cfg.Alpha > 0 {
 		prm.Alpha = cfg.Alpha
 	}
@@ -158,7 +181,12 @@ func (cfg FlowConfig) params(t *tech.Tech) core.Params {
 	case cfg.TimeLimit < 0:
 		prm.TimeLimit = 0
 	}
-	return prm
+	if cfg.SlackAlphaWeight > 0 {
+		staCfg := sta.DefaultConfig()
+		prm.NetAlpha = sta.CriticalityBetas(
+			sta.NetSlacks(p, staCfg, nil), staCfg.ClockPeriodNs, cfg.SlackAlphaWeight)
+	}
+	return prm, nil
 }
 
 // Snapshot is the full metric set of one routed placement (one half of a
@@ -220,14 +248,8 @@ func snapshot(ctx context.Context, p *layout.Placement, arch tech.Arch, workers 
 	}, elapsed, nil
 }
 
-// BuildPlaced generates, floorplans, places and legalizes a design on the
-// default technology.
-func BuildPlaced(spec DesignSpec, arch tech.Arch, util float64) (*layout.Placement, error) {
-	return BuildPlacedWith(spec, tech.Default(), arch, util)
-}
-
-// BuildPlacedWith is BuildPlaced on an explicit technology (track-count
-// variants).
+// BuildPlacedWith generates, floorplans, places and legalizes a design on
+// the given technology (tech.Default() or a track-count variant).
 func BuildPlacedWith(spec DesignSpec, t *tech.Tech, arch tech.Arch, util float64) (*layout.Placement, error) {
 	lib, err := cells.NewLibrary(t, arch)
 	if err != nil {
@@ -261,7 +283,7 @@ type optimizer func(ctx context.Context, p *layout.Placement, prm core.Params, u
 // The returned FlowResult holds whatever stages completed; on cancellation
 // or failure the error wraps both the failing stage (*flow.StageError) and
 // the underlying cause.
-func runFlow(ctx context.Context, spec DesignSpec, cfg FlowConfig, opt optimizer, timingWeight float64, timingAware bool) (FlowResult, error) {
+func runFlow(ctx context.Context, spec DesignSpec, cfg FlowConfig, opt optimizer) (FlowResult, error) {
 	if cfg.Util == 0 {
 		cfg.Util = 0.75
 	}
@@ -272,15 +294,11 @@ func runFlow(ctx context.Context, spec DesignSpec, cfg FlowConfig, opt optimizer
 	// Resolve the objective before any stage closure captures cfg: a named
 	// objective fixes the cell architecture every stage (library synthesis,
 	// routing capacity model) must agree on.
-	var obj objective.GeomObjective
-	if cfg.Objective != "" {
-		o, err := objective.Lookup(cfg.Objective)
-		if err != nil {
-			return FlowResult{}, fmt.Errorf("expt: flow %s: %w", spec.Name, err)
-		}
-		obj = o
-		cfg.Arch = o.Arch()
+	_, arch, err := cfg.resolveObjective()
+	if err != nil {
+		return FlowResult{}, fmt.Errorf("expt: flow %s: %w", spec.Name, err)
 	}
+	cfg.Arch = arch
 	bt := cfg.Tech
 	if bt == nil {
 		bt = tech.Default()
@@ -297,18 +315,8 @@ func runFlow(ctx context.Context, spec DesignSpec, cfg FlowConfig, opt optimizer
 			}
 			st.Placement = p
 			res.NumInsts = len(p.Design.Insts)
-			prm = cfg.params(p.Tech)
-			prm.Objective = obj
-			prm.MarginDBU = cfg.MarginDBU
-			if cfg.SlackAlphaWeight > 0 {
-				staCfg := staDefault()
-				prm.NetAlpha = staCriticalityBetas(
-					staNetSlacks(p, staCfg), staCfg.ClockPeriodNs, cfg.SlackAlphaWeight)
-			}
-			if timingAware {
-				staCfg := staDefault()
-				prm.NetBeta = staCriticalityBetas(
-					staNetSlacks(p, staCfg), staCfg.ClockPeriodNs, timingWeight)
+			if prm, err = cfg.Params(p); err != nil {
+				return err
 			}
 			res.Alpha = prm.Alpha
 			return nil
@@ -342,21 +350,17 @@ func runFlow(ctx context.Context, spec DesignSpec, cfg FlowConfig, opt optimizer
 			return nil
 		}),
 	)
-	err := pl.Run(ctx, &flow.State{})
+	err = pl.Run(ctx, &flow.State{})
 	return res, err
 }
 
-// RunFlow executes the full flow on one design: place, route (Init
-// metrics), VM1Opt, reroute (Final metrics).
-func RunFlow(spec DesignSpec, cfg FlowConfig) (FlowResult, error) {
-	return RunFlowCtx(context.Background(), spec, cfg) // ctx-ok: context-free compat wrapper
-}
-
-// RunFlowCtx is RunFlow under a context: cancellation and deadlines reach
-// every stage (the optimizer stops starting windows and commits the ones
-// in flight, the router stops between batches). The partial FlowResult covers the completed stages.
+// RunFlowCtx executes the full flow on one design: place, route (Init
+// metrics), VM1Opt, reroute (Final metrics). Cancellation and deadlines
+// reach every stage (the optimizer stops starting windows and commits the
+// ones in flight, the router stops between batches). The partial
+// FlowResult covers the completed stages.
 func RunFlowCtx(ctx context.Context, spec DesignSpec, cfg FlowConfig) (FlowResult, error) {
-	return runFlow(ctx, spec, cfg, core.VM1OptCtx, 0, false)
+	return runFlow(ctx, spec, cfg, core.VM1OptCtx)
 }
 
 // pct formats a percent delta.
@@ -385,15 +389,3 @@ func WriteTable2Row(w io.Writer, r FlowResult) {
 
 // um converts DBU to µm-equivalent for display.
 func um(dbu int64) float64 { return float64(dbu) / 1000 }
-
-// staDefault, staNetSlacks and staCriticalityBetas thinly wrap internal/sta
-// so experiments files stay free of direct sta imports.
-func staDefault() sta.Config { return sta.DefaultConfig() }
-
-func staNetSlacks(p *layout.Placement, cfg sta.Config) []float64 {
-	return sta.NetSlacks(p, cfg, nil)
-}
-
-func staCriticalityBetas(slacks []float64, period, weight float64) []float64 {
-	return sta.CriticalityBetas(slacks, period, weight)
-}

@@ -2,6 +2,7 @@ package expt
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -42,9 +43,40 @@ func TestScaledDesigns(t *testing.T) {
 	}
 }
 
+// TestScaledDesignsFloor pins the MinScaledInsts clamp: scales below
+// MinScaledInsts/NumInsts saturate at the floor — the same design point
+// again, not a smaller one — and the boundary sits exactly where the
+// docs say.
+func TestScaledDesignsFloor(t *testing.T) {
+	// Below every design's floor ratio (200/68606 ≈ 0.0029 is the
+	// smallest), all four paper designs clamp to the floor.
+	for _, d := range ScaledDesigns(0.002) {
+		if d.NumInsts != MinScaledInsts {
+			t.Errorf("scale 0.002: %s has %d insts, want floor %d", d.Name, d.NumInsts, MinScaledInsts)
+		}
+	}
+	// Two sub-floor scales return identical specs — the duplicate-point
+	// hazard the MinScaledInsts docs warn sweep callers about.
+	a, b := ScaledDesigns(0.002), ScaledDesigns(0.001)
+	for i := range a {
+		if a[i] != b[i] {
+			t.Errorf("sub-floor scales differ: %+v vs %+v", a[i], b[i])
+		}
+	}
+	// Just above m0's floor ratio (200/9922 ≈ 0.02016) the clamp must
+	// release: scale 0.021 gives m0 208 > MinScaledInsts instances.
+	if got := ScaledDesigns(0.021)[0]; got.NumInsts <= MinScaledInsts {
+		t.Errorf("scale 0.021: m0 has %d insts, want > floor %d", got.NumInsts, MinScaledInsts)
+	}
+	// And the floor never rounds a legitimate point down.
+	if got := ScaledDesigns(1.0)[0].NumInsts; got != PaperDesigns[0].NumInsts {
+		t.Errorf("scale 1.0 altered m0: %d want %d", got, PaperDesigns[0].NumInsts)
+	}
+}
+
 func TestRunFlowClosedM1(t *testing.T) {
 	cfg := SuiteConfig{Scale: testScale, Workers: 4}
-	r, err := RunFlow(mustDesign(t, cfg, "aes"), FlowConfig{Arch: tech.ClosedM1, MaxOuterIters: 2, Workers: 4})
+	r, err := RunFlowCtx(context.Background(), mustDesign(t, cfg, "aes"), FlowConfig{Arch: tech.ClosedM1, MaxOuterIters: 2, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +99,7 @@ func TestRunFlowClosedM1(t *testing.T) {
 
 func TestRunFlowOpenM1(t *testing.T) {
 	cfg := SuiteConfig{Scale: testScale, Workers: 4}
-	r, err := RunFlow(mustDesign(t, cfg, "aes"), FlowConfig{Arch: tech.OpenM1, MaxOuterIters: 2, Workers: 4})
+	r, err := RunFlowCtx(context.Background(), mustDesign(t, cfg, "aes"), FlowConfig{Arch: tech.OpenM1, MaxOuterIters: 2, Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +110,7 @@ func TestRunFlowOpenM1(t *testing.T) {
 
 func TestFig6AlphaShape(t *testing.T) {
 	cfg := SuiteConfig{Scale: testScale, Workers: 4}
-	pts, err := RunFig6(cfg, tech.ClosedM1, []float64{0, 1200})
+	pts, err := RunFig6(context.Background(), cfg, tech.ClosedM1, []float64{0, 1200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +129,7 @@ func TestFig6AlphaShape(t *testing.T) {
 
 func TestFig5Runs(t *testing.T) {
 	cfg := SuiteConfig{Scale: testScale, Workers: 4}
-	pts, err := RunFig5(cfg, []float64{10, 20}, [][2]int{{3, 1}})
+	pts, err := RunFig5(context.Background(), cfg, []float64{10, 20}, [][2]int{{3, 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +151,11 @@ func TestFlowParallelMatchesSequential(t *testing.T) {
 	// so RWL is only checked to a loose band, not for equality.
 	windows := []float64{10, 20}
 	perts := [][2]int{{3, 1}}
-	seq, err := RunFig5(SuiteConfig{Scale: testScale, Workers: 1}, windows, perts)
+	seq, err := RunFig5(context.Background(), SuiteConfig{Scale: testScale, Workers: 1}, windows, perts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunFig5(SuiteConfig{Scale: testScale, Workers: 1, FlowParallel: 2}, windows, perts)
+	par, err := RunFig5(context.Background(), SuiteConfig{Scale: testScale, Workers: 1, FlowParallel: 2}, windows, perts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +179,7 @@ func TestFlowParallelMatchesSequential(t *testing.T) {
 
 func TestFig8Runs(t *testing.T) {
 	cfg := SuiteConfig{Scale: testScale, Workers: 4}
-	pts, err := RunFig8(cfg, []float64{0.75})
+	pts, err := RunFig8(context.Background(), cfg, []float64{0.75})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,41 +190,5 @@ func TestFig8Runs(t *testing.T) {
 	WriteFig8(&buf, pts)
 	if !strings.Contains(buf.String(), "drv_orig") {
 		t.Error("fig8 formatting broken")
-	}
-}
-
-func TestTimingAwareFlow(t *testing.T) {
-	cfg := SuiteConfig{Scale: testScale, Workers: 4}
-	r, err := RunTimingAwareFlow(mustDesign(t, cfg, "aes"),
-		FlowConfig{Arch: tech.ClosedM1, MaxOuterIters: 1, Workers: 4}, 2.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Final.DM1 <= 0 {
-		t.Errorf("timing-aware flow produced no dM1: %+v", r.Final)
-	}
-	// Timing must not degrade (the paper's "no adverse timing impact").
-	if r.Final.WNS < r.Init.WNS-0.05 {
-		t.Errorf("timing degraded: WNS %f -> %f", r.Init.WNS, r.Final.WNS)
-	}
-}
-
-func TestTimingAwareBetas(t *testing.T) {
-	cfg := SuiteConfig{Scale: testScale, Workers: 4}
-	betas, err := TimingAwareBetas(mustDesign(t, cfg, "aes"), tech.ClosedM1, 0.75, 2.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	above := 0
-	for _, b := range betas {
-		if b < 1 {
-			t.Fatalf("beta %f below 1", b)
-		}
-		if b > 1 {
-			above++
-		}
-	}
-	if above == 0 {
-		t.Error("no critical nets weighted")
 	}
 }

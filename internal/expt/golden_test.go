@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"testing"
 
 	"vm1place/internal/core"
@@ -60,11 +61,11 @@ func TestGoldenFlowDeterministic(t *testing.T) {
 		Workers:       1,
 		TimeLimit:     -1,
 	}
-	r1, err := RunFlow(spec, cfg)
+	r1, err := RunFlowCtx(context.Background(), spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := RunFlow(spec, cfg)
+	r2, err := RunFlowCtx(context.Background(), spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestGoldenFlowDeterministic(t *testing.T) {
 	for _, k := range []int{2, 4, 8} {
 		ck := cfg
 		ck.Shards = k
-		rk, err := RunFlow(spec, ck)
+		rk, err := RunFlowCtx(context.Background(), spec, ck)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -99,7 +100,7 @@ func objSweepCases(base FlowConfig) []objSweepCase {
 
 // RunObjSweep runs the three objective workloads on the m0 design and
 // returns one point per sweep sample, in deterministic case order.
-func RunObjSweep(cfg SuiteConfig) ([]ObjSweepPoint, error) {
+func RunObjSweep(ctx context.Context, cfg SuiteConfig) ([]ObjSweepPoint, error) {
 	spec, err := cfg.design("m0")
 	if err != nil {
 		return nil, err
@@ -109,7 +110,7 @@ func RunObjSweep(cfg SuiteConfig) ([]ObjSweepPoint, error) {
 	out := make([]ObjSweepPoint, len(cases))
 	err = cfg.forEachPoint(len(cases), func(i int) error {
 		c := cases[i]
-		res, err := RunFlow(spec, c.cfg)
+		res, err := RunFlowCtx(ctx, spec, c.cfg)
 		if err != nil {
 			return fmt.Errorf("expt: objsweep %s/%s: %w", c.workload, c.label, err)
 		}

@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"testing"
 
 	"vm1place/internal/core"
@@ -26,11 +27,11 @@ func objGoldenCfg() FlowConfig {
 func runObjGolden(t *testing.T, cfg FlowConfig) goldenMetrics {
 	t.Helper()
 	spec := ScaledDesigns(0.02)[0] // m0 floored to MinScaledInsts
-	r1, err := RunFlow(spec, cfg)
+	r1, err := RunFlowCtx(context.Background(), spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := RunFlow(spec, cfg)
+	r2, err := RunFlowCtx(context.Background(), spec, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,8 @@ func TestGoldenNetSepFlow(t *testing.T) {
 }
 
 // TestGoldenSlackAlphaFlow pins the timing-driven workload: per-net α
-// derived from STA slack, ClosedM1 geometry, deterministic repeats.
+// derived from STA slack, ClosedM1 geometry, deterministic repeats, WNS
+// no worse than before and dM1 up.
 func TestGoldenSlackAlphaFlow(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full deterministic flow is slow")
@@ -77,6 +79,14 @@ func TestGoldenSlackAlphaFlow(t *testing.T) {
 	}
 	if g.OptFinal > g.OptInit {
 		t.Errorf("slackalpha optimizer objective regressed: %v -> %v", g.OptInit, g.OptFinal)
+	}
+	// The timing-driven weighting must keep the paper's "no adverse
+	// timing impact" while still gaining direct vertical M1 routes.
+	if g.Final.WNS < g.Init.WNS-0.05 {
+		t.Errorf("slackalpha flow degraded timing: WNS %f -> %f", g.Init.WNS, g.Final.WNS)
+	}
+	if g.Final.DM1 <= g.Init.DM1 {
+		t.Errorf("slackalpha flow did not improve dM1: %d -> %d", g.Init.DM1, g.Final.DM1)
 	}
 }
 

@@ -137,8 +137,8 @@ type GeomObjective interface {
 	// keeps it. Emission order must be deterministic — see the package
 	// comment.
 	EmitPair(e Emit, w Weights, d int, p, q PinView, tb []lp.Term) []lp.Term
-	// Value scalarizes the accumulated totals: weighted is Σ βn·HPWL(n)
-	// (net order), align/over the integer pair totals, and reward the
+	// Value scalarizes the accumulated totals: weighted is Σ HPWL(n)
+	// (the paper's Σ βn·HPWL(n) at its uniform βn = 1, net order), align/over the integer pair totals, and reward the
 	// net-ordered float sum Σ PairAlpha(n)·align(n) for objectives whose
 	// α varies per net. Uniform objectives must compute exactly
 	// weighted − α·align − ε·over to stay bit-identical with the paper

@@ -19,7 +19,7 @@ func (slackAlpha) Name() string    { return "slackalpha" }
 func (slackAlpha) Arch() tech.Arch { return tech.ClosedM1 }
 
 // PairAlpha scales α by the net's slack-derived multiplier (entries <= 0
-// or beyond the slice mean 1, mirroring core.Params.NetBeta semantics).
+// or beyond the slice mean 1, as core.Params.NetAlpha documents).
 func (slackAlpha) PairAlpha(w Weights, ni int) float64 {
 	a := w.Alpha
 	if ni < len(w.NetAlpha) && w.NetAlpha[ni] > 0 {

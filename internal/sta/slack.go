@@ -12,8 +12,8 @@ import (
 // forward arrival pass. Slack of the most critical net equals the WNS when
 // it is negative. Clock and undriven nets report +Inf.
 //
-// This powers the paper's future-work extension of weighting βn by timing
-// criticality (see core.Params.NetBeta).
+// This powers the paper's future-work extension of timing-driven
+// weighting: the "slackalpha" objective's per-net α (core.Params.NetAlpha).
 func NetSlacks(p *layout.Placement, cfg Config, lengths NetLengths) []float64 {
 	d := p.Design
 	nl := func(ni int) int64 {
@@ -101,9 +101,10 @@ func NetSlacks(p *layout.Placement, cfg Config, lengths NetLengths) []float64 {
 	return slack
 }
 
-// CriticalityBetas converts per-net slacks into βn multipliers: nets with
-// slack at or below zero get 1+weight, nets with slack ≥ period get 1,
-// linear in between. Clock/unconstrained nets get 1.
+// CriticalityBetas converts per-net slacks into criticality multipliers
+// (the slackalpha objective's per-net α weights): nets with slack at or
+// below zero get 1+weight, nets with slack ≥ period get 1, linear in
+// between. Clock/unconstrained nets get 1.
 func CriticalityBetas(slacks []float64, periodNs, weight float64) []float64 {
 	betas := make([]float64, len(slacks))
 	for i, s := range slacks {

@@ -89,10 +89,11 @@ func TestCriticalityBetas(t *testing.T) {
 	}
 }
 
-func TestTimingAwareOptimizationKeepsCriticalNetsShort(t *testing.T) {
-	// Smoke test of the NetBeta plumbing: slack-weighted betas must be
-	// accepted by the optimizer and not break legality. (The quality
-	// comparison lives in the experiment harness.)
+// TestCriticalityBetasOnPlacedDesign runs NetSlacks and CriticalityBetas
+// on a globally placed design: one multiplier per net, and at least one
+// net weighted as critical. The optimizer's use of these weights (the
+// slackalpha objective) is pinned by expt's TestGoldenSlackAlphaFlow.
+func TestCriticalityBetasOnPlacedDesign(t *testing.T) {
 	p, cfg := slackFixture(t, 300, 93)
 	slacks := NetSlacks(p, cfg, nil)
 	betas := CriticalityBetas(slacks, cfg.ClockPeriodNs, 2.0)
