@@ -78,6 +78,11 @@ type Arena struct {
 	// the coarse cold-refresh backstop in dual.go.
 	warm       bool
 	warmSolves int
+	// refactor marks lu as not matching basis after RestoreBasis swapped
+	// in a saved basis; the next warm solve refactorizes first. The cold
+	// path and a model switch in bind clear it (both rebuild lu), so it
+	// can never leak into another model's solves.
+	refactor bool
 }
 
 // NewArena returns an empty scratch workspace.
@@ -100,6 +105,62 @@ func (a *Arena) Stats() Stats {
 	return a.lu.stats
 }
 
+// Basis is a snapshot of an arena's warm-start basis: where every variable
+// sits (basic, at lower, at upper) and which variable is basic in each row.
+// A branch-and-bound driver saves its node's optimal basis before exploring
+// the first child and restores it before the second, so the second child
+// warm starts from its parent instead of from the deepest node of its
+// sibling's subtree. The zero value is an empty snapshot; slices are reused
+// across saves.
+//
+// Nonbasic values are not kept: a warm solve re-parks every bounded
+// nonbasic variable on its bound, and a nonbasic free variable (reduced
+// cost 0) is optimal at any value, so RestoreBasis parks those at 0 as the
+// cold path does. That keeps a snapshot at one byte per variable plus one
+// word per row, which matters because a driver holds one per tree level.
+type Basis struct {
+	model *Model
+	gen   uint64
+	state []varState
+	basis []int
+}
+
+// SaveBasis copies the arena's current basis into b. When the arena holds
+// no warm basis (its last solve did not end optimal), b is left empty and
+// a later RestoreBasis of it does nothing.
+func (a *Arena) SaveBasis(b *Basis) {
+	if !a.warm {
+		b.model = nil
+		return
+	}
+	nTotal := a.nVars + 2*a.nRows
+	b.model, b.gen = a.model, a.modelGen
+	b.state = append(b.state[:0], a.state[:nTotal]...)
+	b.basis = append(b.basis[:0], a.basis[:a.nRows]...)
+}
+
+// RestoreBasis makes the basis saved in b the arena's warm start for its
+// next solve. A snapshot of a different model (or generation) than the
+// one the arena is bound to is ignored. The basis factorization is rebuilt
+// at the start of the next warm solve.
+func (a *Arena) RestoreBasis(b *Basis) {
+	if b.model == nil || b.model != a.model || b.gen != a.modelGen ||
+		len(b.basis) != a.nRows || len(b.state) != a.nVars+2*a.nRows {
+		return
+	}
+	copy(a.state, b.state)
+	copy(a.basis, b.basis)
+	for j := range b.state {
+		a.xN[j] = 0
+		a.inBasisRow[j] = -1
+	}
+	for i, j := range b.basis {
+		a.inBasisRow[j] = i
+	}
+	a.warm = true
+	a.refactor = true
+}
+
 // bind points the arena at a model, rebuilding the model-keyed caches if
 // the model changed, and sizes all per-solve storage. It reports whether
 // the caches were reused.
@@ -114,6 +175,7 @@ func (a *Arena) bind(m *Model) bool {
 	if !cached {
 		a.model, a.modelGen, a.nVars, a.nRows = m, m.gen, n, rows
 		a.warm = false
+		a.refactor = false
 		a.lu.reset(rows)
 		a.cols = growSlice(a.cols, nTotal)
 		copy(a.cols, m.cols)

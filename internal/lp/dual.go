@@ -18,6 +18,13 @@ import (
 // the arena between solves, so a warm re-solve costs a few sparse
 // FTRAN/BTRANs plus those pivots — the difference between window MILPs
 // hitting their time budget and finishing it.
+//
+// The start is the last optimal basis the arena solved, unless the caller
+// rewinds it: a depth-first driver saves each node's optimal basis
+// (Arena.SaveBasis) and restores it (Arena.RestoreBasis) before the node's
+// second child, which otherwise would start from the deepest node of its
+// sibling's subtree and pay over three times the pivots. A restored basis
+// is refactorized once, at the start of the next warm solve.
 
 // maxWarmSolves bounds consecutive warm solves before a forced cold
 // refresh. The factorized kernel refactorizes on its own fill/instability
@@ -47,9 +54,11 @@ func (s *simplex) warmSolve() *Solution {
 	s.inBasisRow = a.inBasisRow
 	s.xB = a.xB
 
-	// Trim the eta file before starting if it has outgrown its triggers;
-	// a basis the factorization rejects is not worth warm starting.
-	if s.lu.needsRefactor() {
+	// Refactorize a restored basis (RestoreBasis), and trim the eta file
+	// if it has outgrown its triggers; a basis the factorization rejects is
+	// not worth warm starting.
+	if a.refactor || s.lu.needsRefactor() {
+		a.refactor = false
 		if !s.lu.factorize(s.cols, s.basis[:rows]) {
 			return nil
 		}

@@ -468,7 +468,8 @@ func (s *simplex) primalColdSolve() *Solution {
 	}
 
 	// The crash basis is all unit columns — its factorization is trivial
-	// and cannot fail.
+	// and cannot fail. It replaces any basis RestoreBasis left pending.
+	s.arena.refactor = false
 	s.lu.reset(rows)
 	if !s.lu.factorize(s.cols, s.basis[:rows]) {
 		return s.numFail(0)

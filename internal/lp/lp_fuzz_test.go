@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -12,9 +13,10 @@ import (
 // must report the same status as the dense-inverse reference in
 // denseref_test.go, and when both are optimal the objectives must agree to
 // 1e-7. The warm half re-solves each instance through one shared Arena with
-// branch-and-bound style bound tightenings, checking the dual warm-start
-// path (eta accumulation, refactorization triggers) against cold reference
-// solves of the identical bounds.
+// branch-and-bound style bound tightenings in depth-first shape (a first
+// child's subtree, then a parent-basis restore for its sibling), checking
+// the dual warm-start path (eta accumulation, refactorization triggers,
+// restored bases) against cold reference solves of the identical bounds.
 
 const objTol = 1e-7
 
@@ -138,15 +140,107 @@ func runKernelAgreement(t *testing.T, seed int64) {
 		return // nothing to warm-start from
 	}
 
-	// Warm sequence: repeated bound tightenings through the same arena. The
-	// live kernel takes the dual warm-start path; the reference re-solves
-	// cold each time. Enough steps to cross the eta refactorization trigger.
+	// Warm sequence in branch-and-bound DFS shape, through the same arena:
+	// save the parent's basis, descend one to three tightenings into a
+	// first child's subtree, restore the parent's basis, and solve a sibling
+	// tightening of the parent's bounds. The live kernel takes the dual
+	// warm-start path (after a restore, from a refactorized basis); the
+	// reference re-solves cold each time. Enough levels to cross the eta
+	// refactorization trigger.
 	lo, hi := m.Bounds()
-	for step := 0; step < 6; step++ {
+	loA := make([]float64, len(lo))
+	hiA := make([]float64, len(hi))
+	var parent Basis
+	for level := 0; level < 6; level++ {
+		a.SaveBasis(&parent)
+		copy(loA, lo)
+		copy(hiA, hi)
+		for depth := 0; depth < 1+rng.Intn(3); depth++ {
+			tightenBounds(rng, loA, hiA)
+			if checkAgainstRef(t, m, loA, hiA, a, "warm first child").Status != Optimal {
+				break
+			}
+		}
+		a.RestoreBasis(&parent)
 		tightenBounds(rng, lo, hi)
-		sol = checkAgainstRef(t, m, lo, hi, a, "warm")
+		sol = checkAgainstRef(t, m, lo, hi, a, "warm restored sibling")
 		if sol.Status != Optimal {
 			return
+		}
+	}
+}
+
+// TestRestoreBasisLeavesNoHistory pins that a RestoreBasis on one model
+// leaves nothing behind for the next model the arena binds: solving model
+// B after a save/restore on model A gives bit for bit the Solutions and
+// Arena.Stats delta of a fresh arena. A pending refactorization leaking
+// across the model switch would make kernel counts, and possibly pivot
+// choices, depend on which window a worker solved before.
+func TestRestoreBasisLeavesNoHistory(t *testing.T) {
+	// solveB runs a cold solve of mB then a few warm tightenings.
+	solveB := func(mB *Model, a *Arena, seed int64) []*Solution {
+		rng := rand.New(rand.NewSource(seed))
+		var sols []*Solution
+		lo, hi := mB.Bounds()
+		for step := 0; step < 5; step++ {
+			if step > 0 {
+				tightenBounds(rng, lo, hi)
+			}
+			sol := mB.SolveWithScratch(lo, hi, nil, a)
+			// RedCost is arena-owned: keep a copy before the next solve.
+			sol.RedCost = slices.Clone(sol.RedCost)
+			sols = append(sols, sol)
+			if sol.Status != Optimal {
+				break
+			}
+		}
+		return sols
+	}
+	for seed := int64(1); seed <= 80; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		mA, mB := genLP(rng), genLP(rng)
+		a := NewArena()
+		if mA.SolveWithScratch(nil, nil, nil, a).Status != Optimal {
+			continue
+		}
+		var b Basis
+		a.SaveBasis(&b)
+		lo, hi := mA.Bounds()
+		for step := 0; step < 3; step++ {
+			tightenBounds(rng, lo, hi)
+			if mA.SolveWithScratch(lo, hi, nil, a).Status != Optimal {
+				break
+			}
+		}
+		a.RestoreBasis(&b)
+		if !a.refactor {
+			t.Fatalf("seed %d: restore left no refactorization pending; the test checks nothing", seed)
+		}
+
+		before := a.Stats()
+		got := solveB(mB, a, seed)
+		after := a.Stats()
+		gotDelta := Stats{
+			Solves:    after.Solves - before.Solves,
+			Pivots:    after.Pivots - before.Pivots,
+			Refactors: after.Refactors - before.Refactors,
+			FillNnz:   after.FillNnz - before.FillNnz,
+			EtaNnz:    after.EtaNnz - before.EtaNnz,
+		}
+		fresh := NewArena()
+		want := solveB(mB, fresh, seed)
+		if gotDelta != fresh.Stats() {
+			t.Fatalf("seed %d: stats after restore on A %+v, fresh arena %+v", seed, gotDelta, fresh.Stats())
+		}
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d solves after restore on A, %d on a fresh arena", seed, len(got), len(want))
+		}
+		for i := range got {
+			g, w := got[i], want[i]
+			if g.Status != w.Status || g.Obj != w.Obj || g.Iters != w.Iters ||
+				!slices.Equal(g.X, w.X) || !slices.Equal(g.RedCost, w.RedCost) {
+				t.Fatalf("seed %d solve %d: after restore on A %+v, fresh arena %+v", seed, i, g, w)
+			}
 		}
 	}
 }

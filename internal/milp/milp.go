@@ -13,6 +13,8 @@ package milp
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"time"
 
 	"vm1place/internal/lp"
@@ -143,8 +145,6 @@ type solver struct {
 	deadline time.Time
 	hasDL    bool
 
-	inGroup []int // var -> group index or -1
-
 	bestX   []float64
 	bestObj float64
 	hasBest bool
@@ -164,7 +164,30 @@ type solver struct {
 	// slices passed to them).
 	boundPool [][]float64
 	intPool   [][]int
+
+	// Per-solve tables that outlive the Solve (see solveScratch).
+	*solveScratch
+	// depth is the number of nodes on the DFS path above the current one;
+	// it indexes bases.
+	depth int
 }
+
+// solveScratch holds the solver's tables sized by the model and the tree
+// depth. They outlive one Solve through solveScratches, so a worker solving
+// window after window stops allocating them once it has seen its largest
+// model and deepest tree. Every entry is written before it is read, so
+// reuse never changes a result. (The per-node bound copies stay per solve:
+// kept across solves they held enough memory to show in peak RSS.)
+type solveScratch struct {
+	inGroup []int // var -> group index or -1
+	// bases[d] holds the optimal LP basis of the node being branched at
+	// DFS depth d: saved before its first child, restored before its
+	// second (restoreParent). Every node at that depth reuses the one
+	// snapshot.
+	bases []lp.Basis
+}
+
+var solveScratches = sync.Pool{New: func() any { return new(solveScratch) }}
 
 // getBounds returns a pooled copy of src.
 func (s *solver) getBounds(src []float64) []float64 {
@@ -207,7 +230,8 @@ func (s *solver) putInts(b []int) { s.intPool = append(s.intPool, b) }
 
 // Solve runs branch and bound.
 func Solve(m *Model, p Params) Result {
-	s := &solver{m: m, p: p}
+	s := &solver{m: m, p: p, solveScratch: solveScratches.Get().(*solveScratch)}
+	defer solveScratches.Put(s.solveScratch)
 	s.maxNodes = p.MaxNodes
 	if s.maxNodes == 0 {
 		s.maxNodes = 100000
@@ -220,7 +244,7 @@ func Solve(m *Model, p Params) Result {
 		s.deadline = time.Now().Add(p.TimeLimit)
 		s.hasDL = true
 	}
-	s.inGroup = make([]int, m.LP.NumVars())
+	s.inGroup = slices.Grow(s.inGroup[:0], m.LP.NumVars())[:m.LP.NumVars()]
 	for j := range s.inGroup {
 		s.inGroup[j] = -1
 	}
@@ -266,11 +290,15 @@ func Solve(m *Model, p Params) Result {
 }
 
 // branch explores the subproblem with the given bounds and returns its
-// proven lower bound (+Inf when pruned infeasible). hint warm-starts the
-// node relaxation: the root uses the caller's incumbent, children their
-// parent's LP optimum, which is near-feasible for the child's slightly
-// tightened bounds and keeps both simplex phases short deep in the tree.
-// root marks the root node for bound bookkeeping.
+// proven lower bound (+Inf when pruned infeasible). The node relaxation
+// warm starts through the dual simplex from the arena's basis, which for
+// either child is its parent's optimal basis: the first child solves
+// right after the parent, and the second child's basis is restored from
+// the snapshot branch saves before branching (restoreParent). hint is the
+// cold path's starting point: the root uses the caller's incumbent,
+// children their parent's LP optimum, which is near-feasible for the
+// child's slightly tightened bounds. root marks the root node for bound
+// bookkeeping.
 func (s *solver) branch(lo, hi, hint []float64, root bool) float64 {
 	if s.aborted {
 		return math.Inf(-1)
@@ -357,14 +385,27 @@ func (s *solver) branch(lo, hi, hint []float64, root bool) float64 {
 		}
 	}
 
+	if s.depth == len(s.bases) {
+		s.bases = append(s.bases, lp.Basis{})
+	}
+	s.scratch.SaveBasis(&s.bases[s.depth])
+	s.depth++
 	var b1, b2 float64
 	if gi := s.inGroup[fracVar]; gi >= 0 {
 		b1, b2 = s.branchGroup(lo, hi, gi, sol.X)
 	} else {
 		b1, b2 = s.branchVar(lo, hi, fracVar, sol.X)
 	}
+	s.depth--
 	return math.Min(b1, b2)
 }
+
+// restoreParent rewinds the arena to the optimal basis of the node being
+// branched (saved by branch) before its second child. Without it the
+// second child would warm start from whatever node of the first child's
+// subtree was solved last, typically its deepest, which costs over three
+// times the pivots of a start from the parent.
+func (s *solver) restoreParent() { s.scratch.RestoreBasis(&s.bases[s.depth-1]) }
 
 // mostFractional returns the integer variable farthest from integrality,
 // or -1 if all are integral.
@@ -383,7 +424,9 @@ func (s *solver) mostFractional(x []float64) int {
 }
 
 // branchVar performs the classic floor/ceil dichotomy on variable j. x is
-// the parent relaxation's solution, reused as the children's warm start.
+// the parent relaxation's solution, the children's cold-start hint. The
+// up-branch warm starts from the parent's basis, restored after the
+// down-branch's subtree.
 func (s *solver) branchVar(lo, hi []float64, j int, x []float64) (float64, float64) {
 	fl := math.Floor(x[j])
 
@@ -394,6 +437,7 @@ func (s *solver) branchVar(lo, hi []float64, j int, x []float64) (float64, float
 		bDown = s.branch(lo, hi2, x, false)
 	}
 	s.putBounds(hi2)
+	s.restoreParent()
 
 	lo2 := s.getBounds(lo)
 	lo2[j] = fl + 1
@@ -407,7 +451,9 @@ func (s *solver) branchVar(lo, hi []float64, j int, x []float64) (float64, float
 
 // branchGroup splits an exactly-one group into two halves by LP value and
 // explores "winner in S" and "winner in complement" children. Fixed-to-zero
-// members (hi already 0) stay fixed in both children.
+// members (hi already 0) stay fixed in both children. Both children warm
+// start from the parent's optimal basis: child B's is restored after child
+// A's subtree.
 func (s *solver) branchGroup(lo, hi []float64, gi int, x []float64) (float64, float64) {
 	// Active members sorted by LP value descending; S = active[:cut] holds
 	// at least half the LP mass, which balances the children.
@@ -451,6 +497,7 @@ func (s *solver) branchGroup(lo, hi []float64, gi int, x []float64) (float64, fl
 	for _, j := range active[:cut] {
 		hiB[j] = 0
 	}
+	s.restoreParent()
 	bB := s.branch(lo, hiB, x, false)
 	s.putBounds(hiB)
 	s.putInts(active)
