@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet lint test race bench-smoke bench-objective bench-json bench-core bench-route
+.PHONY: check vet lint test race fuzz-lp bench-smoke bench-objective bench-json bench-core bench-route
 
 check: vet lint test race bench-smoke
 
@@ -27,6 +27,13 @@ test:
 # parallel-sweep layers (flow, expt) that fan work out over them.
 race:
 	$(GO) test -race -timeout 30m ./internal/core/... ./internal/lp/... ./internal/milp/... ./internal/route/... ./internal/flow/... ./internal/expt/... ./internal/objective/...
+
+# Thirty seconds of coverage-guided fuzzing of the LP kernel against the
+# dense-inverse reference (FuzzLPKernelAgreement: cold solves, then warm
+# branch-and-bound sequences through Forrest–Tomlin updates and restored
+# bases), on top of the seed corpus that go test runs every time.
+fuzz-lp:
+	$(GO) test -run '^$$' -fuzz FuzzLPKernelAgreement -fuzztime 30s ./internal/lp
 
 # One iteration of each substrate microbenchmark — a fast sanity pass that
 # the benchmarks still build and run, not a measurement.

@@ -41,8 +41,8 @@ type Arena struct {
 
 	// lu is the sparse basis factorization (factor.go). It persists
 	// across solves: a warm re-solve picks up the previous optimal basis's
-	// factor and eta file as-is, refactorizing only when the fill or
-	// stability triggers fire.
+	// factor and its updates as-is, refactorizing only when the update caps
+	// or the stability test fire.
 	lu *luFactor
 
 	// Per-solve working storage, reset by newSimplex/solve.
@@ -96,8 +96,8 @@ func (a *Arena) SetDeadline(t time.Time) {
 }
 
 // Stats returns the cumulative simplex-kernel counters of every solve that
-// used this arena (solves, pivots, refactorizations, fill-in, eta file
-// growth). See GlobalStats for the process-wide aggregate.
+// used this arena (solves, pivots, refactorizations, fill-in, update
+// nonzeros). See GlobalStats for the process-wide aggregate.
 func (a *Arena) Stats() Stats {
 	if a.lu == nil {
 		return Stats{}

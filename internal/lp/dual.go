@@ -14,10 +14,11 @@ import (
 // not on the bounds), so the optimal basis of any previous solve is a valid
 // dual-simplex start for the next one: typically only the handful of basic
 // variables whose bounds tightened violate primality, and each is repaired
-// by one dual pivot. The basis factorization (and its eta file) survives in
-// the arena between solves, so a warm re-solve costs a few sparse
-// FTRAN/BTRANs plus those pivots — the difference between window MILPs
-// hitting their time budget and finishing it.
+// by one dual pivot. The basis factorization (with its Forrest–Tomlin
+// updates) survives in the arena between solves, so a warm re-solve costs a
+// few sparse FTRAN/BTRANs plus those pivots, each pivot one update of U —
+// the difference between window MILPs hitting their time budget and
+// finishing it.
 //
 // The start is the last optimal basis the arena solved, unless the caller
 // rewinds it: a depth-first driver saves each node's optimal basis
@@ -27,8 +28,8 @@ import (
 // is refactorized once, at the start of the next warm solve.
 
 // maxWarmSolves bounds consecutive warm solves before a forced cold
-// refresh. The factorized kernel refactorizes on its own fill/instability
-// triggers, so drift no longer accumulates the way dense eta updates did;
+// refresh. The factorized kernel refactorizes on its own update caps and
+// stability test, so drift no longer accumulates the way dense updates did;
 // the cap remains as a coarse backstop against pathological bases that the
 // triggers miss.
 const maxWarmSolves = 256
@@ -54,8 +55,8 @@ func (s *simplex) warmSolve() *Solution {
 	s.inBasisRow = a.inBasisRow
 	s.xB = a.xB
 
-	// Refactorize a restored basis (RestoreBasis), and trim the eta file
-	// if it has outgrown its triggers; a basis the factorization rejects is
+	// Refactorize a restored basis (RestoreBasis), and drop the updates if
+	// they have outgrown their caps; a basis the factorization rejects is
 	// not worth warm starting.
 	if a.refactor || s.lu.needsRefactor() {
 		a.refactor = false
@@ -184,8 +185,8 @@ func (s *simplex) dualIterate(d []float64, maxIters int) *Solution {
 	}
 
 	for iters := 0; ; iters++ {
-		// Keep the eta file inside its fill triggers; refactorization
-		// failure sends the caller to the cold path.
+		// Keep the updates inside their caps; refactorization failure sends
+		// the caller to the cold path.
 		if f.needsRefactor() {
 			if !s.refactorize() {
 				return nil
@@ -364,10 +365,10 @@ func (s *simplex) dualIterate(d []float64, maxIters int) *Solution {
 
 		// Pivot: entering moves by tPivot, absorbing the rest of the
 		// violation; the leaving variable exits to the violated bound. The
-		// spike left in w/wInd by applyCol becomes the eta update.
+		// spike applyCol just computed becomes the update of U.
 		applyCol(enter, tPivot)
 		wInd := s.arena.wInd
-		if !f.appendEta(w, wInd, r, f.nEtas() == 0) {
+		if !f.update(r, w[r], f.nUpdates() == 0) {
 			// Unstable update: refactorize (which also rebuilds xB from the
 			// nonbasic values, discarding the step just applied) and retry
 			// the repair of the same row with a drift-free factorization.

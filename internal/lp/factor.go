@@ -1,8 +1,11 @@
 package lp
 
-import "sync/atomic"
+import (
+	"math"
+	"sync/atomic"
+)
 
-// Sparse LU factorization of the simplex basis.
+// Sparse LU factorization of the simplex basis, with Forrest–Tomlin updates.
 //
 // The basis matrix B has one column per basis slot i holding the constraint
 // column of basis[i]. Window-MILP bases are overwhelmingly sparse — unit
@@ -15,12 +18,21 @@ import "sync/atomic"
 // pivots on an entry minimizing (rowCount−1)·(colCount−1) among the lowest
 // column counts, subject to a relative magnitude threshold, which keeps
 // fill-in near zero on these assignment-structured bases (singleton slack
-// columns eliminate for free). Basis changes append product-form eta
-// vectors (the FTRAN spike of the entering column); a fresh factorization
-// replaces the eta file when it grows past a fill trigger or an update
-// pivot falls below the stability threshold, bounding both work and the
-// floating-point drift that the dense kernel could only wash out with a
-// full cold restart.
+// columns eliminate for free). The active submatrix is held by columns with
+// their values, plus row index lists, and live columns sit in count-bucketed
+// lists, so a pivot search reads only the few lowest-count columns and each
+// elimination step costs O(nnz touched) — never a scan of all m columns.
+//
+// A basis change is a Forrest–Tomlin update of U (update below): the
+// entering column's partial FTRAN L⁻¹a (row etas applied) replaces the
+// leaving step's U column, that step moves to the end of U's triangular
+// order, and one row eta eliminates the step's old U row against the rows
+// after it. On the benchmark's window bases an update stores about 16
+// nonzeros (the new column and its row eta), where a product-form eta held
+// the dense spike B⁻¹a, about 56. A fresh factorization replaces the
+// updates once their count or their stored nonzeros pass a cap, or when an
+// update's new diagonal fails the stability test, bounding both solve work
+// and floating-point drift.
 
 const (
 	// markowitzThresh accepts a pivot only when its magnitude is at least
@@ -31,16 +43,27 @@ const (
 	// absPivotTol is the hard floor below which an entry never pivots; a
 	// factorization that cannot avoid it reports a singular basis.
 	absPivotTol = 1e-11
-	// maxEtas triggers refactorization once this many product-form updates
-	// accumulate.
-	maxEtas = 48
-	// etaFillFactor triggers refactorization when the eta file's nonzeros
-	// exceed this multiple of the base factorization's fill.
-	etaFillFactor = 4
-	// etaPivotTol: a spike whose pivot entry is below this fraction of the
-	// spike's largest entry makes the product-form update too unstable to
-	// append; the pivot refactorizes instead.
-	etaPivotTol = 1e-7
+	// maxUpdates caps the Forrest–Tomlin updates between factorizations.
+	maxUpdates = 48
+	// updateFillFactor triggers refactorization when the nonzeros the
+	// updates stored (replacement U columns and row etas) exceed this
+	// multiple of the base factorization's fill.
+	updateFillFactor = 4
+	// updatePivotTol refuses an update whose new U diagonal is below this
+	// fraction of the largest entry of its new U column.
+	updatePivotTol = 1e-7
+	// updateDriftTol refuses an update whose new U diagonal, computed by the
+	// row elimination, differs from its exact value w_r·u_pp by more than
+	// this relative amount: the elimination cancelled away the digits the
+	// update would rest on.
+	updateDriftTol = 1e-6
+	// dropTol: an update stores no spike entry or row-eta multiplier of at
+	// most this magnitude — the residue of cancellations that the exact
+	// arithmetic would have zeroed.
+	dropTol = 1e-14
+	// rowSlack is the room left after each U row of a factorization for
+	// the entries later updates' columns add to it.
+	rowSlack = 2
 )
 
 // Stats counts simplex-kernel work, for telemetry. Per-arena counts are
@@ -51,7 +74,7 @@ type Stats struct {
 	Pivots    int64 // basis changes, primal and dual
 	Refactors int64 // sparse LU factorizations performed
 	FillNnz   int64 // total L+U nonzeros produced by those factorizations
-	EtaNnz    int64 // total eta-file nonzeros appended between them
+	EtaNnz    int64 // update nonzeros (FT column spike + row eta) stored between them
 }
 
 var globalStats struct {
@@ -84,16 +107,26 @@ func (f *luFactor) flushGlobal() {
 	f.flushed = d
 }
 
-// luFactor holds the base factorization P·B·Q = L·U plus the product-form
-// eta file, along with the scratch both factorization and solves use. One
-// luFactor lives in each Arena and is reused by every solve sharing it.
+// uStep is one step of U: the constraint row and basis slot it owns, its
+// diagonal, and where its row and column live in the files.
+type uStep struct {
+	row, slot  int32
+	diag       float64
+	rbeg, rlen int32
+	rcap       int32
+	cbeg, clen int32
+}
+
+// luFactor holds the factorization P·B·Q = L·R⁻¹·U — the base L, the row
+// etas R of the updates since, and the updated U — along with the scratch
+// both factorization and solves use. One luFactor lives in each Arena and is
+// reused by every solve sharing it.
 type luFactor struct {
 	m int // basis dimension (= nRows of the model)
 
 	// Elimination order: step k pivoted on constraint row pr[k] and basis
-	// slot pc[k]; colOf inverts pc (slot → step).
+	// slot pc[k].
 	pr, pc []int32
-	colOf  []int32
 
 	// L multipliers of step k (lptr[k]..lptr[k+1]): elimination subtracted
 	// lval × (pivot row k) from row lrow; FTRAN replays the same
@@ -105,63 +138,74 @@ type luFactor struct {
 	lval   []float64
 	lsteps []int32
 
-	// U row of step k (uptr[k]..uptr[k+1]) with the pivot in upiv[k]; ucol
-	// holds the *elimination step* of each off-pivot column (remapped from
-	// slots after factorization), so the triangular solves index their
-	// step-ordered scratch directly.
-	uptr []int32
-	ucol []int32
-	uval []float64
-	upiv []float64
-
-	// U by columns (rebuilt after each factorization from the row form):
-	// column of step c holds the entries U[k,c] with k < c, with ucrow the
-	// row's step index. The FTRAN back substitution scatters through these
-	// columns and skips zero steps outright — with the row form it would
-	// have to touch every U entry per solve even for a two-nonzero spike.
-	ucptr []int32
+	// U, in its triangular order: u[t] describes the step at position t
+	// (the elimination order until the first update moves a step to the
+	// end). Its off-diagonal entries are stored twice, each keyed by the
+	// constraint row of the other step it pairs with (stable under
+	// reordering): the row in urow/uval[rbeg : rbeg+rlen] (capacity rcap)
+	// for BTRAN's scatter and the updates' row etas, the column in
+	// ucrow/ucval[cbeg : cbeg+clen] for FTRAN's back substitution. An
+	// update appends the replacement column at the end of the column file
+	// and moves a row that outgrows its capacity to the end of the row file.
+	u     []uStep
+	urow  []int32
+	uval  []float64
 	ucrow []int32
 	ucval []float64
 
-	// Product-form eta file: update t (eptr[t]..eptr[t+1]) stores the
-	// off-pivot nonzeros of the entering column's spike in slot space;
-	// epos[t] is the pivot slot, epiv[t] the spike's pivot entry.
-	eptr []int32
-	eidx []int32
-	eval []float64
-	epos []int32
-	epiv []float64
+	// rpos and spos map a constraint row and a basis slot to the position
+	// of the step that owns it.
+	rpos, spos []int32
 
-	// Factorization scratch: the active submatrix as live sparse rows plus
-	// a (superset) column→rows incidence. The per-row/-column slices are
-	// carved from the flat backing arrays below (exact pre-counted
-	// capacities); only fill-in pushes a row past its carve and reallocates
-	// that one slice.
-	rowCol  [][]int32
-	rowVal  [][]float64
-	colRows [][]int32
-	rcBack  []int32
-	rvBack  []float64
-	crBack  []int32
-	rowCnt  []int32
-	colCnt  []int32
-	rowDone []bool
-	colDone []bool
-	csing   []int32 // queue of columns whose live count dropped to 1
+	// Row etas, one per update whose eliminated U row had off-diagonals:
+	// eta t (rptr[t]..rptr[t+1]) subtracts Σ rval·v[ridx] from v[rtgt[t]],
+	// all indices constraint rows.
+	rptr []int32
+	ridx []int32
+	rval []float64
+	rtgt []int32
 
-	// Fill-in overflow arena: a row (or column incidence list) that outgrows
-	// its exact-capacity carve from the backing arrays above is moved here
-	// instead of reallocating on the heap. The arena is bump-allocated per
-	// factorization and its backing is kept across calls, so once it reaches
-	// the high-water fill of a window's bases, factorize allocates nothing.
-	ovCol []int32
-	ovVal []float64
-	ovPos int
+	nUpd   int // updates since the last factorization
+	updNnz int // U-column and row-eta nonzeros those updates stored
 
-	// Solve scratch: tmp is the step-ordered intermediate of the
-	// triangular solves; dense is a spare row/slot-space vector.
-	tmp   []float64
-	dense []float64
+	// spike is the last ftranSpike's partial result R·L⁻¹·a (row space,
+	// before the U solve): the replacement U column of the next update.
+	spike []float64
+	// Update scratch: work is the row being eliminated (keyed by
+	// constraint row, zero between updates), heap the positions still to
+	// eliminate, and muRow/muVal the multipliers found; spkRow lists the
+	// rows of the new U column.
+	work   []float64
+	spkRow []int32
+	heap   []int32
+	muRow  []int32
+	muVal  []float64
+
+	// Factorization scratch: the active submatrix by columns with values
+	// and by rows as column lists, each a segment (begin, length,
+	// capacity) of a flat file: column j at aRow/aVal[cb[j] : cb[j]+cl[j]]
+	// (exact), row i at aCol[rb[i] : rb[i]+rl[i]] (may still hold
+	// eliminated columns, which readers skip). A segment that outgrows its
+	// capacity moves to the end of its file, so factorize allocates only
+	// until the files reach the high-water fill of the bases it sees.
+	// rowCnt counts a row's live entries. Live columns are chained in
+	// doubly linked lists by count (bhead[c] → bnext), so the pivot search
+	// starts at the lowest non-empty count.
+	aRow       []int32
+	aVal       []float64
+	aCol       []int32
+	cb, cl, cc []int32
+	rb, rl, rc []int32
+	rowCnt     []int32
+	rowDone    []bool
+	colDone    []bool
+	bhead      []int32
+	bnext      []int32
+	bprev      []int32
+	rowPos     []int32 // column scatter: 1 + file position of a row's entry in the column being updated
+
+	// tmp is the triangular solves' intermediate.
+	tmp []float64
 
 	nnzLU int // fill of the current base factorization (L + U + pivots)
 
@@ -170,386 +214,402 @@ type luFactor struct {
 }
 
 // reset sizes the factor for an m-row basis, invalidating any previous
-// factorization and eta file.
+// factorization and update.
 func (f *luFactor) reset(m int) {
 	f.m = m
 	f.pr = growSlice(f.pr, m)
 	f.pc = growSlice(f.pc, m)
-	f.colOf = growSlice(f.colOf, m)
+	f.rpos = growSlice(f.rpos, m)
+	f.spos = growSlice(f.spos, m)
 	f.tmp = growSlice(f.tmp, m)
-	f.dense = growSlice(f.dense, m)
+	f.spike = growSlice(f.spike, m)
+	f.work = growSlice(f.work, m)
+	clear(f.work)
 	f.lptr = append(f.lptr[:0], 0)
 	f.lsteps = f.lsteps[:0]
-	f.uptr = append(f.uptr[:0], 0)
-	f.upiv = f.upiv[:0]
-	f.clearEtas()
+	f.u = growSlice(f.u, m)
+	f.clearUpdates()
 }
 
-func (f *luFactor) clearEtas() {
-	f.eptr = append(f.eptr[:0], 0)
-	f.eidx = f.eidx[:0]
-	f.eval = f.eval[:0]
-	f.epos = f.epos[:0]
-	f.epiv = f.epiv[:0]
+func (f *luFactor) clearUpdates() {
+	f.rptr = append(f.rptr[:0], 0)
+	f.ridx = f.ridx[:0]
+	f.rval = f.rval[:0]
+	f.rtgt = f.rtgt[:0]
+	f.nUpd, f.updNnz = 0, 0
 }
 
-// nEtas returns the number of product-form updates stacked on the base
-// factorization.
-func (f *luFactor) nEtas() int { return len(f.epos) }
+// nUpdates returns the number of Forrest–Tomlin updates applied since the
+// last factorization.
+func (f *luFactor) nUpdates() int { return f.nUpd }
 
-// needsRefactor reports whether the eta file has outgrown its triggers.
-// The update cap scales with the basis dimension: every FTRAN/BTRAN pays
-// for the whole eta file, while refactorizing a small basis is nearly
-// free, so tiny bases (single-row knapsack relaxations) refactor after a
-// handful of updates and big windows amortize up to maxEtas.
+// needsRefactor reports whether the updates have outgrown their caps. The
+// update cap scales with the basis dimension: refactorizing a small basis
+// is nearly free, so tiny bases (single-row knapsack relaxations) refactor
+// after a handful of updates and big windows amortize up to maxUpdates.
 func (f *luFactor) needsRefactor() bool {
 	cap := f.m/2 + 4
-	if cap > maxEtas {
-		cap = maxEtas
+	if cap > maxUpdates {
+		cap = maxUpdates
 	}
-	return f.nEtas() >= cap || len(f.eidx) > etaFillFactor*(f.nnzLU+f.m)
+	return f.nUpd >= cap || f.updNnz > updateFillFactor*(f.nnzLU+f.m)
 }
 
 // factorize computes a fresh P·B·Q = L·U for the basis (slot i holds the
-// column of variable basis[i]) and empties the eta file. It returns false
+// column of variable basis[i]) and drops every update. It returns false
 // when the basis is numerically singular, leaving the factor unusable; the
 // caller must then rebuild from a basis it can factor.
 func (f *luFactor) factorize(cols [][]entry, basis []int) bool {
 	m := f.m
-	f.ovPos = 0
-	f.clearEtas()
+	f.clearUpdates()
 	f.lptr = append(f.lptr[:0], 0)
 	f.lrow = f.lrow[:0]
 	f.lval = f.lval[:0]
 	f.lsteps = f.lsteps[:0]
-	f.uptr = append(f.uptr[:0], 0)
-	f.ucol = f.ucol[:0]
+	f.urow = f.urow[:0]
 	f.uval = f.uval[:0]
-	f.upiv = f.upiv[:0]
 
-	// Build the active matrix row-wise with column incidence.
-	if cap(f.rowCol) < m {
-		f.rowCol = make([][]int32, m)
-		f.rowVal = make([][]float64, m)
-		f.colRows = make([][]int32, m)
-	}
-	f.rowCol = f.rowCol[:m]
-	f.rowVal = f.rowVal[:m]
-	f.colRows = f.colRows[:m]
+	f.cb, f.cl, f.cc = growSlice(f.cb, m), growSlice(f.cl, m), growSlice(f.cc, m)
+	f.rb, f.rl, f.rc = growSlice(f.rb, m), growSlice(f.rl, m), growSlice(f.rc, m)
 	f.rowCnt = growSlice(f.rowCnt, m)
-	f.colCnt = growSlice(f.colCnt, m)
 	f.rowDone = growSlice(f.rowDone, m)
 	f.colDone = growSlice(f.colDone, m)
-	// Count nonzeros per row, carve the backing arrays into exact-capacity
-	// per-row/-column slices, then fill by (alloc-free) appends.
-	nnz := 0
+	f.bhead = growSlice(f.bhead, m+1)
+	f.bnext = growSlice(f.bnext, m)
+	f.bprev = growSlice(f.bprev, m)
+	f.rowPos = growSlice(f.rowPos, m)
 	for i := 0; i < m; i++ {
-		f.rowCnt[i], f.colCnt[i] = 0, 0
+		f.rowCnt[i], f.rl[i], f.rowPos[i] = 0, 0, 0
 		f.rowDone[i], f.colDone[i] = false, false
 	}
+	for c := range f.bhead {
+		f.bhead[c] = -1
+	}
+	// Carve the files at exact pre-counted capacities, then fill them.
+	nnz := int32(0)
 	for j := 0; j < m; j++ {
-		for _, e := range cols[basis[j]] {
+		col := cols[basis[j]]
+		for _, e := range col {
 			f.rowCnt[e.row]++
 		}
-		nnz += len(cols[basis[j]])
+		n := int32(len(col))
+		f.cb[j], f.cl[j], f.cc[j] = nnz, n, n
+		nnz += n
 	}
-	f.rcBack = growSlice(f.rcBack, nnz)
-	f.rvBack = growSlice(f.rvBack, nnz)
-	f.crBack = growSlice(f.crBack, nnz)
-	pos := 0
+	f.aRow = growSlice(f.aRow, int(nnz))
+	f.aVal = growSlice(f.aVal, int(nnz))
+	f.aCol = growSlice(f.aCol, int(nnz))
+	pos := int32(0)
 	for i := 0; i < m; i++ {
-		c := pos + int(f.rowCnt[i])
-		f.rowCol[i] = f.rcBack[pos:pos:c]
-		f.rowVal[i] = f.rvBack[pos:pos:c]
-		pos = c
+		f.rb[i], f.rc[i] = pos, f.rowCnt[i]
+		pos += f.rowCnt[i]
 	}
-	pos = 0
 	for j := 0; j < m; j++ {
-		c := pos + len(cols[basis[j]])
-		f.colRows[j] = f.crBack[pos:pos:c]
-		pos = c
-	}
-	f.csing = f.csing[:0]
-	for j := 0; j < m; j++ {
+		at := f.cb[j]
 		for _, e := range cols[basis[j]] {
-			f.rowCol[e.row] = append(f.rowCol[e.row], int32(j))
-			f.rowVal[e.row] = append(f.rowVal[e.row], e.val)
-			f.colRows[j] = append(f.colRows[j], int32(e.row))
-			f.colCnt[j]++
+			f.aRow[at], f.aVal[at] = int32(e.row), e.val
+			at++
+			f.aCol[f.rb[e.row]+f.rl[e.row]] = int32(j)
+			f.rl[e.row]++
 		}
-		if f.colCnt[j] == 1 {
-			f.csing = append(f.csing, int32(j))
-		}
+		f.bucketAdd(int32(j))
 	}
-
-	// val: dense scatter scratch for row combination; zero outside the
-	// current row's support (restored after every gather).
-	val := f.dense
-	clear(val)
 
 	for step := 0; step < m; step++ {
-		// Singleton fast path: a column with one live entry pivots with no
-		// elimination work and no fill. Crash bases (mostly unit slack and
-		// artificial columns) and assignment-structured bases factor almost
-		// entirely through this queue, skipping the Markowitz scans.
-		pi, pj := -1, -1
-		for len(f.csing) > 0 {
-			j := int(f.csing[len(f.csing)-1])
-			f.csing = f.csing[:len(f.csing)-1]
-			if f.colDone[j] || f.colCnt[j] != 1 {
-				continue // stale queue entry
-			}
-			for _, ri := range f.colRows[j] {
-				i := int(ri)
-				if f.rowDone[i] {
-					continue
-				}
-				if v, found := f.rowEntry(i, j); found {
-					// A too-small singleton entry falls through to the
-					// Markowitz/fallback path (near-singular basis).
-					if abs(v) >= absPivotTol {
-						pi, pj = i, j
-					}
-					break
-				}
-			}
-			if pi >= 0 {
+		pi, pj, ok := f.pickPivot()
+		if !ok {
+			return false
+		}
+		f.pr[step], f.pc[step] = int32(pi), int32(pj)
+		f.spos[pj] = int32(step)
+		f.rowDone[pi] = true
+		f.colDone[pj] = true
+		f.bucketDel(int32(pj))
+
+		// The pivot column yields the L multipliers; each row it reaches
+		// loses column pj from the active matrix.
+		pb, pe := f.cb[pj], f.cb[pj]+f.cl[pj]
+		var piv float64
+		for e := pb; e < pe; e++ {
+			if f.aRow[e] == int32(pi) {
+				piv = f.aVal[e]
 				break
 			}
 		}
-		if pi < 0 {
-			var ok bool
-			pi, pj, ok = f.pickPivot()
-			if !ok {
-				return false
-			}
-		}
-		f.pr[step], f.pc[step] = int32(pi), int32(pj)
-		f.colOf[pj] = int32(step)
-		f.rowDone[pi] = true
-		f.colDone[pj] = true
-
-		// Split the pivot row into pivot entry and U-row remainder.
-		var piv float64
-		uStart := len(f.ucol)
-		for t, c := range f.rowCol[pi] {
-			if int(c) == pj {
-				piv = f.rowVal[pi][t]
-			} else {
-				f.ucol = append(f.ucol, c)
-				f.uval = append(f.uval, f.rowVal[pi][t])
-				if f.colCnt[c]--; f.colCnt[c] == 1 { // row pi leaves the active matrix
-					f.csing = append(f.csing, c)
-				}
-			}
-		}
-		f.upiv = append(f.upiv, piv)
-		uRowC := f.ucol[uStart:]
-		uRowV := f.uval[uStart:]
-		f.uptr = append(f.uptr, int32(len(f.ucol)))
-
-		// Eliminate pj from every other live row carrying it.
-		for _, ri := range f.colRows[pj] {
-			i := int(ri)
-			if f.rowDone[i] {
+		lStart := len(f.lrow)
+		for e := pb; e < pe; e++ {
+			i := f.aRow[e]
+			if i == int32(pi) {
 				continue
 			}
-			rc, rv := f.rowCol[i], f.rowVal[i]
-			at := -1
-			for t, c := range rc {
-				if int(c) == pj {
-					at = t
+			f.lrow = append(f.lrow, i)
+			f.lval = append(f.lval, f.aVal[e]/piv)
+			f.rowCnt[i]--
+		}
+		f.u[step].diag = piv
+		lRows, lVals := f.lrow[lStart:], f.lval[lStart:]
+
+		// The pivot row yields the U row: every live column it reaches
+		// gives up its row-pi entry and takes the rank-one update
+		// col −= u × (L column).
+		uStart := len(f.urow)
+		for e := f.rb[pi]; e < f.rb[pi]+f.rl[pi]; e++ {
+			c := f.aCol[e]
+			if f.colDone[c] {
+				continue
+			}
+			b, last := f.cb[c], f.cb[c]+f.cl[c]-1
+			var u float64
+			for k := b; k <= last; k++ {
+				if f.aRow[k] == int32(pi) {
+					u = f.aVal[k]
+					f.aRow[k], f.aVal[k] = f.aRow[last], f.aVal[last]
 					break
 				}
 			}
-			if at == -1 {
-				continue // stale incidence entry (earlier cancellation)
+			f.urow = append(f.urow, c)
+			f.uval = append(f.uval, u)
+			f.bucketDel(c)
+			f.cl[c]--
+			if len(lRows) > 0 {
+				f.eliminateCol(c, u, lRows, lVals)
 			}
-			l := rv[at] / piv
-			f.lrow = append(f.lrow, int32(i))
-			f.lval = append(f.lval, l)
-
-			// row_i -= l × (U part of pivot row), via dense scatter. The
-			// pivot-column entry is dropped; exact cancellations too.
-			rc[at], rv[at] = rc[len(rc)-1], rv[len(rv)-1]
-			rc, rv = rc[:len(rc)-1], rv[:len(rv)-1]
-			for t, c := range rc {
-				val[c] = rv[t]
-			}
-			// Fill can add up to len(uRowC) entries; rows carved at exact
-			// capacity move to the overflow arena instead of reallocating.
-			if cap(rc) < len(rc)+len(uRowC) {
-				rc, rv = f.overflowRow(rc, rv, len(rc)+len(uRowC))
-			}
-			nc, nv := rc, rv
-			for t, c := range uRowC {
-				if val[c] != 0 {
-					val[c] -= l * uRowV[t]
-					continue
-				}
-				fill := -l * uRowV[t]
-				if fill == 0 {
-					continue
-				}
-				val[c] = fill
-				nc = append(nc, c)
-				nv = append(nv, 0) // value gathered below
-				if len(f.colRows[c]) == cap(f.colRows[c]) {
-					f.colRows[c] = f.overflowCol(f.colRows[c])
-				}
-				f.colRows[c] = append(f.colRows[c], ri)
-				f.colCnt[c]++
-			}
-			// Gather back, compacting out cancellations.
-			w := 0
-			for _, c := range nc {
-				v := val[c]
-				val[c] = 0
-				if v == 0 {
-					if f.colCnt[c]--; f.colCnt[c] == 1 && !f.colDone[c] {
-						f.csing = append(f.csing, c)
-					}
-					continue
-				}
-				nc[w], nv[w] = c, v
-				w++
-			}
-			f.rowCol[i], f.rowVal[i] = nc[:w], nv[:w]
-			f.rowCnt[i] = int32(w)
+			f.bucketAdd(c)
 		}
-		f.colRows[pj] = f.colRows[pj][:0]
-		f.colCnt[pj] = 0
+		n := int32(len(f.urow) - uStart)
+		f.u[step].rbeg, f.u[step].rlen, f.u[step].rcap = int32(uStart), n, n+rowSlack
+		for k := 0; k < rowSlack; k++ {
+			f.urow = append(f.urow, -1)
+			f.uval = append(f.uval, 0)
+		}
 		f.lptr = append(f.lptr, int32(len(f.lrow)))
-		if f.lptr[step+1] > f.lptr[step] {
+		if len(lRows) > 0 {
 			f.lsteps = append(f.lsteps, int32(step))
 		}
 	}
 
-	// Remap U columns from basis slots to elimination steps so the
-	// triangular solves can index step-ordered scratch directly.
-	for t, c := range f.ucol {
-		f.ucol[t] = f.colOf[c]
-	}
-
-	// Transpose U into column form for the hyper-sparse FTRAN backsolve.
-	// colCnt is dead after elimination and serves as the counting scratch.
-	cnt := f.colCnt
-	for k := 0; k < m; k++ {
-		cnt[k] = 0
-	}
-	for _, c := range f.ucol {
-		cnt[c]++
-	}
-	f.ucptr = growSlice(f.ucptr, m+1)
-	upos := int32(0)
-	for k := 0; k < m; k++ {
-		f.ucptr[k] = upos
-		upos += cnt[k]
-		cnt[k] = 0
-	}
-	f.ucptr[m] = upos
-	f.ucrow = growSlice(f.ucrow, int(upos))
-	f.ucval = growSlice(f.ucval, int(upos))
-	for k := 0; k < m; k++ {
-		for e := f.uptr[k]; e < f.uptr[k+1]; e++ {
-			c := f.ucol[e]
-			at := f.ucptr[c] + cnt[c]
-			cnt[c]++
-			f.ucrow[at] = int32(k)
-			f.ucval[at] = f.uval[e]
-		}
-	}
-
-	f.nnzLU = len(f.lval) + len(f.uval) + m
+	f.nnzLU = len(f.lval) + f.buildU() + m
 	f.stats.Refactors++
 	f.stats.FillNnz += int64(f.nnzLU)
 	return true
 }
 
-// ovCarve reserves c entries in the overflow arena and returns their start
-// offset. When the arena is full it reallocates fresh backing: carves
-// already handed out keep referencing the old arrays (rows are independent
-// slices), and the larger backing is what later factorizations reuse.
-func (f *luFactor) ovCarve(c int) int {
-	if f.ovPos+c > len(f.ovCol) {
-		n := 2 * (f.ovPos + c)
-		if n < 1024 {
-			n = 1024
-		}
-		f.ovCol = make([]int32, n)
-		f.ovVal = make([]float64, n)
-		f.ovPos = 0
+// eliminateCol applies col_c −= u × (L column lRows/lVals) to the live
+// column c, appending fill and dropping exact cancellations, and keeps the
+// row lists and counts in step.
+func (f *luFactor) eliminateCol(c int32, u float64, lRows []int32, lVals []float64) {
+	pos := f.rowPos
+	for k := f.cb[c]; k < f.cb[c]+f.cl[c]; k++ {
+		pos[f.aRow[k]] = k + 1
 	}
-	at := f.ovPos
-	f.ovPos += c
-	return at
-}
-
-// overflowRow moves a live row into the overflow arena with capacity for
-// want entries plus headroom for further fill.
-func (f *luFactor) overflowRow(rc []int32, rv []float64, want int) ([]int32, []float64) {
-	c := want + want/2 + 8
-	at := f.ovCarve(c)
-	nc := f.ovCol[at : at+len(rc) : at+c]
-	nv := f.ovVal[at : at+len(rc) : at+c]
-	copy(nc, rc)
-	copy(nv, rv)
-	return nc, nv
-}
-
-// overflowCol doubles a full column incidence list into the overflow arena.
-func (f *luFactor) overflowCol(cr []int32) []int32 {
-	c := 2*len(cr) + 8
-	at := f.ovCarve(c)
-	ncr := f.ovCol[at : at+len(cr) : at+c]
-	copy(ncr, cr)
-	return ncr
-}
-
-// pickPivot selects the next Markowitz pivot: among the live columns with
-// the lowest counts, the entry of minimal (rowCnt−1)·(colCnt−1) whose
-// magnitude passes the relative threshold of its column.
-func (f *luFactor) pickPivot() (pi, pj int, ok bool) {
-	m := f.m
-	minCnt := int32(1<<31 - 1)
-	for j := 0; j < m; j++ {
-		if !f.colDone[j] && f.colCnt[j] > 0 && f.colCnt[j] < minCnt {
-			minCnt = f.colCnt[j]
+	for t, i := range lRows {
+		d := lVals[t] * u
+		if k := pos[i]; k > 0 {
+			f.aVal[k-1] -= d
+			continue
 		}
+		if d == 0 {
+			continue
+		}
+		if f.cl[c] == f.cc[c] {
+			f.moveCol(c)
+		}
+		at := f.cb[c] + f.cl[c]
+		f.aRow[at], f.aVal[at] = i, -d
+		f.cl[c]++
+		pos[i] = at + 1
+		f.rowAppend(i, c)
+		f.rowCnt[i]++
+	}
+	b := f.cb[c]
+	w := b
+	for k := b; k < b+f.cl[c]; k++ {
+		i := f.aRow[k]
+		pos[i] = 0
+		if f.aVal[k] == 0 {
+			f.rowRemove(i, c)
+			f.rowCnt[i]--
+			continue
+		}
+		f.aRow[w], f.aVal[w] = i, f.aVal[k]
+		w++
+	}
+	f.cl[c] = w - b
+}
+
+// moveCol moves full column c to the end of its file with room to grow,
+// re-marking its rows' scatter positions.
+func (f *luFactor) moveCol(c int32) {
+	b, n := f.cb[c], f.cl[c]
+	nb := int32(len(f.aRow))
+	for k := b; k < b+n; k++ {
+		f.rowPos[f.aRow[k]] = nb + (k - b) + 1
+		f.aRow = append(f.aRow, f.aRow[k])
+		f.aVal = append(f.aVal, f.aVal[k])
+	}
+	for k := n; k < 2*n+4; k++ {
+		f.aRow = append(f.aRow, 0)
+		f.aVal = append(f.aVal, 0)
+	}
+	f.cb[c], f.cc[c] = nb, 2*n+4
+}
+
+// buildU rekeys the factorization's U rows from basis slots to the
+// constraint rows of their steps, transposes them into the column file,
+// and sets U's triangular order to the elimination order. It returns U's
+// off-diagonal count. cl is dead after elimination and serves as the
+// counting scratch.
+func (f *luFactor) buildU() int {
+	m := f.m
+	cnt := f.cl
+	clear(cnt[:m])
+	nnz := 0
+	for k := 0; k < m; k++ {
+		us := &f.u[k]
+		for e := us.rbeg; e < us.rbeg+us.rlen; e++ {
+			c := f.spos[f.urow[e]]
+			f.urow[e] = f.pr[c]
+			cnt[c]++
+		}
+		nnz += int(us.rlen)
+	}
+	upos := int32(0)
+	for k := 0; k < m; k++ {
+		us := &f.u[k]
+		us.row, us.slot = f.pr[k], f.pc[k]
+		us.cbeg, us.clen = upos, 0
+		upos += cnt[k]
+		f.rpos[us.row] = int32(k)
+	}
+	f.ucrow = growSlice(f.ucrow, int(upos))
+	f.ucval = growSlice(f.ucval, int(upos))
+	for k := 0; k < m; k++ {
+		us := &f.u[k]
+		for e := us.rbeg; e < us.rbeg+us.rlen; e++ {
+			uc := &f.u[f.rpos[f.urow[e]]]
+			at := uc.cbeg + uc.clen
+			uc.clen++
+			f.ucrow[at] = us.row
+			f.ucval[at] = f.uval[e]
+		}
+	}
+	return nnz
+}
+
+// bucketAdd links live column j into the list of its count.
+func (f *luFactor) bucketAdd(j int32) {
+	c := f.cl[j]
+	h := f.bhead[c]
+	f.bnext[j], f.bprev[j] = h, -1
+	if h >= 0 {
+		f.bprev[h] = j
+	}
+	f.bhead[c] = j
+}
+
+// bucketDel unlinks column j from the list of its count.
+func (f *luFactor) bucketDel(j int32) {
+	n, p := f.bnext[j], f.bprev[j]
+	if p >= 0 {
+		f.bnext[p] = n
+	} else {
+		f.bhead[f.cl[j]] = n
+	}
+	if n >= 0 {
+		f.bprev[n] = p
+	}
+}
+
+// rowAppend adds live column c to row i's list. A full row first sheds
+// its eliminated columns, then moves to the end of the file if still
+// full.
+func (f *luFactor) rowAppend(i, c int32) {
+	if f.rl[i] == f.rc[i] {
+		b := f.rb[i]
+		w := b
+		for k := b; k < b+f.rl[i]; k++ {
+			if x := f.aCol[k]; !f.colDone[x] {
+				f.aCol[w] = x
+				w++
+			}
+		}
+		n := w - b
+		f.rl[i] = n
+		if n == f.rc[i] {
+			nb := int32(len(f.aCol))
+			for k := b; k < b+n; k++ {
+				f.aCol = append(f.aCol, f.aCol[k])
+			}
+			for k := n; k < 2*n+4; k++ {
+				f.aCol = append(f.aCol, 0)
+			}
+			f.rb[i], f.rc[i] = nb, 2*n+4
+		}
+	}
+	f.aCol[f.rb[i]+f.rl[i]] = c
+	f.rl[i]++
+}
+
+// rowRemove drops live column c from row i's list (an exact cancellation).
+func (f *luFactor) rowRemove(i, c int32) {
+	last := f.rb[i] + f.rl[i] - 1
+	for k := f.rb[i]; k <= last; k++ {
+		if f.aCol[k] == c {
+			f.aCol[k] = f.aCol[last]
+			f.rl[i]--
+			return
+		}
+	}
+}
+
+// pickPivot selects the next pivot: a column singleton if one has a usable
+// entry, otherwise among the first few live columns of the two lowest
+// counts, the entry of minimal (rowCnt−1)·(colCnt−1) whose magnitude
+// passes the relative threshold of its column.
+func (f *luFactor) pickPivot() (pi, pj int, ok bool) {
+	// A singleton pivots with no elimination work and no fill. Crash bases
+	// (mostly unit slack and artificial columns) and assignment-structured
+	// bases factor almost entirely through this list.
+	for j := f.bhead[1]; j >= 0; j = f.bnext[j] {
+		if e := f.cb[j]; abs(f.aVal[e]) >= absPivotTol {
+			return int(f.aRow[e]), int(j), true
+		}
+	}
+	m := f.m
+	minCnt := 2
+	for minCnt <= m && f.bhead[minCnt] < 0 {
+		minCnt++
 	}
 	pi, pj = -1, -1
-	if minCnt == 1<<31-1 {
-		// No live column has entries: structurally singular (a zero column
-		// slipped into the basis, or everything cancelled numerically).
-		return f.pickPivotFallback()
-	}
 	bestCost := int64(1) << 62
 	var bestVal float64
 	const maxCand = 8
 	cands := 0
-	for j := 0; j < m && cands < maxCand; j++ {
-		if f.colDone[j] || f.colCnt[j] == 0 || f.colCnt[j] > minCnt+1 {
-			continue
-		}
-		cands++
-		colMax, _ := f.colEntry(j, -1)
-		if colMax < absPivotTol {
-			continue
-		}
-		thresh := markowitzThresh * colMax
-		for _, ri := range f.colRows[j] {
-			i := int(ri)
-			if f.rowDone[i] {
+	for cnt := minCnt; cnt <= minCnt+1 && cnt <= m && cands < maxCand; cnt++ {
+		for j := f.bhead[cnt]; j >= 0 && cands < maxCand; j = f.bnext[j] {
+			cands++
+			rows := f.aRow[f.cb[j] : f.cb[j]+f.cl[j]]
+			vals := f.aVal[f.cb[j] : f.cb[j]+f.cl[j]]
+			colMax := 0.0
+			for _, v := range vals {
+				if abs(v) > colMax {
+					colMax = abs(v)
+				}
+			}
+			if colMax < absPivotTol {
 				continue
 			}
-			v, found := f.rowEntry(i, j)
-			if !found || abs(v) < thresh || abs(v) < absPivotTol {
-				continue
-			}
-			cost := int64(f.rowCnt[i]-1) * int64(f.colCnt[j]-1)
-			if cost < bestCost || (cost == bestCost && abs(v) > abs(bestVal)) {
-				bestCost, bestVal = cost, v
-				pi, pj = i, j
+			thresh := markowitzThresh * colMax
+			for t, i := range rows {
+				v := vals[t]
+				if abs(v) < thresh || abs(v) < absPivotTol {
+					continue
+				}
+				cost := int64(f.rowCnt[i]-1) * int64(cnt-1)
+				if cost < bestCost || (cost == bestCost && abs(v) > abs(bestVal)) {
+					bestCost, bestVal = cost, v
+					pi, pj = int(i), int(j)
+				}
 			}
 		}
 	}
@@ -561,59 +621,218 @@ func (f *luFactor) pickPivot() (pi, pj int, ok bool) {
 
 // pickPivotFallback scans the whole live submatrix for the entry of
 // largest magnitude — the last resort when no candidate column offers a
-// threshold-passing pivot. Failing here means the basis is singular.
+// threshold-passing pivot. Failing here means the basis is singular (a
+// zero column slipped into it, or everything cancelled numerically).
 func (f *luFactor) pickPivotFallback() (pi, pj int, ok bool) {
 	best := absPivotTol
 	pi, pj = -1, -1
-	for i := 0; i < f.m; i++ {
-		if f.rowDone[i] {
+	for j := 0; j < f.m; j++ {
+		if f.colDone[j] {
 			continue
 		}
-		for t, c := range f.rowCol[i] {
-			if f.colDone[c] {
-				continue
-			}
-			if v := abs(f.rowVal[i][t]); v >= best {
-				best, pi, pj = v, i, int(c)
+		for e := f.cb[j]; e < f.cb[j]+f.cl[j]; e++ {
+			if v := abs(f.aVal[e]); v >= best {
+				best, pi, pj = v, int(f.aRow[e]), j
 			}
 		}
 	}
 	return pi, pj, pi >= 0
 }
 
-// colEntry returns the largest live magnitude in column j, and the value
-// at row want (when want >= 0).
-func (f *luFactor) colEntry(j, want int) (colMax, atWant float64) {
-	for _, ri := range f.colRows[j] {
-		i := int(ri)
-		if f.rowDone[i] {
+// update replaces the column of basis slot r by the entering column whose
+// ftranSpike was the last one run (its partial result waits in f.spike;
+// wr is the full spike's entry in slot r, the pivot of the basis change).
+// It returns false, leaving the factorization untouched, when the update
+// would be unstable — the caller must then refactorize, recompute the
+// spike and retry. force skips the stability test; callers set it when the
+// factorization is already fresh, where refusing would loop (the ratio
+// test has bounded the pivot away from zero).
+func (f *luFactor) update(r int, wr float64, force bool) bool {
+	p := f.spos[r]
+	up := f.u[p]
+	spike, work := f.spike, f.work
+
+	// Row eta: eliminate row p's off-diagonals against the rows after p,
+	// in triangular order (the heap yields the smallest pending position),
+	// scattering each multiplier's U row into the work row. The new
+	// diagonal is the spike's row-p entry minus the same combination of
+	// its other entries.
+	f.muRow, f.muVal = f.muRow[:0], f.muVal[:0]
+	h := f.heap[:0]
+	for e := up.rbeg; e < up.rbeg+up.rlen; e++ {
+		i := f.urow[e]
+		work[i] = f.uval[e]
+		h = heapPush(h, f.rpos[i])
+	}
+	diag := spike[up.row]
+	for len(h) > 0 {
+		var t int32
+		t, h = heapPop(h)
+		uc := &f.u[t]
+		x := work[uc.row]
+		work[uc.row] = 0
+		if abs(x) <= dropTol {
+			continue // cancelled, or a duplicate heap entry already taken
+		}
+		x /= uc.diag
+		f.muRow = append(f.muRow, uc.row)
+		f.muVal = append(f.muVal, x)
+		diag -= x * spike[uc.row]
+		for e := uc.rbeg; e < uc.rbeg+uc.rlen; e++ {
+			i := f.urow[e]
+			if work[i] == 0 {
+				h = heapPush(h, f.rpos[i])
+			}
+			work[i] -= x * f.uval[e]
+		}
+	}
+	f.heap = h
+
+	// The new U column: the spike's entries off row p, with their largest
+	// magnitude for the stability test.
+	f.spkRow = f.spkRow[:0]
+	maxA := 0.0
+	for i, v := range spike[:f.m] {
+		if v == 0 || int32(i) == up.row {
 			continue
 		}
-		if v, found := f.rowEntry(i, j); found {
-			if abs(v) > colMax {
-				colMax = abs(v)
-			}
-			if i == want {
-				atWant = v
-			}
+		if a := abs(v); a > dropTol {
+			f.spkRow = append(f.spkRow, int32(i))
+			maxA = math.Max(maxA, a)
 		}
 	}
-	return colMax, atWant
+
+	// Stability: refuse a new diagonal that is tiny against its column, or
+	// that the elimination could not reproduce — its exact value is
+	// w_r·u_pp (det B' = w_r·det B).
+	want := wr * up.diag
+	if !force {
+		if abs(diag) < updatePivotTol*maxA || abs(diag-want) > updateDriftTol*abs(want) {
+			return false
+		}
+	} else if diag == 0 {
+		diag = want
+	}
+
+	// Commit the row eta, then drop row p's off-diagonals from their
+	// columns and the old column p's entries from their rows.
+	if len(f.muRow) > 0 {
+		f.ridx = append(f.ridx, f.muRow...)
+		f.rval = append(f.rval, f.muVal...)
+		f.rptr = append(f.rptr, int32(len(f.ridx)))
+		f.rtgt = append(f.rtgt, up.row)
+	}
+	for e := up.rbeg; e < up.rbeg+up.rlen; e++ {
+		f.colDrop(&f.u[f.rpos[f.urow[e]]], up.row)
+	}
+	for e := up.cbeg; e < up.cbeg+up.clen; e++ {
+		f.rowDrop(&f.u[f.rpos[f.ucrow[e]]], up.row)
+	}
+
+	// The spike becomes the step's column, appended at the end of the
+	// file, and the step moves to the end of the triangular order.
+	up.rlen = 0
+	up.diag = diag
+	up.cbeg = int32(len(f.ucrow))
+	for _, i := range f.spkRow {
+		v := spike[i]
+		f.ucrow = append(f.ucrow, i)
+		f.ucval = append(f.ucval, v)
+		f.rowPush(&f.u[f.rpos[i]], up.row, v)
+	}
+	up.clen = int32(len(f.ucrow)) - up.cbeg
+	last := int32(f.m - 1)
+	copy(f.u[p:last], f.u[p+1:])
+	f.u[last] = up
+	for t := p; t <= last; t++ {
+		f.rpos[f.u[t].row], f.spos[f.u[t].slot] = t, t
+	}
+
+	stored := int(up.clen) + len(f.muRow)
+	f.nUpd++
+	f.updNnz += stored
+	f.stats.EtaNnz += int64(stored)
+	return true
 }
 
-// rowEntry returns row i's value in column j.
-func (f *luFactor) rowEntry(i, j int) (float64, bool) {
-	for t, c := range f.rowCol[i] {
-		if int(c) == j {
-			return f.rowVal[i][t], true
+// colDrop removes row's entry from U column us.
+func (f *luFactor) colDrop(us *uStep, row int32) {
+	last := us.cbeg + us.clen - 1
+	for e := us.cbeg; e <= last; e++ {
+		if f.ucrow[e] == row {
+			f.ucrow[e], f.ucval[e] = f.ucrow[last], f.ucval[last]
+			us.clen--
+			return
 		}
 	}
-	return 0, false
 }
 
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
+// rowDrop removes the entry keyed by row from U row us.
+func (f *luFactor) rowDrop(us *uStep, row int32) {
+	last := us.rbeg + us.rlen - 1
+	for e := us.rbeg; e <= last; e++ {
+		if f.urow[e] == row {
+			f.urow[e], f.uval[e] = f.urow[last], f.uval[last]
+			us.rlen--
+			return
+		}
 	}
-	return x
 }
+
+// rowPush appends entry (row, v) to U row us, first moving a full row to
+// the end of the file with room to grow.
+func (f *luFactor) rowPush(us *uStep, row int32, v float64) {
+	if us.rlen == us.rcap {
+		nb := int32(len(f.urow))
+		for e := us.rbeg; e < us.rbeg+us.rlen; e++ {
+			f.urow = append(f.urow, f.urow[e])
+			f.uval = append(f.uval, f.uval[e])
+		}
+		for e := us.rlen; e < 2*us.rlen+4; e++ {
+			f.urow = append(f.urow, 0)
+			f.uval = append(f.uval, 0)
+		}
+		us.rbeg, us.rcap = nb, 2*us.rlen+4
+	}
+	f.urow[us.rbeg+us.rlen], f.uval[us.rbeg+us.rlen] = row, v
+	us.rlen++
+}
+
+// heapPush adds position t to the binary min-heap h.
+func heapPush(h []int32, t int32) []int32 {
+	h = append(h, t)
+	for i := len(h) - 1; i > 0; {
+		up := (i - 1) / 2
+		if h[up] <= h[i] {
+			break
+		}
+		h[up], h[i] = h[i], h[up]
+		i = up
+	}
+	return h
+}
+
+// heapPop removes and returns the smallest position of the min-heap h.
+func heapPop(h []int32) (int32, []int32) {
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		l, small := 2*i+1, i
+		if l < n && h[l] < h[small] {
+			small = l
+		}
+		if l+1 < n && h[l+1] < h[small] {
+			small = l + 1
+		}
+		if small == i {
+			break
+		}
+		h[i], h[small] = h[small], h[i]
+		i = small
+	}
+	return top, h
+}
+
+func abs(x float64) float64 { return math.Abs(x) }

@@ -7,7 +7,7 @@
 //
 // It is the LP engine underneath internal/milp, which together replace the
 // CPLEX solver of the DAC'17 paper. The basis is kept as a sparse LU
-// factorization (Markowitz-ordered, with product-form eta updates and
+// factorization (Markowitz-ordered, with Forrest–Tomlin updates and
 // periodic refactorization — factor.go) driving sparse FTRAN/BTRAN solves
 // (ftran.go), so each pivot costs O(nnz) on the overwhelmingly sparse
 // window-MILP constraint matrices instead of the O(rows²) a dense explicit
@@ -240,7 +240,7 @@ func (m *Model) SolveWithHint(lo, hi, hint []float64) *Solution {
 // SolveWithScratch is SolveWithHint with an explicit scratch arena.
 // Passing the same Arena across repeated solves (branch-and-bound node
 // relaxations, per-worker window solves) reuses all large working storage
-// — most importantly the basis LU factorization and its eta file — and the
+// — most importantly the basis LU factorization and its updates — and the
 // model-keyed column/norm caches. A nil arena allocates a private one.
 func (m *Model) SolveWithScratch(lo, hi, hint []float64, a *Arena) *Solution {
 	if lo == nil {
@@ -299,7 +299,7 @@ type simplex struct {
 	xN         []float64 // value of each nonbasic variable (at a bound)
 	basis      []int     // basis[i] = variable basic in slot/row i
 	inBasisRow []int     // inverse of basis: slot of a basic var, or -1
-	lu         *luFactor // sparse LU of the basis + eta file
+	lu         *luFactor // sparse LU of the basis + its updates
 	xB         []float64 // values of basic variables by slot
 
 	maxIters int
@@ -562,7 +562,7 @@ func (s *simplex) extractX() []float64 {
 }
 
 // refactorize rebuilds the basis factorization from scratch and refreshes
-// the basic values from the bounds and RHS, washing out eta-file drift. It
+// the basic values from the bounds and RHS, washing out update drift. It
 // reports false when the basis is numerically singular.
 func (s *simplex) refactorize() bool {
 	if !s.lu.factorize(s.cols, s.basis[:s.nRows]) {
@@ -862,11 +862,11 @@ func (s *simplex) iterate(obj []float64, stopAtZero bool) (Status, int) {
 			continue
 		}
 
-		// Record the pivot in the eta file before committing the basis
-		// change; an unstable update refactorizes and re-prices instead
+		// Update the factorization before committing the basis change; an
+		// unstable update refactorizes and re-prices instead
 		// (forced through when the factorization is already fresh — the
 		// ratio test bounded the pivot away from zero).
-		if !f.appendEta(w, wInd, leave, f.nEtas() == 0) {
+		if !f.update(leave, w[leave], f.nUpdates() == 0) {
 			clearSpike(w, wInd)
 			if !s.refactorize() {
 				return statusNumFail, iters

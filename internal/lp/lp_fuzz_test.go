@@ -15,8 +15,9 @@ import (
 // 1e-7. The warm half re-solves each instance through one shared Arena with
 // branch-and-bound style bound tightenings in depth-first shape (a first
 // child's subtree, then a parent-basis restore for its sibling), checking
-// the dual warm-start path (eta accumulation, refactorization triggers,
-// restored bases) against cold reference solves of the identical bounds.
+// the dual warm-start path (Forrest–Tomlin updates, refactorization
+// triggers, restored bases) against cold reference solves of the identical
+// bounds.
 
 const objTol = 1e-7
 
@@ -77,7 +78,7 @@ func genLP(rng *rand.Rand) *Model {
 	if prev != nil && rng.Intn(4) == 0 {
 		// Nearly parallel row: one coefficient nudged by 1e-9. If both end
 		// up basic the basis is near-singular, exercising the Markowitz
-		// pivot tolerance and the eta stability check.
+		// pivot tolerance and the update stability check.
 		near := append([]Term(nil), prev...)
 		near[0].Coef += 1e-9
 		m.AddRow(GE, float64(-rng.Intn(20)), near...)
@@ -145,8 +146,8 @@ func runKernelAgreement(t *testing.T, seed int64) {
 	// first child's subtree, restore the parent's basis, and solve a sibling
 	// tightening of the parent's bounds. The live kernel takes the dual
 	// warm-start path (after a restore, from a refactorized basis); the
-	// reference re-solves cold each time. Enough levels to cross the eta
-	// refactorization trigger.
+	// reference re-solves cold each time. Enough levels to cross the update
+	// cap's refactorization trigger.
 	lo, hi := m.Bounds()
 	loA := make([]float64, len(lo))
 	hiA := make([]float64, len(hi))
@@ -259,9 +260,11 @@ func TestLPKernelAgreement(t *testing.T) {
 }
 
 // FuzzLPKernelAgreement is the same property exposed to `go test -fuzz`:
-// each fuzz input is a generator seed.
+// each fuzz input is a generator seed. Seeds 317 through 747 are ones whose
+// first-child subtrees run long enough to reach the update cap mid-subtree,
+// so a refactorization lands between a parent's save and its restore.
 func FuzzLPKernelAgreement(f *testing.F) {
-	for _, s := range []int64{1, 7, 42, 1337, 99991} {
+	for _, s := range []int64{1, 7, 42, 1337, 99991, 317, 409, 436, 544, 747} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
