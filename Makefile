@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: check vet lint test race fuzz-lp bench-smoke bench-objective bench-json bench-core bench-route
+.PHONY: check vet lint test race fuzz-lp bench-harness bench-smoke bench-objective bench-json bench-core bench-route
 
-check: vet lint test race bench-smoke
+check: vet lint test race bench-harness bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -34,6 +34,11 @@ race:
 # bases), on top of the seed corpus that go test runs every time.
 fuzz-lp:
 	$(GO) test -run '^$$' -fuzz FuzzLPKernelAgreement -fuzztime 30s ./internal/lp
+
+# The vm1bench harness's own tests (TestBenchmarkJSONMatchesHarness among
+# them). bench/ is a nested module, so `go test ./...` never reaches it.
+bench-harness:
+	cd bench && $(GO) test .
 
 # One iteration of each substrate microbenchmark — a fast sanity pass that
 # the benchmarks still build and run, not a measurement.

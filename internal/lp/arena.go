@@ -56,6 +56,7 @@ type Arena struct {
 	phase1Obj  []float64
 	y, w       []float64
 	rho        []float64 // dual-simplex pivot-row BTRAN result
+	dualW      []float64 // dual Devex pricing weights, one per basis slot
 	wInd       []int32   // nonzero slots of the FTRAN spike in w
 	cand       []int32   // pricing candidate list (lp.go)
 	candScore  []float64
@@ -206,6 +207,7 @@ func (a *Arena) bind(m *Model) bool {
 	a.w = growSlice(a.w, rows)
 	clear(a.w) // spike scratch must start zero (ftranSpike contract)
 	a.rho = growSlice(a.rho, rows)
+	a.dualW = growSlice(a.dualW, rows)
 	a.wInd = growSlice(a.wInd, rows)[:0]
 	a.cand = growSlice(a.cand, candListCap)[:0]
 	a.candScore = growSlice(a.candScore, candListCap)[:0]
