@@ -3,9 +3,16 @@
 
 GO ?= go
 
-.PHONY: check vet lint test race fuzz-lp bench-harness bench-smoke bench-objective bench-json bench-core bench-route
+.PHONY: check fmt vet lint test race fuzz-lp bench-harness bench-smoke bench-objective bench-json bench-core bench-route
 
-check: vet lint test race bench-harness bench-smoke
+check: fmt vet lint test race bench-harness bench-smoke
+
+# Fails when gofmt would reformat any tracked Go file (the nested bench/
+# module and analyzer testdata included), listing the offenders.
+fmt:
+	@files=$$(git ls-files '*.go') && [ -n "$$files" ] || { echo "fmt: no tracked Go files"; exit 1; }; \
+	out=$$(gofmt -l $$files) || exit 1; \
+	if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

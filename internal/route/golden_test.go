@@ -52,6 +52,8 @@ func routeHash(r *Router) uint64 {
 // golden values were recorded before the search state was compacted
 // (node interleaving, 16-byte node records, intrusive bucket lists); any
 // change to relax order, cost arithmetic or queue order shows up here.
+// On the closedm1-ripup case the first rip-up pass raises overflow
+// 5012 → 5207, so the loop stops there and a second pass never runs.
 func TestRouteMetricsGolden(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -90,10 +92,10 @@ func TestRouteMetricsGolden(t *testing.T) {
 		{
 			name: "closedm1-ripup", arch: tech.ClosedM1, n: 600, seed: 64, util: 0.85, starved: true,
 			want: Metrics{
-				RWL: 2562000, LayerWL: [tech.NumLayers]int64{0, 200000, 505800, 847500, 1008700},
-				Via12: 2046, Via23: 2697, Via34: 2802, DM1: 13, M1Segs: 605, Overflow: 5483,
+				RWL: 2491250, LayerWL: [tech.NumLayers]int64{0, 189500, 497700, 807250, 996800},
+				Via12: 1978, Via23: 2326, Via34: 2436, DM1: 13, M1Segs: 572, Overflow: 5207,
 			},
-			hash: 0x89dda84da393d36e,
+			hash: 0x61a659ccff25c0ee,
 		},
 	}
 	for _, tc := range cases {

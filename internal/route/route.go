@@ -8,8 +8,12 @@
 // with preferred-direction edges (M1/M3 vertical, M2/M4 horizontal) and
 // vias between adjacent layers. Nets are routed pin-by-pin onto their
 // growing route tree with A* search; a short negotiated-congestion loop
-// rips up and reroutes nets through overflowed edges. Key
-// architecture-specific behaviours:
+// rips up and reroutes nets through overflowed edges. Each rip-up pass
+// reroutes every net that crosses an overflowed edge with double the
+// previous pass's congestion weight. Config.RipupIters caps the passes;
+// the loop stops early once total overflow is zero, or after the first
+// pass that leaves it no lower than before that pass (whose routing is
+// kept, not rolled back). Key architecture-specific behaviours:
 //
 //   - ClosedM1: pins are M1 nodes; foreign M1 pins block M1 traversal, so
 //     inter-row M1 routing exists only where tracks are clear and pins
@@ -47,11 +51,12 @@ type Config struct {
 	M1CostFactor float64
 	// Gamma is the maximum dM1 span in rows (from tech).
 	Gamma int
-	// RipupIters is the number of congestion-negotiation passes after the
-	// initial routing pass.
+	// RipupIters caps the congestion-negotiation passes after the initial
+	// routing pass. Fewer run when overflow reaches zero or a pass fails
+	// to lower it (see the package doc).
 	RipupIters int
-	// CongWeight scales the per-overflow cost penalty; it is further
-	// multiplied by the pass number during rip-up.
+	// CongWeight scales the per-overflow cost penalty of the initial
+	// pass; each rip-up pass doubles it.
 	CongWeight float64
 	// SearchMargin pads each connection's search bounding box, in grid
 	// cells.
@@ -193,7 +198,16 @@ type Router struct {
 	// routes holds the current route of each net.
 	routes map[int]*netRoute
 
+	// ripups records the rip-up passes of the last RouteAllCtx, in order.
+	ripups []ripupPass
+
 	metrics Metrics
+}
+
+// ripupPass is one completed rip-up pass: the nets it ripped up and
+// rerouted, and the total overflow it left.
+type ripupPass struct {
+	nets, overflow int
 }
 
 // New creates a router over the placement.

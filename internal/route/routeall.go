@@ -9,8 +9,8 @@ import (
 )
 
 // RouteAllCtx routes every signal net from scratch (clearing any previous
-// routing), runs the configured rip-up-and-reroute passes, and returns the
-// final metrics. Nets are routed in conflict-free parallel batches (see
+// routing), runs up to cfg.RipupIters rip-up-and-reroute passes, and returns
+// the final metrics. Nets are routed in conflict-free parallel batches (see
 // parallel.go); the result is identical for every cfg.Workers value.
 //
 // Cancellation is checked at the router's commit boundaries — between
@@ -24,6 +24,7 @@ func (r *Router) RouteAllCtx(ctx context.Context) (Metrics, error) {
 	clear(r.usage)
 	r.routes = make(map[int]*netRoute, len(r.p.Design.Nets))
 	r.metrics = Metrics{}
+	r.ripups = r.ripups[:0]
 	for _, s := range r.searchers {
 		s.failedConns = 0
 	}
@@ -48,12 +49,12 @@ func (r *Router) RouteAllCtx(ctx context.Context) (Metrics, error) {
 	}
 
 	// Negotiated-congestion rip-up: nets crossing overflowed edges are
-	// rerouted with a stiffer congestion penalty.
+	// rerouted with a congestion penalty that doubles each pass. The loop
+	// stops once overflow is zero, or after the first pass that does not
+	// lower it; that pass's routing stays committed.
 	cw := r.cfg.CongWeight
-	for pass := 0; pass < r.cfg.RipupIters; pass++ {
-		if r.totalOverflow() == 0 {
-			break
-		}
+	over := r.totalOverflow()
+	for pass := 0; pass < r.cfg.RipupIters && over > 0; pass++ {
 		if err := ctx.Err(); err != nil {
 			return r.finishMetrics(), fmt.Errorf("route: RouteAllCtx interrupted: %w", err)
 		}
@@ -64,6 +65,12 @@ func (r *Router) RouteAllCtx(ctx context.Context) (Metrics, error) {
 		}
 		if err := r.routeBatched(ctx, victims, cw); err != nil {
 			return r.finishMetrics(), fmt.Errorf("route: RouteAllCtx interrupted: %w", err)
+		}
+		prev := over
+		over = r.totalOverflow()
+		r.ripups = append(r.ripups, ripupPass{nets: len(victims), overflow: over})
+		if over >= prev {
+			break
 		}
 	}
 
