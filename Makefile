@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint test race fuzz-lp bench-harness bench-smoke bench-objective bench-json bench-core bench-route
+.PHONY: check fmt vet lint test race fuzz-lp fuzz-lefdef bench-harness bench-smoke bench-objective bench-json bench-core bench-route
 
 check: fmt vet lint test race bench-harness bench-smoke
 
@@ -29,9 +29,10 @@ test:
 	$(GO) build ./... && $(GO) test ./...
 
 # The race gate covers the packages that own goroutines: parallel window
-# solves sharing an objective tracker and per-worker LP arenas, the
-# batched parallel router sharing live usage arrays, and the pipeline /
-# parallel-sweep layers (flow, expt) that fan work out over them.
+# solves sharing an objective tracker and per-worker LP arenas, and the
+# pipeline / parallel-sweep layers (flow, expt) that fan work out over
+# them. The router is sequential; its package stays in the gate because
+# parallel flow points each run their own router.
 race:
 	$(GO) test -race -timeout 30m ./internal/core/... ./internal/lp/... ./internal/milp/... ./internal/route/... ./internal/flow/... ./internal/expt/... ./internal/objective/...
 
@@ -41,6 +42,13 @@ race:
 # bases), on top of the seed corpus that go test runs every time.
 fuzz-lp:
 	$(GO) test -run '^$$' -fuzz FuzzLPKernelAgreement -fuzztime 30s ./internal/lp
+
+# Fifteen seconds of coverage-guided fuzzing for each LEF/DEF parser:
+# neither may panic, and every placement ParseDEF accepts must be legal and
+# survive WriteDEF → ParseDEF unchanged.
+fuzz-lefdef:
+	$(GO) test -run '^$$' -fuzz FuzzParseDEF -fuzztime 15s ./internal/lefdef
+	$(GO) test -run '^$$' -fuzz FuzzParseLEF -fuzztime 15s ./internal/lefdef
 
 # The vm1bench harness's own tests (TestBenchmarkJSONMatchesHarness among
 # them). bench/ is a nested module, so `go test ./...` never reaches it.
@@ -67,7 +75,8 @@ bench-json:
 # including the simplex-kernel counters (pivots/solve, refactors/solve).
 bench-core: bench-json
 
-# Regenerates BENCH_route.json: the sequential/parallel RouteAll pair plus
-# the speedup over the seed router, with a Metrics-equality check.
+# Regenerates BENCH_route.json: RouteAllSeq (a full routing of a
+# 2000-instance ClosedM1 design) plus its speedup over the seed router,
+# with GOMAXPROCS recorded.
 bench-route:
 	BENCH_JSON=1 $(GO) test -run TestEmitBenchRouteJSON -timeout 30m -v .

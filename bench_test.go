@@ -160,28 +160,11 @@ func BenchmarkGlobalPlace(b *testing.B) {
 	}
 }
 
-// BenchmarkRouteClosedM1 measures a full routing pass at the default
-// worker count (kept under its seed name so runs stay comparable across
-// the repo's history).
-func BenchmarkRouteClosedM1(b *testing.B) {
-	benchRouteAll(b, 0)
-}
-
-// BenchmarkRouteAllSeq is the sequential routing baseline (Workers=1).
-func BenchmarkRouteAllSeq(b *testing.B) { benchRouteAll(b, 1) }
-
-// BenchmarkRouteAllPar routes with Workers=GOMAXPROCS. Metrics are
-// bit-identical to the sequential run by construction (see
-// internal/route/parallel.go); only wall time may differ.
-func BenchmarkRouteAllPar(b *testing.B) { benchRouteAll(b, runtime.GOMAXPROCS(0)) }
-
-func benchRouteAll(b *testing.B, workers int) {
+// BenchmarkRouteAllSeq measures a full routing pass, rip-up included, of
+// a 2000-instance ClosedM1 design.
+func BenchmarkRouteAllSeq(b *testing.B) {
 	p := placedDesign(b, tech.ClosedM1, 2000)
-	cfg := route.DefaultConfig(p.Tech, tech.ClosedM1)
-	if workers > 0 {
-		cfg.Workers = workers
-	}
-	r := route.New(p, cfg)
+	r := route.New(p, route.DefaultConfig(p.Tech, tech.ClosedM1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m, err := r.RouteAllCtx(context.Background())
@@ -459,15 +442,14 @@ func TestEmitBenchCoreJSON(t *testing.T) {
 	}
 }
 
-// routeSeedBaselineNs is BenchmarkRouteClosedM1 on the seed router
-// (commit 5741a52, sequential engine with map-based A* state), the
-// reference the ≥2× routing-speedup gate is measured against.
+// routeSeedBaselineNs is the same routing pass on the seed router (its
+// BenchmarkRouteClosedM1 at commit 5741a52, sequential engine with
+// map-based A* state), the reference the ≥2× routing-speedup gate is
+// measured against.
 const routeSeedBaselineNs = 3116376386
 
-// TestEmitBenchRouteJSON regenerates BENCH_route.json: the sequential /
-// parallel RouteAllCtx pair, the speedup over the seed router, and a check
-// that both worker counts produced identical Metrics. Skipped unless
-// BENCH_JSON is set:
+// TestEmitBenchRouteJSON regenerates BENCH_route.json: RouteAllSeq and its
+// speedup over the seed router. Skipped unless BENCH_JSON is set:
 //
 //	BENCH_JSON=1 go test -run TestEmitBenchRouteJSON -timeout 30m .
 func TestEmitBenchRouteJSON(t *testing.T) {
@@ -479,72 +461,30 @@ func TestEmitBenchRouteJSON(t *testing.T) {
 		AllocsPerOp int64 `json:"allocs_per_op"`
 		BytesPerOp  int64 `json:"bytes_per_op"`
 		N           int   `json:"n"`
-		Workers     int   `json:"workers"`
 	}
-
-	// The speedup claim is only meaningful if the engines agree exactly:
-	// every worker count in the series must produce bit-identical Metrics.
-	tc := tech.Default()
-	lib := cells.MustNewLibrary(tc, tech.ClosedM1)
-	d := netlist.MustGenerate(lib, netlist.DefaultGenConfig("bench", 2000, 5))
-	p := layout.MustNewFloorplan(tc, d, 0.75)
-	if err := place.Global(p, place.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	workerSeries := []int{1, 2, 4, 8}
-	var mSeq route.Metrics
-	for i, w := range workerSeries {
-		cfg := route.DefaultConfig(tc, tech.ClosedM1)
-		cfg.Workers = w
-		m, err := route.New(p, cfg).RouteAllCtx(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			mSeq = m
-		} else if m != mSeq {
-			t.Fatalf("Metrics diverge at Workers=%d:\nseq %+v\ngot %+v", w, mSeq, m)
-		}
-	}
-
+	r := testing.Benchmark(BenchmarkRouteAllSeq)
+	t.Logf("RouteAllSeq: %s", r)
 	out := struct {
-		Note             string           `json:"note"`
-		SeedCommit       string           `json:"seed_commit"`
-		SeedNsPerOp      int64            `json:"seed_ns_per_op"`
-		GOMAXPROCS       int              `json:"gomaxprocs"`
-		MetricsIdentical bool             `json:"metrics_identical"`
-		SpeedupVsSeed    float64          `json:"speedup_vs_seed"`
-		Results          map[string]entry `json:"results"`
+		Note          string           `json:"note"`
+		SeedCommit    string           `json:"seed_commit"`
+		SeedNsPerOp   int64            `json:"seed_ns_per_op"`
+		GOMAXPROCS    int              `json:"gomaxprocs"`
+		SpeedupVsSeed float64          `json:"speedup_vs_seed"`
+		Results       map[string]entry `json:"results"`
 	}{
-		Note:             "regenerate with: BENCH_JSON=1 go test -run TestEmitBenchRouteJSON -timeout 30m . (or make bench-route)",
-		SeedCommit:       "5741a52",
-		SeedNsPerOp:      routeSeedBaselineNs,
-		GOMAXPROCS:       runtime.GOMAXPROCS(0),
-		MetricsIdentical: true,
-		Results:          map[string]entry{},
-	}
-	names := map[int]string{1: "RouteAllSeq", 2: "RouteAllW2", 4: "RouteAllW4", 8: "RouteAllW8"}
-	for _, w := range workerSeries {
-		w := w
-		r := testing.Benchmark(func(b *testing.B) { benchRouteAll(b, w) })
-		out.Results[names[w]] = entry{
+		Note:          "regenerate with: BENCH_JSON=1 go test -run TestEmitBenchRouteJSON -timeout 30m . (or make bench-route)",
+		SeedCommit:    "5741a52",
+		SeedNsPerOp:   routeSeedBaselineNs,
+		GOMAXPROCS:    runtime.GOMAXPROCS(0),
+		SpeedupVsSeed: float64(routeSeedBaselineNs) / float64(r.NsPerOp()),
+		Results: map[string]entry{"RouteAllSeq": {
 			NsPerOp:     r.NsPerOp(),
 			AllocsPerOp: r.AllocsPerOp(),
 			BytesPerOp:  r.AllocedBytesPerOp(),
 			N:           r.N,
-			Workers:     w,
-		}
-		t.Logf("%s: %s", names[w], r)
+		}},
 	}
-	// Headline speedup: best worker count in the series vs the seed router.
-	best := out.Results[names[1]].NsPerOp
-	for _, w := range workerSeries[1:] {
-		if ns := out.Results[names[w]].NsPerOp; ns < best {
-			best = ns
-		}
-	}
-	out.SpeedupVsSeed = float64(routeSeedBaselineNs) / float64(best)
-	t.Logf("best parallel: %.2fx vs seed", out.SpeedupVsSeed)
+	t.Logf("%.2fx vs seed", out.SpeedupVsSeed)
 	buf, err := json.MarshalIndent(&out, "", "  ")
 	if err != nil {
 		t.Fatal(err)

@@ -9,8 +9,8 @@
 //	exptables -fig6 -arch openm1
 //
 // The sweeps run under a signal-aware context: Ctrl-C (SIGINT/SIGTERM)
-// cancels the flow points in progress at their next window or routing
-// batch, and exptables exits nonzero with the interruption error.
+// cancels the flow points in progress at their next window or routed net,
+// and exptables exits nonzero with the interruption error.
 package main
 
 import (

@@ -4,9 +4,8 @@
 //
 // The flow runs under a signal-aware context: Ctrl-C (SIGINT/SIGTERM)
 // cancels it gracefully — the optimizer stops starting windows and commits
-// the ones in flight, the router stops at the next batch commit — and the
-// partial metrics
-// accumulated so far are printed before exiting nonzero.
+// the ones in flight, the router stops before its next net — and the
+// partial metrics accumulated so far are printed before exiting nonzero.
 //
 // Usage (synthetic design):
 //
@@ -65,7 +64,7 @@ func run() error {
 	alpha := flag.Float64("alpha", -1, "alignment weight (negative: architecture default)")
 	seqStr := flag.String("seq", "", "U sequence 'bwUm:lx:ly,...' (default 20:4:1)")
 	workers := flag.Int("workers", 0,
-		"parallel window solvers and router workers (0: available parallelism)")
+		"parallel window solvers (0: available parallelism)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this path")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this path on exit")
 	lefPath := flag.String("lef", "", "read library LEF (with -def)")

@@ -7,7 +7,7 @@ import (
 
 // CtxFlowAnalyzer protects the PR 5 cancellation plumbing: once a
 // context enters the pipeline it must flow through every layer, so a
-// deadline or Ctrl-C reaches the LP arenas and routing batch commits.
+// deadline or Ctrl-C reaches the LP arenas and the router's net commits.
 //
 // Three rules:
 //

@@ -13,7 +13,7 @@
 // Every flow run is a flow.Pipeline of four stages — build, init-route,
 // optimize, final-route — threaded by one context.Context, so a deadline
 // or cancellation propagates into the optimizer's window scheduler and the
-// router's batch commits. RunFlowCtx and every RunFig/RunTable2 sweep
+// router's net commits. RunFlowCtx and every RunFig/RunTable2 sweep
 // take that context and are thin stage compositions over that engine.
 package expt
 
@@ -118,10 +118,9 @@ type FlowConfig struct {
 	// MaxOuterIters caps inner iterations per parameter set (ExptA-1
 	// uses 1).
 	MaxOuterIters int
-	// Workers overrides both the parallel window count of the optimizer
-	// and the routing worker count (route.Config.Workers). Zero keeps the
-	// substrate defaults (GOMAXPROCS). Routed Metrics are identical for
-	// every value — see internal/route/parallel.go.
+	// Workers overrides the optimizer's parallel window-solver count.
+	// Zero keeps the default (GOMAXPROCS). The router is sequential and
+	// does not read it.
 	Workers int
 	// Shards is ignored, like core.Params.Shards: the dataflow window
 	// scheduler replaced the sharded optimizer it selected. The field
@@ -219,17 +218,12 @@ type FlowResult struct {
 	RouteRuntime time.Duration
 }
 
-// snapshot routes the placement and gathers all metrics. workers sets the
-// router's worker-pool size (0 keeps the default); the metrics do not
-// depend on it. An interrupted routing run returns the elapsed time and
-// the ctx error; the snapshot is discarded.
-func snapshot(ctx context.Context, p *layout.Placement, arch tech.Arch, workers int) (Snapshot, time.Duration, error) {
+// snapshot routes the placement and gathers all metrics. An interrupted
+// routing run returns the elapsed time and the ctx error; the snapshot is
+// discarded.
+func snapshot(ctx context.Context, p *layout.Placement, arch tech.Arch) (Snapshot, time.Duration, error) {
 	start := time.Now()
-	rcfg := route.DefaultConfig(p.Tech, arch)
-	if workers > 0 {
-		rcfg.Workers = workers
-	}
-	r := route.New(p, rcfg)
+	r := route.New(p, route.DefaultConfig(p.Tech, arch))
 	m, err := r.RouteAllCtx(ctx)
 	elapsed := time.Since(start)
 	if err != nil {
@@ -322,7 +316,7 @@ func runFlow(ctx context.Context, spec DesignSpec, cfg FlowConfig, opt optimizer
 			return nil
 		}),
 		flow.Func("init-route", func(ctx context.Context, st *flow.State) error {
-			snap, rt, err := snapshot(ctx, st.Placement, cfg.Arch, cfg.Workers)
+			snap, rt, err := snapshot(ctx, st.Placement, cfg.Arch)
 			res.RouteRuntime += rt
 			if err != nil {
 				return err
@@ -340,7 +334,7 @@ func runFlow(ctx context.Context, spec DesignSpec, cfg FlowConfig, opt optimizer
 			return err
 		}),
 		flow.Func("final-route", func(ctx context.Context, st *flow.State) error {
-			snap, rt, err := snapshot(ctx, st.Placement, cfg.Arch, cfg.Workers)
+			snap, rt, err := snapshot(ctx, st.Placement, cfg.Arch)
 			res.RouteRuntime += rt
 			if err != nil {
 				return err
@@ -357,7 +351,7 @@ func runFlow(ctx context.Context, spec DesignSpec, cfg FlowConfig, opt optimizer
 // RunFlowCtx executes the full flow on one design: place, route (Init
 // metrics), VM1Opt, reroute (Final metrics). Cancellation and deadlines
 // reach every stage (the optimizer stops starting windows and commits the
-// ones in flight, the router stops between batches). The partial
+// ones in flight, the router stops between nets). The partial
 // FlowResult covers the completed stages.
 func RunFlowCtx(ctx context.Context, spec DesignSpec, cfg FlowConfig) (FlowResult, error) {
 	return runFlow(ctx, spec, cfg, core.VM1OptCtx)

@@ -14,7 +14,7 @@
 //   - Cancellation: every Stage receives the pipeline's Context and must
 //     return promptly once it is done — long-running stages check between
 //     their natural commit boundaries (window families for the optimizer,
-//     routing batches for the router) so interrupted state stays legal.
+//     routed nets for the router) so interrupted state stays legal.
 //   - Errors: the Pipeline stops at the first failing stage and returns a
 //     *StageError wrapping the cause, so callers can errors.Is against
 //     sentinel errors (or context.Canceled / context.DeadlineExceeded)

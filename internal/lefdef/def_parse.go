@@ -12,9 +12,17 @@ import (
 	"vm1place/internal/tech"
 )
 
+// maxDieSites caps a parsed die's placement sites (rows x sites per row).
+// It admits dies for several million instances, and it keeps a hostile
+// DIEAREA from sizing the legality check's occupancy grid, and the
+// router's per-site arrays after it, at gigabytes.
+const maxDieSites = 1 << 24
+
 // ParseDEF reads a placed design in the subset written by WriteDEF, binding
 // instances to masters from lib. It reconstructs the netlist (components,
 // pins, nets) and the placement (locations, orientations, die, ports).
+// A placement that is not legal — a component off the die or overlapping
+// another — is an error.
 func ParseDEF(r io.Reader, t *tech.Tech, lib *cells.Library) (*layout.Placement, error) {
 	tk := newTokenizer(r)
 	d := &netlist.Design{Lib: lib}
@@ -99,7 +107,7 @@ func ParseDEF(r io.Reader, t *tech.Tech, lib *cells.Library) (*layout.Placement,
 					inst.PinNets[k] = -1
 				}
 				var pl placedInst
-				for k := 0; k < len(rest); k++ {
+				for k := 2; k < len(rest); k++ { // past the name and master
 					if rest[k] == "PLACED" && k+4 < len(rest) {
 						x, err1 := strconv.ParseInt(rest[k+2], 10, 64)
 						y, err2 := strconv.ParseInt(rest[k+3], 10, 64)
@@ -133,23 +141,36 @@ func ParseDEF(r io.Reader, t *tech.Tech, lib *cells.Library) (*layout.Placement,
 				}
 				port := netlist.Port{Name: rest[0]}
 				var px, py int64
-				for k := 0; k < len(rest); k++ {
+				net := ""
+				// Each keyword consumes its values, so a name that reads
+				// like a keyword is not taken for one.
+				for k := 1; k < len(rest); k++ { // past the name
 					switch rest[k] {
 					case "NET":
 						if k+1 < len(rest) {
-							port.Net = getNet(rest[k+1])
+							if net != "" {
+								return nil, fmt.Errorf("lefdef: pin %s names two nets", port.Name)
+							}
+							k++
+							net = rest[k]
 						}
 					case "DIRECTION":
 						if k+1 < len(rest) {
-							port.Input = rest[k+1] == "INPUT"
+							k++
+							port.Input = rest[k] == "INPUT"
 						}
 					case "FIXED":
 						if k+4 < len(rest) {
 							px, _ = strconv.ParseInt(rest[k+2], 10, 64)
 							py, _ = strconv.ParseInt(rest[k+3], 10, 64)
+							k += 4
 						}
 					}
 				}
+				if net == "" {
+					return nil, fmt.Errorf("lefdef: pin %s names no net", port.Name)
+				}
+				port.Net = getNet(net)
 				portLocs = append(portLocs, portLoc{idx: len(d.Ports), x: px, y: py})
 				d.Ports = append(d.Ports, port)
 			}
@@ -202,6 +223,9 @@ func ParseDEF(r io.Reader, t *tech.Tech, lib *cells.Library) (*layout.Placement,
 					}
 					conn := netlist.Conn{Inst: ii, Pin: pinIdx}
 					if master.Pins[pinIdx].Dir == cells.Output {
+						if net.Driver.Inst >= 0 {
+							return nil, fmt.Errorf("lefdef: net %s has a second driver %s/%s", net.Name, a, b)
+						}
 						net.Driver = conn
 					} else {
 						net.Sinks = append(net.Sinks, conn)
@@ -214,6 +238,9 @@ func ParseDEF(r io.Reader, t *tech.Tech, lib *cells.Library) (*layout.Placement,
 
 	if dieW <= 0 || dieH <= 0 || numRows == 0 {
 		return nil, fmt.Errorf("lefdef: DEF missing DIEAREA or ROW statements")
+	}
+	if sites := dieW / t.SiteWidth; sites == 0 || sites*int64(numRows) > maxDieSites {
+		return nil, fmt.Errorf("lefdef: die of %d rows x %d sites outside 1..%d sites", numRows, sites, maxDieSites)
 	}
 
 	p := &layout.Placement{
@@ -236,6 +263,9 @@ func ParseDEF(r io.Reader, t *tech.Tech, lib *cells.Library) (*layout.Placement,
 	}
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("lefdef: parsed design invalid: %w", err)
+	}
+	if err := p.CheckLegal(); err != nil {
+		return nil, fmt.Errorf("lefdef: parsed placement illegal: %w", err)
 	}
 	return p, nil
 }

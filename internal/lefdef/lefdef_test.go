@@ -2,6 +2,7 @@ package lefdef
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 	"vm1place/internal/tech"
 )
 
-func buildPlaced(t *testing.T, arch tech.Arch, n int) (*tech.Tech, *cells.Library, *layout.Placement) {
+func buildPlaced(t testing.TB, arch tech.Arch, n int) (*tech.Tech, *cells.Library, *layout.Placement) {
 	t.Helper()
 	tc := tech.Default()
 	lib := cells.MustNewLibrary(tc, arch)
@@ -136,14 +137,44 @@ func TestDEFRoundTripOpenM1(t *testing.T) {
 	}
 }
 
+// invDEF is a 10-site x 2-row design whose INV_X1 instances, PLACED at the
+// given DBU coordinates, form a chain from an input port to an output port.
+// Only the placement can make it illegal.
+func invDEF(at ...[2]int64) string {
+	var b strings.Builder
+	b.WriteString("DESIGN inv ;\nDIEAREA ( 0 0 ) ( 1000 500 ) ;\n")
+	b.WriteString("ROW r0 coreSite 0 0 N DO 10 BY 1 STEP 100 0 ;\nROW r1 coreSite 0 250 FS DO 10 BY 1 STEP 100 0 ;\n")
+	fmt.Fprintf(&b, "COMPONENTS %d ;\n", len(at))
+	for i, xy := range at {
+		fmt.Fprintf(&b, "- u%d INV_X1 + PLACED ( %d %d ) N ;\n", i, xy[0], xy[1])
+	}
+	b.WriteString("END COMPONENTS\nPINS 2 ;\n")
+	fmt.Fprintf(&b, "- in + NET n0 + DIRECTION INPUT + FIXED ( 0 0 ) N ;\n- out + NET n%d + DIRECTION OUTPUT + FIXED ( 1000 500 ) N ;\n", len(at))
+	fmt.Fprintf(&b, "END PINS\nNETS %d ;\n- n0 ( PIN in )", len(at)+1)
+	for i := range at {
+		fmt.Fprintf(&b, " ( u%d A ) ;\n- n%d ( u%d ZN )", i, i+1, i)
+	}
+	b.WriteString(" ( PIN out ) ;\nEND NETS\nEND DESIGN\n")
+	return b.String()
+}
+
 func TestParseDEFErrors(t *testing.T) {
 	tc := tech.Default()
 	lib := cells.MustNewLibrary(tc, tech.ClosedM1)
+	if p, err := ParseDEF(strings.NewReader(invDEF([2]int64{0, 0}, [2]int64{500, 250})), tc, lib); err != nil {
+		t.Fatalf("legal chain rejected: %v", err)
+	} else if err := p.CheckLegal(); err != nil {
+		t.Fatalf("legal chain: %v", err)
+	}
 	cases := []string{
 		"",                              // empty
 		"DESIGN x ;\nEND DESIGN\n",      // no die
 		"DIEAREA ( 0 0 ) ( 100 100 ) ;", // no rows
 		"DIEAREA ( 0 0 ) ( 1000 1000 ) ;\nROW r coreSite 0 0 N DO 10 BY 1 STEP 100 0 ;\nCOMPONENTS 1 ;\n- u1 NOPE + PLACED ( 0 0 ) N ;\nEND COMPONENTS\n",
+		// Illegal placements: negative coordinates, off the die, overlapping.
+		invDEF([2]int64{-5000, -2500}),
+		invDEF([2]int64{5000, 250}),
+		invDEF([2]int64{200, 0}, [2]int64{200, 0}),
 	}
 	for i, src := range cases {
 		if _, err := ParseDEF(strings.NewReader(src), tc, lib); err == nil {

@@ -1,7 +1,6 @@
 package route
 
 import (
-	"context"
 	"hash/fnv"
 	"testing"
 
@@ -48,12 +47,11 @@ func routeHash(r *Router) uint64 {
 // TestRouteMetricsGolden pins the router's exact output — full Metrics
 // and a digest of every net's decoded paths — on seeded designs for all
 // three architectures, including a capacity-starved one whose rip-up
-// passes run. Every Workers value must reproduce the same values. The
-// golden values were recorded before the search state was compacted
-// (node interleaving, 16-byte node records, intrusive bucket lists); any
-// change to relax order, cost arithmetic or queue order shows up here.
-// On the closedm1-ripup case the first rip-up pass raises overflow
-// 5012 → 5207, so the loop stops there and a second pass never runs.
+// passes run. The values were recorded when the router became one
+// sequential pass over the nets in ascending-HPWL order; any change to net
+// order, relax order, cost arithmetic or queue order shows up here. On the
+// closedm1-ripup case the first rip-up pass raises overflow 5017 → 5178,
+// so the loop stops there and a second pass never runs.
 func TestRouteMetricsGolden(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -68,61 +66,55 @@ func TestRouteMetricsGolden(t *testing.T) {
 		{
 			name: "closedm1", arch: tech.ClosedM1, n: 1000, seed: 61, util: 0.75,
 			want: Metrics{
-				RWL: 5503400, LayerWL: [tech.NumLayers]int64{0, 371500, 1639900, 1998500, 1493500},
-				Via12: 3336, Via23: 3932, Via34: 2635, DM1: 17, M1Segs: 1028, Overflow: 3953,
+				RWL: 5538200, LayerWL: [tech.NumLayers]int64{0, 374750, 1638500, 2024750, 1500200},
+				Via12: 3359, Via23: 3970, Via34: 2711, DM1: 17, M1Segs: 1054, Overflow: 3980,
 			},
-			hash: 0xefc557d966bf30e6,
+			hash: 0xd6477d0a0a1ea442,
 		},
 		{
 			name: "openm1", arch: tech.OpenM1, n: 1000, seed: 62, util: 0.75,
 			want: Metrics{
-				RWL: 5388900, LayerWL: [tech.NumLayers]int64{0, 1009750, 1529200, 1500250, 1349700},
-				Via01: 2761, Via12: 4307, Via23: 2708, Via34: 2030, DM1: 53, M1Segs: 2220, Overflow: 2023,
+				RWL: 5361850, LayerWL: [tech.NumLayers]int64{0, 1015000, 1525700, 1471750, 1349400},
+				Via01: 2761, Via12: 4340, Via23: 2662, Via34: 1928, DM1: 50, M1Segs: 2258, Overflow: 2059,
 			},
-			hash: 0xac2b0885d54352f7,
+			hash: 0xce7d0e4f056b3ea1,
 		},
 		{
 			name: "conventional", arch: tech.Conventional, n: 1000, seed: 63, util: 0.75,
 			want: Metrics{
-				RWL: 4931650, LayerWL: [tech.NumLayers]int64{0, 0, 1497300, 2049750, 1384600},
-				Via12: 2761, Via23: 4300, Via34: 2793, Overflow: 2206,
+				RWL: 4940400, LayerWL: [tech.NumLayers]int64{0, 0, 1495100, 2066000, 1379300},
+				Via12: 2761, Via23: 4338, Via34: 2726, Overflow: 2162,
 			},
-			hash: 0xe3adc67e36f2e645,
+			hash: 0x6020ad2665da22d6,
 		},
 		{
 			name: "closedm1-ripup", arch: tech.ClosedM1, n: 600, seed: 64, util: 0.85, starved: true,
 			want: Metrics{
-				RWL: 2491250, LayerWL: [tech.NumLayers]int64{0, 189500, 497700, 807250, 996800},
-				Via12: 1978, Via23: 2326, Via34: 2436, DM1: 13, M1Segs: 572, Overflow: 5207,
+				RWL: 2486750, LayerWL: [tech.NumLayers]int64{0, 189750, 495500, 810000, 991500},
+				Via12: 1985, Via23: 2363, Via34: 2478, DM1: 13, M1Segs: 573, Overflow: 5178,
 			},
-			hash: 0x61a659ccff25c0ee,
+			hash: 0xe39e7b0685d6c5f4,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := genPlaced(t, tc.arch, "golden", tc.n, tc.seed, tc.util)
-			for _, w := range []int{1, 2} {
-				cfg := DefaultConfig(p.Tech, tc.arch)
-				cfg.Workers = w
-				if tc.starved {
-					cfg.Caps[tech.M2] = 1
-					cfg.Caps[tech.M3] = 1
-				}
-				r := New(p, cfg)
-				m, err := r.RouteAllCtx(context.Background())
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := routeHash(r)
-				t.Logf("Workers=%d: %#v hash %#x", w, m, got)
-				if m != tc.want {
-					t.Errorf("Workers=%d Metrics:\n got %+v\nwant %+v", w, m, tc.want)
-				}
-				if got != tc.hash {
-					t.Errorf("Workers=%d route hash %#x, want %#x", w, got, tc.hash)
-				}
-				checkOverflowGrid(t, r, m)
+			cfg := DefaultConfig(p.Tech, tc.arch)
+			if tc.starved {
+				cfg.Caps[tech.M2] = 1
+				cfg.Caps[tech.M3] = 1
 			}
+			r := New(p, cfg)
+			m := routeAll(t, r)
+			got := routeHash(r)
+			t.Logf("%#v hash %#x", m, got)
+			if m != tc.want {
+				t.Errorf("Metrics:\n got %+v\nwant %+v", m, tc.want)
+			}
+			if got != tc.hash {
+				t.Errorf("route hash %#x, want %#x", got, tc.hash)
+			}
+			checkOverflowGrid(t, r, m)
 		})
 	}
 }
@@ -159,12 +151,11 @@ func checkOverflowGrid(t *testing.T, r *Router, m Metrics) {
 func TestSeqStampRestart(t *testing.T) {
 	p := genPlaced(t, tech.OpenM1, "stamp", 300, 65, 0.75)
 	cfg := DefaultConfig(p.Tech, tech.OpenM1)
-	cfg.Workers = 1
 	want := routeAll(t, New(p, cfg))
 
 	r := New(p, cfg)
 	routeAll(t, r)
-	s := r.searchers[0]
+	s := r.s
 	s.base = seqLimit - 1
 	if got := routeAll(t, r); got != want {
 		t.Errorf("after stamp restart:\n got %+v\nwant %+v", got, want)

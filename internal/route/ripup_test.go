@@ -12,7 +12,6 @@ import (
 // otherwise runs all RipupIters passes.
 func TestRipupStopsWhenOverflowStalls(t *testing.T) {
 	cfg := DefaultConfig(tech.Default(), tech.ClosedM1)
-	cfg.Workers = 1
 
 	// A route-heavy-like design: 1200 ClosedM1 instances at 0.75
 	// utilization, where the first pass rips up most nets and leaves
@@ -46,7 +45,7 @@ func TestRipupStopsWhenOverflowStalls(t *testing.T) {
 	// A lightly congested design where every pass lowers overflow runs
 	// every pass the cap allows, and a second RouteAllCtx on the same
 	// router records its passes afresh.
-	p = genPlaced(t, tech.ClosedM1, "ripup", 400, 1, 0.75)
+	p = genPlaced(t, tech.ClosedM1, "ripup", 400, 5, 0.75)
 	cfg.RipupIters = 0
 	initial = routeAll(t, New(p, cfg)).Overflow
 	cfg.RipupIters = 4

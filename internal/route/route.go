@@ -25,16 +25,12 @@
 // A connection routed as a single vertical M1 segment between two pin
 // nodes spanning at most γ rows is counted as a direct vertical M1 route.
 //
-// Routing is parallel: nets are greedily colored into batches whose
-// dilated search regions are pairwise disjoint, each batch is routed
-// concurrently by workers that own their complete A* state, and route
-// records are committed at batch barriers in net order — so the final
-// Metrics are bit-identical for every Workers value (see parallel.go).
+// Routing is sequential and deterministic: one A* searcher routes the nets
+// in ascending-HPWL order, and each rip-up pass reroutes its victims in the
+// same order, every net committing its usage before the next is searched.
 package route
 
 import (
-	"runtime"
-
 	"vm1place/internal/layout"
 	"vm1place/internal/netlist"
 	"vm1place/internal/tech"
@@ -65,8 +61,8 @@ type Config struct {
 	M1Routable bool
 	// Arch selects pin-access behaviour.
 	Arch tech.Arch
-	// Workers is the number of concurrent routing workers. <= 0 means 1.
-	// Metrics are identical for every value (see parallel.go).
+	// Workers is ignored: the router is sequential. The field stays so
+	// callers that set it keep compiling.
 	Workers int
 }
 
@@ -81,7 +77,6 @@ func DefaultConfig(t *tech.Tech, arch tech.Arch) Config {
 		SearchMargin: 12,
 		M1Routable:   arch != tech.Conventional,
 		Arch:         arch,
-		Workers:      runtime.GOMAXPROCS(0),
 	}
 	cfg.Caps[tech.M1] = 1
 	cfg.Caps[tech.M2] = 3
@@ -166,34 +161,20 @@ type Router struct {
 	// kernel).
 	cx, cy []int16
 
-	// Per-RouteAllCtx endpoint tables, read-only while batches are in
-	// flight. netEpStart is CSR over eps (one range per net); apNode and
-	// apCost hold every endpoint's access points flat; netRegion is each
-	// net's exclusive routing region; portStart/portList is the CSR
-	// ports-by-net index that replaces the old O(nets x ports) scan.
+	// Per-RouteAllCtx endpoint tables. netEpStart is CSR over eps (one
+	// range per net); apNode and apCost hold every endpoint's access
+	// points flat; portStart/portList is the CSR ports-by-net index that
+	// replaces the old O(nets x ports) scan.
 	apNode     []int32
 	apCost     []int64
 	eps        []epRec
 	netEpStart []int32
-	netRegion  []region
 	portStart  []int32
 	portList   []int32
 	hpwlKey    []int64
 
-	// searchers are the per-worker A* arenas, grown on demand and reused
-	// across batches and RouteAllCtx calls.
-	searchers []*searcher
-
-	// sched is the pooled batch-coloring state, reused across every
-	// routeBatched call (initial pass and each rip-up iteration) so the
-	// steady state allocates no per-call bitmaps or batch slices.
-	sched batchSchedule
-
-	// nrsBuf/defsBuf/deferBuf are the pooled per-batch result and
-	// deferral buffers of routeBatched.
-	nrsBuf   []*netRoute
-	defsBuf  []bool
-	deferBuf []int
+	// s is the A* arena, reused across nets and RouteAllCtx calls.
+	s *searcher
 
 	// routes holds the current route of each net.
 	routes map[int]*netRoute
@@ -243,6 +224,7 @@ func New(p *layout.Placement, cfg Config) *Router {
 		r.cx[c] = int16(c % r.nx)
 		r.cy[c] = int16(c / r.nx)
 	}
+	r.s = newSearcher(r)
 	return r
 }
 
@@ -262,21 +244,6 @@ func (r *Router) rebuildEdgeCosts(cw float64) {
 			c += pen[k] * float64(over)
 		}
 		ec[id] = c
-	}
-}
-
-// workerCount returns the effective worker count.
-func (r *Router) workerCount() int {
-	if r.cfg.Workers <= 0 {
-		return 1
-	}
-	return r.cfg.Workers
-}
-
-// ensureSearchers grows the searcher pool to n arenas.
-func (r *Router) ensureSearchers(n int) {
-	for len(r.searchers) < n {
-		r.searchers = append(r.searchers, newSearcher(r))
 	}
 }
 
@@ -395,15 +362,10 @@ func (r *Router) buildPortIndex() {
 	}
 }
 
-// regionPadFactor dilates a net's endpoint bbox (in SearchMargin units) to
-// form its exclusive routing region: wide enough that batch-mode searches
-// almost never defer, tight enough that many nets stay disjoint.
-const regionPadFactor = 2
-
 // buildEndpoints collects every signal net's terminals and access points
-// into the flat CSR tables, and derives each net's routing region. Built
-// once per RouteAllCtx and reused across the initial pass and every rip-up
-// pass (the old kernel recomputed endpoints on each routeNet call).
+// into the flat CSR tables. Built once per RouteAllCtx and reused across
+// the initial pass and every rip-up pass (the old kernel recomputed
+// endpoints on each routeNet call).
 func (r *Router) buildEndpoints() {
 	d := r.p.Design
 	nn := len(d.Nets)
@@ -415,17 +377,12 @@ func (r *Router) buildEndpoints() {
 	} else {
 		r.netEpStart = make([]int32, nn+1)
 	}
-	if len(r.netRegion) != nn {
-		r.netRegion = make([]region, nn)
-	}
-	pad := regionPadFactor * r.cfg.SearchMargin
 	for ni := 0; ni < nn; ni++ {
 		r.netEpStart[ni] = int32(len(r.eps))
 		n := &d.Nets[ni]
 		if n.IsClock {
 			continue
 		}
-		apLo := int32(len(r.apNode))
 		if n.Driver.Inst >= 0 {
 			r.appendEndpoint(n.Driver)
 		}
@@ -443,11 +400,6 @@ func (r *Router) buildEndpoints() {
 				px: r.p.PortXY[pi].X, py: r.p.PortXY[pi].Y,
 			})
 		}
-		rg := r.apRegionOf(apLo, int32(len(r.apNode)))
-		r.netRegion[ni] = r.clampRegion(region{
-			xlo: rg.xlo - pad, ylo: rg.ylo - pad,
-			xhi: rg.xhi + pad, yhi: rg.yhi + pad,
-		})
 	}
 	r.netEpStart[nn] = int32(len(r.eps))
 }

@@ -10,24 +10,22 @@ import (
 
 // RouteAllCtx routes every signal net from scratch (clearing any previous
 // routing), runs up to cfg.RipupIters rip-up-and-reroute passes, and returns
-// the final metrics. Nets are routed in conflict-free parallel batches (see
-// parallel.go); the result is identical for every cfg.Workers value.
+// the final metrics. Nets are routed one at a time in ascending-HPWL order
+// (see routeNets), so the result depends only on the placement and cfg.
 //
-// Cancellation is checked at the router's commit boundaries — between
-// batches, between sequential cleanup nets, and between rip-up passes — so
-// when it returns early the usage arrays and route records agree: every
-// committed net is fully routed and accounted, every uncommitted net is
-// absent. The returned Metrics are computed from the committed routes,
-// alongside an error wrapping ctx.Err().
+// Cancellation is checked before each net and before each rip-up pass —
+// points where every routed net is committed — so when it returns early
+// the usage arrays and route records agree: every committed net is fully
+// routed and accounted, every uncommitted net is absent. The returned
+// Metrics are computed from the committed routes, alongside an error
+// wrapping ctx.Err().
 func (r *Router) RouteAllCtx(ctx context.Context) (Metrics, error) {
 	// Reset state.
 	clear(r.usage)
 	r.routes = make(map[int]*netRoute, len(r.p.Design.Nets))
 	r.metrics = Metrics{}
 	r.ripups = r.ripups[:0]
-	for _, s := range r.searchers {
-		s.failedConns = 0
-	}
+	r.s.failedConns = 0
 	r.buildBlockage()
 	r.buildPortIndex()
 	r.buildEndpoints()
@@ -44,7 +42,7 @@ func (r *Router) RouteAllCtx(ctx context.Context) (Metrics, error) {
 		return r.hpwlKey[nets[a]] < r.hpwlKey[nets[b]]
 	})
 
-	if err := r.routeBatched(ctx, nets, r.cfg.CongWeight); err != nil {
+	if err := r.routeNets(ctx, nets, r.cfg.CongWeight); err != nil {
 		return r.finishMetrics(), fmt.Errorf("route: RouteAllCtx interrupted: %w", err)
 	}
 
@@ -63,7 +61,7 @@ func (r *Router) RouteAllCtx(ctx context.Context) (Metrics, error) {
 		for _, ni := range victims {
 			r.ripNet(ni)
 		}
-		if err := r.routeBatched(ctx, victims, cw); err != nil {
+		if err := r.routeNets(ctx, victims, cw); err != nil {
 			return r.finishMetrics(), fmt.Errorf("route: RouteAllCtx interrupted: %w", err)
 		}
 		prev := over
@@ -77,15 +75,28 @@ func (r *Router) RouteAllCtx(ctx context.Context) (Metrics, error) {
 	return r.finishMetrics(), nil
 }
 
-// finishMetrics folds the searchers' failure counts into the metrics and
+// routeNets routes nets in order at congestion weight cw, each committing
+// its usage before the next is searched. Cancellation is checked before
+// each net, so an early return leaves every committed net fully routed and
+// the usage arrays consistent.
+func (r *Router) routeNets(ctx context.Context, nets []int, cw float64) error {
+	r.rebuildEdgeCosts(cw)
+	for _, ni := range nets {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		r.routes[ni] = r.s.routeNet(ni)
+	}
+	return nil
+}
+
+// finishMetrics folds the searcher's failure count into the metrics and
 // derives the final Metrics from whatever routes are committed. It is the
 // common tail of complete and interrupted RouteAllCtx runs: ripNet keeps
 // usage and route records consistent, so partial metrics are exact over
 // the committed subset.
 func (r *Router) finishMetrics() Metrics {
-	for _, s := range r.searchers {
-		r.metrics.FailedConns += s.failedConns
-	}
+	r.metrics.FailedConns += r.s.failedConns
 	r.computeMetrics()
 	return r.metrics
 }

@@ -167,13 +167,6 @@ func (r *Router) clampRegion(rg region) region {
 	return rg
 }
 
-func intersectRegion(a, b region) region {
-	return region{
-		xlo: max(a.xlo, b.xlo), ylo: max(a.ylo, b.ylo),
-		xhi: min(a.xhi, b.xhi), yhi: min(a.yhi, b.yhi),
-	}
-}
-
 // Edge traversal costs are read from the Router's edgeCost cache (see
 // rebuildEdgeCosts); addUsage keeps the cache in sync as paths commit.
 
@@ -203,14 +196,10 @@ type nodeState struct {
 // records and restarts the count, long before uint32 could wrap.
 const seqLimit = 1 << 31
 
-// searcher owns one worker's complete A* state: the frontier queue, the
+// searcher owns the router's complete A* state: the frontier queue, the
 // sequence-stamped score/parent arena, the tree marks and pin-node list
-// that replace the per-net maps of the old sequential kernel, and the
-// endpoint-ordering, heuristic and path scratch reused across nets.
-// Workers never share a searcher, and within a batch their nets' routing
-// regions are pairwise disjoint, so batch routing needs no locks: shared
-// reads (usage, blockage, endpoint tables) are either frozen for the batch
-// or confined to the worker's own region.
+// that replace per-net maps, and the endpoint-ordering, heuristic and path
+// scratch reused across nets.
 type searcher struct {
 	r *Router
 
@@ -428,14 +417,12 @@ func (s *searcher) astar(ni int, apStart, apEnd int32, rg region) []int32 {
 	return nil
 }
 
-// routeNet routes net ni at the current cached edge costs, updating shared edge
-// usage as each connection lands. In batch mode (canDefer) every search is
-// clamped to bound — the net's exclusive region — and a connection that
-// cannot complete there rolls the whole net back and defers it to the
-// sequential cleanup phase; in cleanup mode (canDefer=false) the search
-// box may grow past the region with the classic widened retry, and a
-// connection that still fails is counted and skipped.
-func (s *searcher) routeNet(ni int, bound region, canDefer bool) (*netRoute, bool) {
+// routeNet routes net ni at the current cached edge costs, updating edge
+// usage as each connection lands. Each connection searches the bbox of
+// the tree and its endpoint padded by SearchMargin; a connection that finds
+// no path there is retried once in a box padded by a further 6*SearchMargin,
+// and one that still fails is counted and skipped.
+func (s *searcher) routeNet(ni int) *netRoute {
 	r := s.r
 	epStart, epEnd := r.netEpStart[ni], r.netEpStart[ni+1]
 	nr := &netRoute{}
@@ -445,7 +432,7 @@ func (s *searcher) routeNet(ni int, bound region, canDefer bool) (*netRoute, boo
 		}
 	}
 	if epEnd-epStart < 2 {
-		return nr, false
+		return nr
 	}
 
 	// Grow a route tree starting at the first endpoint (the driver when
@@ -486,29 +473,16 @@ func (s *searcher) routeNet(ni int, bound region, canDefer bool) (*netRoute, boo
 			xhi: max(treeGrid.xhi, epRg.xhi) + m,
 			yhi: max(treeGrid.yhi, epRg.yhi) + m,
 		})
-		search = intersectRegion(search, bound)
 		s.tb = treeGrid
 		path := s.astar(ni, ep.apStart, ep.apEnd, search)
 		if path == nil {
-			if canDefer {
-				// One in-region rescue attempt before deferring.
-				if search != bound {
-					path = s.astar(ni, ep.apStart, ep.apEnd, bound)
-				}
-			} else {
-				// Retry with a much larger window before giving up.
-				retry := r.clampRegion(region{
-					xlo: search.xlo - 6*m, ylo: search.ylo - 6*m,
-					xhi: search.xhi + 6*m, yhi: search.yhi + 6*m,
-				})
-				path = s.astar(ni, ep.apStart, ep.apEnd, retry)
-			}
+			retry := r.clampRegion(region{
+				xlo: search.xlo - 6*m, ylo: search.ylo - 6*m,
+				xhi: search.xhi + 6*m, yhi: search.yhi + 6*m,
+			})
+			path = s.astar(ni, ep.apStart, ep.apEnd, retry)
 		}
 		if path == nil {
-			if canDefer {
-				s.rollback(nr)
-				return nil, true
-			}
 			s.failedConns++
 			continue
 		}
@@ -532,16 +506,7 @@ func (s *searcher) routeNet(ni int, bound region, canDefer bool) (*netRoute, boo
 	for i, sg := range nr.seg {
 		nr.paths[i] = nr.flat[sg[0]:sg[1]]
 	}
-	return nr, false
-}
-
-// rollback removes the usage of every connection routed so far for a net
-// that is being deferred. All of it lies inside the net's own region, so
-// this is safe mid-batch.
-func (s *searcher) rollback(nr *netRoute) {
-	for _, sg := range nr.seg {
-		s.r.addUsage(nr.flat[sg[0]:sg[1]], -1)
-	}
+	return nr
 }
 
 // classifyDM1 reports whether a connection path is a direct vertical M1
