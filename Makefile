@@ -28,11 +28,12 @@ lint:
 test:
 	$(GO) build ./... && $(GO) test ./...
 
-# The race gate covers the packages that own goroutines: parallel window
-# solves sharing an objective tracker and per-worker LP arenas, and the
-# pipeline / parallel-sweep layers (flow, expt) that fan work out over
-# them. The router is sequential; its package stays in the gate because
-# parallel flow points each run their own router.
+# The race gate covers the packages that own goroutines (parallel window
+# solves sharing an objective tracker and per-worker LP arenas: core, lp,
+# milp, objective) and the flow and expt layers, whose tests run whole
+# flows over those solves and cancel them. Flow points run one after
+# another and the router is sequential; its package is in the list so a
+# goroutine added there is raced from the start.
 race:
 	$(GO) test -race -timeout 30m ./internal/core/... ./internal/lp/... ./internal/milp/... ./internal/route/... ./internal/flow/... ./internal/expt/... ./internal/objective/...
 
@@ -76,7 +77,6 @@ bench-json:
 bench-core: bench-json
 
 # Regenerates BENCH_route.json: RouteAllSeq (a full routing of a
-# 2000-instance ClosedM1 design) plus its speedup over the seed router,
-# with GOMAXPROCS recorded.
+# 2000-instance ClosedM1 design), with GOMAXPROCS recorded.
 bench-route:
 	BENCH_JSON=1 $(GO) test -run TestEmitBenchRouteJSON -timeout 30m -v .

@@ -325,12 +325,6 @@ func BenchmarkLPSolve(b *testing.B) {
 	reportLPStats(b, stats)
 }
 
-// coreSeedBaselineNs is BenchmarkDistOptPass on the seed optimizer (commit
-// 5741a52, per-window placement clones and allocation-heavy model builds;
-// the 8.55 s/op measurement recorded in EXPERIMENTS.md "Performance"), the
-// reference speedup_vs_seed is measured against.
-const coreSeedBaselineNs = 8550000000
-
 // TestEmitBenchCoreJSON regenerates BENCH_core.json, the machine-readable
 // record of the core-substrate microbenchmarks that the performance
 // acceptance gates compare against, plus a determinism check that window
@@ -405,16 +399,11 @@ func TestEmitBenchCoreJSON(t *testing.T) {
 	}
 	out := struct {
 		Note                string           `json:"note"`
-		SeedCommit          string           `json:"seed_commit"`
-		SeedNsPerOp         int64            `json:"seed_ns_per_op"`
 		GOMAXPROCS          int              `json:"gomaxprocs"`
 		PlacementsIdentical bool             `json:"placements_identical"`
-		SpeedupVsSeed       float64          `json:"speedup_vs_seed"`
 		Results             map[string]entry `json:"results"`
 	}{
 		Note:                "regenerate with: BENCH_JSON=1 go test -run TestEmitBenchCoreJSON -timeout 30m . (or make bench-core)",
-		SeedCommit:          "5741a52",
-		SeedNsPerOp:         coreSeedBaselineNs,
 		GOMAXPROCS:          runtime.GOMAXPROCS(0),
 		PlacementsIdentical: true,
 		Results:             map[string]entry{},
@@ -431,8 +420,6 @@ func TestEmitBenchCoreJSON(t *testing.T) {
 		}
 		t.Logf("%s: %s", bm.name, r)
 	}
-	out.SpeedupVsSeed = float64(coreSeedBaselineNs) /
-		float64(out.Results["DistOptPass"].NsPerOp)
 	buf, err := json.MarshalIndent(&out, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -442,14 +429,8 @@ func TestEmitBenchCoreJSON(t *testing.T) {
 	}
 }
 
-// routeSeedBaselineNs is the same routing pass on the seed router (its
-// BenchmarkRouteClosedM1 at commit 5741a52, sequential engine with
-// map-based A* state), the reference the ≥2× routing-speedup gate is
-// measured against.
-const routeSeedBaselineNs = 3116376386
-
-// TestEmitBenchRouteJSON regenerates BENCH_route.json: RouteAllSeq and its
-// speedup over the seed router. Skipped unless BENCH_JSON is set:
+// TestEmitBenchRouteJSON regenerates BENCH_route.json: RouteAllSeq on
+// this host. Skipped unless BENCH_JSON is set:
 //
 //	BENCH_JSON=1 go test -run TestEmitBenchRouteJSON -timeout 30m .
 func TestEmitBenchRouteJSON(t *testing.T) {
@@ -465,18 +446,12 @@ func TestEmitBenchRouteJSON(t *testing.T) {
 	r := testing.Benchmark(BenchmarkRouteAllSeq)
 	t.Logf("RouteAllSeq: %s", r)
 	out := struct {
-		Note          string           `json:"note"`
-		SeedCommit    string           `json:"seed_commit"`
-		SeedNsPerOp   int64            `json:"seed_ns_per_op"`
-		GOMAXPROCS    int              `json:"gomaxprocs"`
-		SpeedupVsSeed float64          `json:"speedup_vs_seed"`
-		Results       map[string]entry `json:"results"`
+		Note       string           `json:"note"`
+		GOMAXPROCS int              `json:"gomaxprocs"`
+		Results    map[string]entry `json:"results"`
 	}{
-		Note:          "regenerate with: BENCH_JSON=1 go test -run TestEmitBenchRouteJSON -timeout 30m . (or make bench-route)",
-		SeedCommit:    "5741a52",
-		SeedNsPerOp:   routeSeedBaselineNs,
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		SpeedupVsSeed: float64(routeSeedBaselineNs) / float64(r.NsPerOp()),
+		Note:       "regenerate with: BENCH_JSON=1 go test -run TestEmitBenchRouteJSON -timeout 30m . (or make bench-route)",
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Results: map[string]entry{"RouteAllSeq": {
 			NsPerOp:     r.NsPerOp(),
 			AllocsPerOp: r.AllocsPerOp(),
@@ -484,7 +459,6 @@ func TestEmitBenchRouteJSON(t *testing.T) {
 			N:           r.N,
 		}},
 	}
-	t.Logf("%.2fx vs seed", out.SpeedupVsSeed)
 	buf, err := json.MarshalIndent(&out, "", "  ")
 	if err != nil {
 		t.Fatal(err)

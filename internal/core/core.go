@@ -49,17 +49,6 @@ type Params struct {
 	MarginDBU int64
 	// Epsilon weighs total overlap length for OpenM1 (the paper's ε).
 	Epsilon float64
-	// GammaRows is the maximum dM1 span in rows (the paper's γ, OpenM1
-	// Constraint (12)).
-	GammaRows int
-	// AlignGammaRows is the alignment window for pair eligibility in the
-	// MILP and objective. The paper's ClosedM1 Constraint (4) uses one row
-	// height (adjacent rows) — alignments farther apart are rarely
-	// routable because intervening cells' M1 pins block the track — while
-	// OpenM1 uses γ. DefaultParams sets 1 and γ respectively.
-	AlignGammaRows int
-	// DeltaDBU is the minimum OpenM1 overlap length (the paper's δ).
-	DeltaDBU int64
 	// Theta is the relative objective-improvement threshold that ends the
 	// inner loop of Algorithm 1 (the paper uses 1%).
 	Theta float64
@@ -87,20 +76,15 @@ type Params struct {
 // DefaultParams returns paper-faithful defaults for an architecture.
 func DefaultParams(t *tech.Tech, arch tech.Arch) Params {
 	alpha := 1200.0
-	alignGamma := 1
 	if arch == tech.OpenM1 {
 		alpha = 1000.0
-		alignGamma = t.Gamma
 	}
 	return Params{
-		Arch:           arch,
-		Alpha:          alpha,
-		Epsilon:        0.02,
-		GammaRows:      t.Gamma,
-		AlignGammaRows: alignGamma,
-		DeltaDBU:       t.Delta,
-		Theta:          0.01,
-		MaxNodes:       200,
+		Arch:     arch,
+		Alpha:    alpha,
+		Epsilon:  0.02,
+		Theta:    0.01,
+		MaxNodes: 200,
 		// 400ms per window MILP: with warm-started dual re-solves the
 		// branch-and-bound explores more nodes in 400ms than the seed
 		// solver did in 800ms, and the deadline now interrupts long root
@@ -193,10 +177,10 @@ func pinGeom(r pinRef) objective.PinGeom {
 
 // pairStats counts the dM1-eligible terminal pairs of one net and their
 // overlap surplus (terms on the same instance never pair).
-func pairStats(prm Params, terms []pinRef) (align int, over int64) {
+func pairStats(prm Params, t *tech.Tech, terms []pinRef) (align int, over int64) {
 	o := prm.obj()
-	w := prm.weights()
-	gamma := prm.alignGamma()
+	w := prm.weights(t)
+	gamma := pairRows(o, t)
 	for i := 0; i < len(terms); i++ {
 		for j := i + 1; j < len(terms); j++ {
 			if terms[i].inst == terms[j].inst {
@@ -226,12 +210,16 @@ func pairEnablesDM1(o objective.GeomObjective, w objective.Weights, gamma int, a
 	return o.PairEval(w, pinGeom(a), pinGeom(b))
 }
 
-// alignGamma returns the pair-eligibility row window.
-func (prm Params) alignGamma() int {
-	if prm.AlignGammaRows > 0 {
-		return prm.AlignGammaRows
+// pairRows is the row window within which two pins of objective o can
+// pair: one row for ClosedM1 geometry (the paper's Constraint (4);
+// alignments farther apart are rarely routable because intervening
+// cells' M1 pins block the track), and γ rows otherwise (OpenM1
+// Constraint (12)).
+func pairRows(o objective.GeomObjective, t *tech.Tech) int {
+	if o.Arch() == tech.ClosedM1 {
+		return 1
 	}
-	return prm.obj().AlignGammaDefault(prm.GammaRows)
+	return t.Gamma
 }
 
 // obj resolves the effective geometry objective: the explicit Objective
@@ -243,12 +231,12 @@ func (prm Params) obj() objective.GeomObjective {
 	return objective.ForArch(prm.Arch)
 }
 
-// weights packs the objective-facing scalar knobs.
-func (prm Params) weights() objective.Weights {
+// weights packs the objective-facing scalar knobs, with δ from t.
+func (prm Params) weights(t *tech.Tech) objective.Weights {
 	return objective.Weights{
 		Alpha:     prm.Alpha,
 		Epsilon:   prm.Epsilon,
-		DeltaDBU:  prm.DeltaDBU,
+		DeltaDBU:  t.Delta,
 		MarginDBU: prm.MarginDBU,
 		NetAlpha:  prm.NetAlpha,
 	}
@@ -259,7 +247,7 @@ func (prm Params) weights() objective.Weights {
 func CalculateObj(p *layout.Placement, prm Params) Objective {
 	var obj Objective
 	o := prm.obj()
-	w := prm.weights()
+	w := prm.weights(p.Tech)
 	obj.HPWL = p.TotalHPWL()
 	var weighted, reward float64
 	var buf []pinRef
@@ -269,7 +257,7 @@ func CalculateObj(p *layout.Placement, prm Params) Objective {
 		}
 		weighted += float64(p.NetHPWL(ni))
 		buf = appendNetTerminals(buf[:0], p, ni)
-		align, over := pairStats(prm, buf)
+		align, over := pairStats(prm, p.Tech, buf)
 		obj.Alignments += align
 		obj.OverlapSum += over
 		reward += o.PairAlpha(w, ni) * float64(align)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"vm1place/internal/objective"
 	"vm1place/internal/tech"
 )
 
@@ -125,22 +126,25 @@ func TestOpenM1OverlapSumNonNegative(t *testing.T) {
 	}
 }
 
-// TestParamsAlignGamma: the architecture-dependent defaulting of the
-// alignment window (paper Constraint 4 vs 12).
+// TestParamsAlignGamma: every objective's pair row window is one row for
+// ClosedM1 geometry (paper Constraint 4) and the technology's γ otherwise
+// (Constraint 12), on the default γ and a smaller one.
 func TestParamsAlignGamma(t *testing.T) {
-	tc := tech.Default()
-	closed := DefaultParams(tc, tech.ClosedM1)
-	open := DefaultParams(tc, tech.OpenM1)
-	if closed.alignGamma() != 1 {
-		t.Errorf("ClosedM1 align window = %d, want 1", closed.alignGamma())
-	}
-	if open.alignGamma() != tc.Gamma {
-		t.Errorf("OpenM1 align window = %d, want %d", open.alignGamma(), tc.Gamma)
-	}
-	var zero Params
-	zero.Arch = tech.OpenM1
-	zero.GammaRows = 2
-	if zero.alignGamma() != 2 {
-		t.Errorf("zero-value OpenM1 align window = %d, want 2", zero.alignGamma())
+	gamma2 := *tech.Default()
+	gamma2.Gamma = 2
+	for _, name := range objective.Names() {
+		o, err := objective.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []*tech.Tech{tech.Default(), &gamma2} {
+			want := tc.Gamma
+			if o.Arch() == tech.ClosedM1 {
+				want = 1
+			}
+			if got := pairRows(o, tc); got != want {
+				t.Errorf("%s at gamma %d: pair window = %d, want %d", name, tc.Gamma, got, want)
+			}
+		}
 	}
 }

@@ -145,7 +145,7 @@ func TestCalculateObjManualClosedM1(t *testing.T) {
 	}
 
 	// Aligned but beyond gamma rows.
-	p.SetLoc(u1, 1, prm.GammaRows+2, false)
+	p.SetLoc(u1, 1, tc.Gamma+2, false)
 	obj = CalculateObj(p, prm)
 	if obj.Alignments != 0 {
 		t.Errorf("beyond gamma: Alignments = %d, want 0", obj.Alignments)

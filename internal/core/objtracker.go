@@ -120,10 +120,10 @@ func (t *ObjTracker) refreshNet(ni int) {
 	t.netHPWL[ni] = p.NetHPWL(ni)
 	terms := appendNetTerminals(t.termBuf[:0], p, ni)
 	t.termBuf = terms
-	align, over := pairStats(prm, terms)
+	align, over := pairStats(prm, p.Tech, terms)
 	t.netAlign[ni] = align
 	t.netOver[ni] = over
-	t.netReward[ni] = prm.obj().PairAlpha(prm.weights(), ni) * float64(align)
+	t.netReward[ni] = prm.obj().PairAlpha(prm.weights(p.Tech), ni) * float64(align)
 }
 
 // ApplyMoves applies a batch of accepted moves to the placement and
@@ -176,7 +176,7 @@ func (t *ObjTracker) Objective() Objective {
 	}
 	obj.Alignments = t.align
 	obj.OverlapSum = t.over
-	obj.Value = t.prm.obj().Value(t.prm.weights(), weighted,
+	obj.Value = t.prm.obj().Value(t.prm.weights(t.p.Tech), weighted,
 		obj.Alignments, obj.OverlapSum, reward)
 	return obj
 }

@@ -33,11 +33,12 @@ type cand struct {
 type window struct {
 	p   *layout.Placement // read-only snapshot during parallel solves
 	prm Params
-	// obj/wts are the resolved geometry objective and its weight view,
-	// hoisted once per build so pair tests and model assembly never
-	// re-resolve them on the hot path.
-	obj objective.GeomObjective
-	wts objective.Weights
+	// obj/wts/rows are the resolved geometry objective, its weight view
+	// and its pair row window, hoisted once per build so pair tests and
+	// model assembly never re-resolve them on the hot path.
+	obj  objective.GeomObjective
+	wts  objective.Weights
+	rows int
 
 	s0, s1 int // site range [s0, s1)
 	r0, r1 int // row range [r0, r1)
@@ -186,7 +187,8 @@ func (w *window) buildGeom(p *layout.Placement, prm Params, rect geom.Rect, ps P
 	w.reset()
 	w.p, w.prm = p, prm
 	w.obj = prm.obj()
-	w.wts = prm.weights()
+	w.wts = prm.weights(p.Tech)
+	w.rows = pairRows(w.obj, p.Tech)
 	w.s0, w.s1, w.r0, w.r1 = windowSpan(p, rect)
 	if w.s1 <= w.s0 || w.r1 <= w.r0 {
 		w.blocked = w.blocked[:0]
@@ -547,7 +549,7 @@ func (w *window) pairFeasible(a, b winPin) bool {
 	} else if bLo > aHi {
 		dist = bLo - aHi
 	}
-	if dist > w.prm.alignGamma() {
+	if dist > w.rows {
 		return false
 	}
 	return w.obj.PairFeasible(w.wts, pinView(a, nil), pinView(b, nil))

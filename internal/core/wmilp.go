@@ -82,7 +82,7 @@ func (w *window) pairState(pr *winPair, assign []int) (bool, int64) {
 	if dr < 0 {
 		dr = -dr
 	}
-	if dr > w.prm.alignGamma() {
+	if dr > w.rows {
 		return false, 0
 	}
 	return w.obj.PairEval(w.wts, winGeom(pr.p, kp), winGeom(pr.q, kq))
@@ -154,7 +154,7 @@ func (w *window) buildModel() (*lp.Model, *milp.Model, [][]int, float64) {
 	t := w.p.Tech
 	m, mm := sv.models()
 	inf := math.Inf(1)
-	gammaH := float64(int64(w.prm.alignGamma()) * t.RowHeight)
+	gammaH := float64(int64(w.rows) * t.RowHeight)
 
 	// λ variables, one exactly-one group per cell (Constraints 5-8 in SCP
 	// form).

@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"vm1place/internal/core"
@@ -17,58 +15,6 @@ import (
 type SuiteConfig struct {
 	Scale   float64
 	Workers int
-	// FlowParallel runs up to that many independent flow points of a sweep
-	// (Fig. 5-8 samples, Table 2 designs) concurrently. Each point builds
-	// its own placement and router, and output order matches the
-	// sequential loop. Placement and routing are fully deterministic; the
-	// optimizer's window MILPs are wall-clock budgeted, so point values
-	// carry the same small run-to-run variance they have sequentially
-	// (CPU contention can shrink the explored node count). When >1, set
-	// Workers to a small value so points do not oversubscribe the machine.
-	FlowParallel int
-}
-
-// forEachPoint evaluates fn(i) for i in [0, n), running up to
-// cfg.FlowParallel points concurrently. Callers store results by index, so
-// output order matches the sequential loop exactly; likewise the returned
-// error is the failure with the lowest index, regardless of completion
-// order.
-func (c SuiteConfig) forEachPoint(n int, fn func(int) error) error {
-	par := c.FlowParallel
-	if par > n {
-		par = n
-	}
-	if par <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for k := 0; k < par; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // design returns the (possibly scaled) spec for a paper design name, or an
@@ -120,8 +66,7 @@ func RunFig5(ctx context.Context, cfg SuiteConfig, windowsUm []float64, perturba
 		}
 	}
 	out := make([]Fig5Point, len(cases))
-	err = cfg.forEachPoint(len(cases), func(i int) error {
-		c := cases[i]
+	for i, c := range cases {
 		r, err := RunFlowCtx(ctx, spec, FlowConfig{
 			Arch: tech.ClosedM1,
 			Sequence: core.Sequence{{
@@ -131,16 +76,12 @@ func RunFig5(ctx context.Context, cfg SuiteConfig, windowsUm []float64, perturba
 			Workers:       cfg.Workers,
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		out[i] = Fig5Point{
 			WindowUm: c.um, LX: c.lp[0], LY: c.lp[1],
 			RWL: r.Final.RWL, Runtime: r.OptRuntime,
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }
@@ -184,8 +125,7 @@ func RunFig6(ctx context.Context, cfg SuiteConfig, arch tech.Arch, alphas []floa
 		return nil, err
 	}
 	out := make([]Fig6Point, len(alphas))
-	err = cfg.forEachPoint(len(alphas), func(i int) error {
-		a := alphas[i]
+	for i, a := range alphas {
 		r, err := RunFlowCtx(ctx, spec, FlowConfig{
 			Arch:          arch,
 			Alpha:         a,
@@ -194,13 +134,9 @@ func RunFig6(ctx context.Context, cfg SuiteConfig, arch tech.Arch, alphas []floa
 			Workers:       cfg.Workers,
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		out[i] = Fig6Point{Alpha: a, RWL: r.Final.RWL, DM1: r.Final.DM1}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }
@@ -248,8 +184,7 @@ func RunFig7(ctx context.Context, cfg SuiteConfig, seqs []SequenceSpec) ([]Fig7P
 		return nil, err
 	}
 	out := make([]Fig7Point, len(seqs))
-	err = cfg.forEachPoint(len(seqs), func(i int) error {
-		ss := seqs[i]
+	for i, ss := range seqs {
 		var u core.Sequence
 		for _, st := range ss.Steps {
 			u = append(u, core.ParamSet{
@@ -264,13 +199,9 @@ func RunFig7(ctx context.Context, cfg SuiteConfig, seqs []SequenceSpec) ([]Fig7P
 			Workers:       cfg.Workers,
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		out[i] = Fig7Point{Name: ss.Name, RWL: r.Final.RWL, Runtime: r.OptRuntime}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }
@@ -289,16 +220,14 @@ func WriteFig7(w io.Writer, pts []Fig7Point) {
 // RunTable2 runs the full flow on every design for one architecture.
 func RunTable2(ctx context.Context, cfg SuiteConfig, arch tech.Arch) ([]FlowResult, error) {
 	out := make([]FlowResult, len(PaperDesigns))
-	err := cfg.forEachPoint(len(PaperDesigns), func(i int) error {
-		spec, err := cfg.design(PaperDesigns[i].Name)
+	for i, d := range PaperDesigns {
+		spec, err := cfg.design(d.Name)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		out[i], err = RunFlowCtx(ctx, spec, FlowConfig{Arch: arch, Workers: cfg.Workers})
-		return err
-	})
-	if err != nil {
-		return nil, err
+		if out[i], err = RunFlowCtx(ctx, spec, FlowConfig{Arch: arch, Workers: cfg.Workers}); err != nil {
+			return nil, err
+		}
 	}
 	return out, nil
 }
@@ -333,19 +262,14 @@ func RunFig8(ctx context.Context, cfg SuiteConfig, utils []float64) ([]Fig8Point
 		return nil, err
 	}
 	out := make([]Fig8Point, len(utils))
-	err = cfg.forEachPoint(len(utils), func(i int) error {
-		u := utils[i]
+	for i, u := range utils {
 		r, err := RunFlowCtx(ctx, spec, FlowConfig{Arch: tech.ClosedM1, Util: u, Workers: cfg.Workers})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		out[i] = Fig8Point{
 			Util: u, DRVsOrig: r.Init.DRVs, DRVsOpt: r.Final.DRVs, DM1: r.Final.DM1,
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }

@@ -322,7 +322,6 @@ func runFlow(ctx context.Context, spec DesignSpec, cfg FlowConfig, opt optimizer
 				return err
 			}
 			res.Init = snap
-			st.Put("init", snap)
 			return nil
 		}),
 		flow.Func("optimize", func(ctx context.Context, st *flow.State) error {
@@ -330,7 +329,6 @@ func runFlow(ctx context.Context, spec DesignSpec, cfg FlowConfig, opt optimizer
 			res.OptInitial = r.Initial
 			res.OptFinal = r.Final
 			res.OptRuntime = r.Duration
-			st.Put("optimize", r)
 			return err
 		}),
 		flow.Func("final-route", func(ctx context.Context, st *flow.State) error {
@@ -340,7 +338,6 @@ func runFlow(ctx context.Context, spec DesignSpec, cfg FlowConfig, opt optimizer
 				return err
 			}
 			res.Final = snap
-			st.Put("final", snap)
 			return nil
 		}),
 	)
@@ -381,5 +378,7 @@ func WriteTable2Row(w io.Writer, r FlowResult) {
 	)
 }
 
-// um converts DBU to µm-equivalent for display.
+// um converts DBU to microns for display, at tech.Default's 1000 DBU per
+// LEF/DEF micron. It is not the inverse of UmToDBU, which scales paper
+// window sizes at 100 DBU per µm.
 func um(dbu int64) float64 { return float64(dbu) / 1000 }

@@ -144,39 +144,6 @@ func TestFig5Runs(t *testing.T) {
 	}
 }
 
-func TestFlowParallelMatchesSequential(t *testing.T) {
-	// Concurrent flow points must land in sequential order with the same
-	// sweep labels. Point values carry the optimizer's wall-clock-budget
-	// variance (present sequentially too — see SuiteConfig.FlowParallel),
-	// so RWL is only checked to a loose band, not for equality.
-	windows := []float64{10, 20}
-	perts := [][2]int{{3, 1}}
-	seq, err := RunFig5(context.Background(), SuiteConfig{Scale: testScale, Workers: 1}, windows, perts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunFig5(context.Background(), SuiteConfig{Scale: testScale, Workers: 1, FlowParallel: 2}, windows, perts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq) != len(par) {
-		t.Fatalf("point counts differ: %d vs %d", len(seq), len(par))
-	}
-	for i := range seq {
-		a, b := seq[i], par[i]
-		if a.WindowUm != b.WindowUm || a.LX != b.LX || a.LY != b.LY {
-			t.Errorf("point %d out of order: %+v vs %+v", i, a, b)
-		}
-		if b.RWL <= 0 {
-			t.Errorf("point %d routed nothing: %+v", i, b)
-		}
-		lo, hi := a.RWL*95/100, a.RWL*105/100
-		if b.RWL < lo || b.RWL > hi {
-			t.Errorf("point %d RWL outside band: %d vs sequential %d", i, b.RWL, a.RWL)
-		}
-	}
-}
-
 func TestFig8Runs(t *testing.T) {
 	cfg := SuiteConfig{Scale: testScale, Workers: 4}
 	pts, err := RunFig8(context.Background(), cfg, []float64{0.75})

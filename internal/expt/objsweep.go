@@ -108,11 +108,10 @@ func RunObjSweep(ctx context.Context, cfg SuiteConfig) ([]ObjSweepPoint, error) 
 	base := FlowConfig{MaxOuterIters: 2, Workers: cfg.Workers}
 	cases := objSweepCases(base)
 	out := make([]ObjSweepPoint, len(cases))
-	err = cfg.forEachPoint(len(cases), func(i int) error {
-		c := cases[i]
+	for i, c := range cases {
 		res, err := RunFlowCtx(ctx, spec, c.cfg)
 		if err != nil {
-			return fmt.Errorf("expt: objsweep %s/%s: %w", c.workload, c.label, err)
+			return nil, fmt.Errorf("expt: objsweep %s/%s: %w", c.workload, c.label, err)
 		}
 		out[i] = ObjSweepPoint{
 			Workload:  c.workload,
@@ -120,10 +119,6 @@ func RunObjSweep(ctx context.Context, cfg SuiteConfig) ([]ObjSweepPoint, error) 
 			Objective: c.cfg.Objective,
 			Res:       res,
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }

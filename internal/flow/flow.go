@@ -54,8 +54,7 @@ func (s funcStage) Name() string                             { return s.name }
 func (s funcStage) Run(ctx context.Context, st *State) error { return s.run(ctx, st) }
 
 // State is the shared flow state stages read and write: the placement
-// under construction, arbitrary per-stage snapshots, and per-stage wall
-// timings.
+// under construction and per-stage wall timings.
 type State struct {
 	// Placement is the design being flowed. The Build-style stage that
 	// creates it sets the field; later stages mutate it in place.
@@ -63,8 +62,6 @@ type State struct {
 
 	// Timings records one entry per executed stage, in execution order.
 	Timings []Timing
-
-	values map[string]any
 }
 
 // Timing is the recorded wall time of one executed stage.
@@ -72,17 +69,6 @@ type Timing struct {
 	Stage    string
 	Duration time.Duration
 }
-
-// Put stores a per-stage snapshot or intermediate value under key.
-func (st *State) Put(key string, v any) {
-	if st.values == nil {
-		st.values = make(map[string]any)
-	}
-	st.values[key] = v
-}
-
-// Value returns the snapshot stored under key, or nil.
-func (st *State) Value(key string) any { return st.values[key] }
 
 // StageDuration returns the total recorded duration of the named stage
 // (summed, should the stage have been rerun).
@@ -132,15 +118,6 @@ func New(stages ...Stage) *Pipeline {
 func (pl *Pipeline) Observe(obs Observer) *Pipeline {
 	pl.obs = obs
 	return pl
-}
-
-// Stages returns the stage names in execution order.
-func (pl *Pipeline) Stages() []string {
-	names := make([]string, len(pl.stages))
-	for i, s := range pl.stages {
-		names[i] = s.Name()
-	}
-	return names
 }
 
 // Run executes the stages in order against st, threading ctx end to end.

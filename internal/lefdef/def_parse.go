@@ -1,6 +1,7 @@
 package lefdef
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -65,15 +66,9 @@ func ParseDEF(r io.Reader, t *tech.Tech, lib *cells.Library) (*layout.Placement,
 				d.Name = rest[0]
 			}
 		case "DIEAREA":
-			rest := tk.until() // ( 0 0 ) ( w h )
-			var nums []int64
-			for _, r := range rest {
-				if v, err := strconv.ParseInt(r, 10, 64); err == nil {
-					nums = append(nums, v)
-				}
-			}
-			if len(nums) >= 4 {
-				dieW, dieH = nums[2], nums[3]
+			var err error
+			if dieW, dieH, err = parseDieArea(tk.until()); err != nil {
+				return nil, err
 			}
 		case "ROW":
 			tk.until()
@@ -161,8 +156,12 @@ func ParseDEF(r io.Reader, t *tech.Tech, lib *cells.Library) (*layout.Placement,
 						}
 					case "FIXED":
 						if k+4 < len(rest) {
-							px, _ = strconv.ParseInt(rest[k+2], 10, 64)
-							py, _ = strconv.ParseInt(rest[k+3], 10, 64)
+							var err1, err2 error
+							px, err1 = strconv.ParseInt(rest[k+2], 10, 64)
+							py, err2 = strconv.ParseInt(rest[k+3], 10, 64)
+							if err := errors.Join(err1, err2); err != nil {
+								return nil, fmt.Errorf("lefdef: bad FIXED coords of pin %s: %w", port.Name, err)
+							}
 							k += 4
 						}
 					}
@@ -268,6 +267,25 @@ func ParseDEF(r io.Reader, t *tech.Tech, lib *cells.Library) (*layout.Placement,
 		return nil, fmt.Errorf("lefdef: parsed placement illegal: %w", err)
 	}
 	return p, nil
+}
+
+// parseDieArea reads a DIEAREA statement's tokens, which must be one
+// rectangle ( 0 0 ) ( w h ): placements are stored relative to a die whose
+// lower-left corner is the origin, so any other origin is an error.
+func parseDieArea(rest []string) (w, h int64, err error) {
+	if len(rest) != 8 || rest[0] != "(" || rest[3] != ")" || rest[4] != "(" || rest[7] != ")" {
+		return 0, 0, fmt.Errorf("lefdef: DIEAREA %v is not two points ( x y ) ( x y )", rest)
+	}
+	var v [4]int64
+	for i, tok := range [4]string{rest[1], rest[2], rest[5], rest[6]} {
+		if v[i], err = strconv.ParseInt(tok, 10, 64); err != nil {
+			return 0, 0, fmt.Errorf("lefdef: bad DIEAREA coordinate: %w", err)
+		}
+	}
+	if v[0] != 0 || v[1] != 0 {
+		return 0, 0, fmt.Errorf("lefdef: DIEAREA lower-left corner ( %d %d ) is not ( 0 0 )", v[0], v[1])
+	}
+	return v[2], v[3], nil
 }
 
 // peekConsume consumes the next token when it equals want.

@@ -90,10 +90,7 @@ func newRefSimplex(m *Model, lo, hi []float64) *refSimplex {
 		s.lo[j], s.hi[j] = 0, 0
 	}
 
-	s.maxIters = m.MaxIters
-	if s.maxIters == 0 {
-		s.maxIters = 200*(rows+n) + 2000
-	}
+	s.maxIters = 200*(rows+n) + 2000
 	return s
 }
 

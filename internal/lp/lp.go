@@ -108,9 +108,6 @@ type Model struct {
 	// bumps it), so an Arena's pointer-keyed cache cannot mistake a rebuilt
 	// model for the one it bound earlier.
 	gen uint64
-
-	// MaxIters bounds simplex iterations per phase; 0 means automatic.
-	MaxIters int
 }
 
 // NewModel returns an empty model.
@@ -129,7 +126,6 @@ func (m *Model) Reset() {
 	m.sense = m.sense[:0]
 	m.rhs = m.rhs[:0]
 	m.cols = m.cols[:0]
-	m.MaxIters = 0
 }
 
 // NumVars returns the number of structural variables.
@@ -353,10 +349,7 @@ func newSimplex(m *Model, lo, hi []float64, a *Arena) *simplex {
 		s.lo[j], s.hi[j] = 0, 0
 	}
 
-	s.maxIters = m.MaxIters
-	if s.maxIters == 0 {
-		s.maxIters = 200*(rows+n) + 2000
-	}
+	s.maxIters = 200*(rows+n) + 2000
 	return s
 }
 

@@ -24,6 +24,9 @@ import (
 // are considered integral.
 const intTol = 1e-6
 
+// absGap prunes a node whose LP bound is within absGap of the incumbent.
+const absGap = 1e-6
+
 // Status reports the outcome of a MILP solve.
 type Status int
 
@@ -109,9 +112,6 @@ type Params struct {
 	MaxNodes int
 	// TimeLimit caps wall time (0: none).
 	TimeLimit time.Duration
-	// AbsGap prunes nodes whose LP bound is within AbsGap of the
-	// incumbent (0: 1e-6).
-	AbsGap float64
 	// Incumbent, when non-nil, is a feasible integral starting solution
 	// with objective IncumbentObj; it seeds pruning.
 	Incumbent    []float64
@@ -236,9 +236,6 @@ func Solve(m *Model, p Params) Result {
 	if s.maxNodes == 0 {
 		s.maxNodes = 100000
 	}
-	if p.AbsGap == 0 {
-		p.AbsGap = 1e-6
-	}
 	s.p = p
 	if p.TimeLimit > 0 {
 		s.deadline = time.Now().Add(p.TimeLimit)
@@ -324,18 +321,18 @@ func (s *solver) branch(lo, hi, hint []float64, root bool) float64 {
 		s.aborted = true
 		return math.Inf(-1)
 	}
-	if s.hasBest && sol.Obj >= s.bestObj-s.p.AbsGap {
+	if s.hasBest && sol.Obj >= s.bestObj-absGap {
 		return sol.Obj // pruned by bound
 	}
 
 	// Reduced-cost fixing: a nonbasic integer variable whose reduced cost
 	// exceeds the incumbent gap cannot leave its bound in any solution that
-	// improves the incumbent by more than AbsGap, so it is fixed there for
+	// improves the incumbent by more than absGap, so it is fixed there for
 	// the whole subtree. With a near-optimal incumbent this collapses most
 	// exactly-one groups to a handful of candidates and is the main reason
 	// window searches finish instead of timing out.
 	if s.hasBest && sol.RedCost != nil {
-		gap := s.bestObj - s.p.AbsGap - sol.Obj
+		gap := s.bestObj - absGap - sol.Obj
 		var lo2, hi2 []float64
 		for _, j := range s.m.Ints {
 			if lo[j] >= hi[j] {

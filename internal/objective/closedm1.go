@@ -14,14 +14,8 @@ type closedM1 struct{}
 
 var closedM1Obj GeomObjective = closedM1{}
 
-func init() { Register(closedM1Obj) }
-
 func (closedM1) Name() string    { return "closedm1" }
 func (closedM1) Arch() tech.Arch { return tech.ClosedM1 }
-
-// AlignGammaDefault is 1: alignments farther than adjacent rows are
-// rarely routable because intervening cells' M1 pins block the track.
-func (closedM1) AlignGammaDefault(gammaRows int) int { return 1 }
 
 func (closedM1) PairAlpha(w Weights, ni int) float64 { return w.Alpha }
 

@@ -20,12 +20,8 @@ type netSep struct{}
 
 var netSepObj GeomObjective = netSep{}
 
-func init() { Register(netSepObj) }
-
 func (netSep) Name() string    { return "netsep" }
 func (netSep) Arch() tech.Arch { return tech.OpenM1 }
-
-func (netSep) AlignGammaDefault(gammaRows int) int { return gammaRows }
 
 func (netSep) PairAlpha(w Weights, ni int) float64 { return w.Alpha }
 

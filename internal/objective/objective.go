@@ -5,10 +5,11 @@
 // a window subproblem (internal/core's wmilp).
 //
 // The paper's two formulations — ClosedM1 track alignment and OpenM1 pin
-// overlap — are the first two registered implementations; the optimizer
-// itself (candidate enumeration, occupancy rows, HPWL bounds, incremental
+// overlap — are the first two implementations; the optimizer itself
+// (candidate enumeration, occupancy rows, HPWL bounds, incremental
 // tracking, sharding) is objective-agnostic. New placement workloads plug
-// in by implementing GeomObjective and registering under a name:
+// in by implementing GeomObjective and adding a named value to the sorted
+// objectives list in registry.go:
 //
 //   - "netsep": net-separation/margin maximization for PCB-style inputs
 //     (Cheng et al., see PAPERS.md) — pairs are rewarded for keeping their
@@ -98,8 +99,8 @@ func (p PinView) At(k int) PinGeom {
 type Emit struct {
 	M  *lp.Model
 	MM *milp.Model
-	// GammaH is the pair-eligibility row window in DBU
-	// (alignGamma · RowHeight), for the |Δy| gating rows.
+	// GammaH is the pair row window in DBU (its rows · RowHeight), for
+	// the |Δy| gating rows.
 	GammaH float64
 }
 
@@ -113,17 +114,13 @@ type GeomObjective interface {
 	// evaluates — it selects the library pin synthesis and the router's
 	// capacity model for flows driven by an objective name.
 	Arch() tech.Arch
-	// AlignGammaDefault is the pair-eligibility row window used when the
-	// caller does not override it (the paper uses 1 for ClosedM1
-	// Constraint (4), γ for OpenM1 Constraint (12)).
-	AlignGammaDefault(gammaRows int) int
 	// PairAlpha is the effective α of one pair on net ni. Uniform
 	// objectives return w.Alpha exactly (bit-identical scalarization).
 	PairAlpha(w Weights, ni int) float64
 	// PairEval scores one pair under concrete geometry: whether the pair
 	// is realized (counted as an "alignment") and its integer surplus
 	// (overlap beyond δ, margin below MarginDBU, ... — weighted by ε).
-	// The caller has already gated |Δrow| <= alignGamma.
+	// The caller has already gated |Δrow| to the pair row window.
 	PairEval(w Weights, a, b PinGeom) (bool, int64)
 	// PairFeasible conservatively tests whether ANY candidate combination
 	// of the two pins can realize the pair (row distance is pre-gated by

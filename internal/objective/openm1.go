@@ -13,12 +13,8 @@ type openM1 struct{}
 
 var openM1Obj GeomObjective = openM1{}
 
-func init() { Register(openM1Obj) }
-
 func (openM1) Name() string    { return "openm1" }
 func (openM1) Arch() tech.Arch { return tech.OpenM1 }
-
-func (openM1) AlignGammaDefault(gammaRows int) int { return gammaRows }
 
 func (openM1) PairAlpha(w Weights, ni int) float64 { return w.Alpha }
 

@@ -3,51 +3,38 @@ package objective
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 
 	"vm1place/internal/lp"
 	"vm1place/internal/tech"
 )
 
-// ErrUnknownObjective reports a Lookup of a name no objective registered.
+// ErrUnknownObjective reports a Lookup of a name no objective has.
 // Lookup wraps it, so callers can errors.Is against it.
 var ErrUnknownObjective = errors.New("objective: unknown objective")
 
-// registry maps names to implementations. names mirrors the keys sorted,
-// maintained at Register time so listings never iterate the map.
-var (
-	registry = map[string]GeomObjective{}
-	names    []string
-)
+// objectives is every named objective, sorted by name.
+var objectives = []GeomObjective{closedM1Obj, netSepObj, openM1Obj, slackAlphaObj}
 
-// Register adds an objective under its Name. Registration happens in
-// package init blocks; a duplicate name is a programming error.
-func Register(o GeomObjective) {
-	name := o.Name()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("objective: duplicate registration of %q", name)) // panic-ok: init-time registration invariant
-	}
-	registry[name] = o
-	i := sort.SearchStrings(names, name)
-	names = append(names, "")
-	copy(names[i+1:], names[i:])
-	names[i] = name
-}
-
-// Lookup resolves a registered objective by name. Unknown names return an
-// error wrapping ErrUnknownObjective that lists the registered names.
+// Lookup resolves an objective by name. Unknown names return an error
+// wrapping ErrUnknownObjective that lists the known names.
 func Lookup(name string) (GeomObjective, error) {
-	if o, ok := registry[name]; ok {
-		return o, nil
+	for _, o := range objectives {
+		if o.Name() == name {
+			return o, nil
+		}
 	}
 	return nil, fmt.Errorf("%w: %q (registered: %s)",
-		ErrUnknownObjective, name, strings.Join(names, "|"))
+		ErrUnknownObjective, name, strings.Join(Names(), "|"))
 }
 
-// Names returns the registered objective names in sorted order.
+// Names returns the objective names in sorted order.
 func Names() []string {
-	return append([]string(nil), names...)
+	names := make([]string, len(objectives))
+	for i, o := range objectives {
+		names[i] = o.Name()
+	}
+	return names
 }
 
 // ForArch returns the paper objective matching a cell architecture — the
@@ -73,7 +60,6 @@ var noneObj GeomObjective = none{}
 
 func (none) Name() string                                   { return "none" }
 func (none) Arch() tech.Arch                                { return tech.Conventional }
-func (none) AlignGammaDefault(gammaRows int) int            { return 1 }
 func (none) PairAlpha(w Weights, ni int) float64            { return w.Alpha }
 func (none) PairEval(w Weights, a, b PinGeom) (bool, int64) { return false, 0 }
 func (none) PairFeasible(w Weights, a, b PinView) bool      { return false }

@@ -13,8 +13,6 @@ type slackAlpha struct{ closedM1 }
 
 var slackAlphaObj GeomObjective = slackAlpha{}
 
-func init() { Register(slackAlphaObj) }
-
 func (slackAlpha) Name() string    { return "slackalpha" }
 func (slackAlpha) Arch() tech.Arch { return tech.ClosedM1 }
 

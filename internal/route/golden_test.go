@@ -114,35 +114,7 @@ func TestRouteMetricsGolden(t *testing.T) {
 			if got != tc.hash {
 				t.Errorf("route hash %#x, want %#x", got, tc.hash)
 			}
-			checkOverflowGrid(t, r, m)
 		})
-	}
-}
-
-// checkOverflowGrid checks OverflowGrid against its contract on a routed
-// design: ceil(sites/ts) x ceil(rows/tr) tiles whose sum is
-// Metrics.Overflow, for several tilings, and a reused buffer is refilled
-// rather than accumulated into.
-func checkOverflowGrid(t *testing.T, r *Router, m Metrics) {
-	t.Helper()
-	sites, rows := r.p.NumSites, r.p.NumRows
-	for _, ts := range [][2]int{{1, 1}, {7, 3}, {16, 4}, {sites, rows}} {
-		var grid []int64
-		for rep := 0; rep < 2; rep++ {
-			grid = r.OverflowGrid(ts[0], ts[1], grid)
-			tiles := (sites + ts[0] - 1) / ts[0] * ((rows + ts[1] - 1) / ts[1])
-			if len(grid) != tiles {
-				t.Fatalf("OverflowGrid(%d, %d) has %d tiles, want %d", ts[0], ts[1], len(grid), tiles)
-			}
-			var sum int64
-			for _, v := range grid {
-				sum += v
-			}
-			if sum != int64(m.Overflow) {
-				t.Errorf("OverflowGrid(%d, %d) pass %d sums to %d, want Metrics.Overflow %d",
-					ts[0], ts[1], rep, sum, m.Overflow)
-			}
-		}
 	}
 }
 

@@ -23,7 +23,8 @@
 //   - Conventional: M1 carries rails/pins only; routing starts at M2.
 //
 // A connection routed as a single vertical M1 segment between two pin
-// nodes spanning at most γ rows is counted as a direct vertical M1 route.
+// nodes spanning at most γ rows (tech.Tech.Gamma of the placement) is
+// counted as a direct vertical M1 route.
 //
 // Routing is sequential and deterministic: one A* searcher routes the nets
 // in ascending-HPWL order, and each rip-up pass reroutes its victims in the
@@ -45,8 +46,6 @@ type Config struct {
 	// M1CostFactor scales M1 edge cost; < 1 makes the router prefer
 	// direct vertical M1 where geometry permits (the dM1-aware mode).
 	M1CostFactor float64
-	// Gamma is the maximum dM1 span in rows (from tech).
-	Gamma int
 	// RipupIters caps the congestion-negotiation passes after the initial
 	// routing pass. Fewer run when overflow reaches zero or a pass fails
 	// to lower it (see the package doc).
@@ -57,9 +56,8 @@ type Config struct {
 	// SearchMargin pads each connection's search bounding box, in grid
 	// cells.
 	SearchMargin int
-	// M1Routable disables M1 inter-cell routing (Conventional libraries).
-	M1Routable bool
-	// Arch selects pin-access behaviour.
+	// Arch selects pin-access behaviour. Conventional libraries get no
+	// inter-cell M1 routing.
 	Arch tech.Arch
 	// Workers is ignored: the router is sequential. The field stays so
 	// callers that set it keep compiling.
@@ -71,11 +69,9 @@ func DefaultConfig(t *tech.Tech, arch tech.Arch) Config {
 	cfg := Config{
 		ViaCost:      t.ViaCost,
 		M1CostFactor: 0.3,
-		Gamma:        t.Gamma,
 		RipupIters:   2,
 		CongWeight:   4.0,
 		SearchMargin: 12,
-		M1Routable:   arch != tech.Conventional,
 		Arch:         arch,
 	}
 	cfg.Caps[tech.M1] = 1
@@ -94,7 +90,7 @@ type Metrics struct {
 	// Via01/Via12/Via23/Via34 count vias by layer pair.
 	Via01, Via12, Via23, Via34 int
 	// DM1 is the number of direct vertical M1 routes (single M1 segment
-	// pin-to-pin connections spanning <= Gamma rows).
+	// pin-to-pin connections spanning <= tech.Tech.Gamma rows).
 	DM1 int
 	// M1Segs is the number of distinct M1 route segments.
 	M1Segs int

@@ -81,24 +81,37 @@ func TestPathsAreConnected(t *testing.T) {
 	}
 }
 
-// TestDM1PathsRespectGamma: every counted dM1 spans at most Gamma rows and
-// stays on one M1 track.
+// TestDM1PathsRespectGamma: every counted dM1 spans at most the
+// technology's γ rows and stays on one M1 track, at the default γ and at a
+// smaller one. The OpenM1 design routes some 3-row dM1 candidates, so γ 2
+// must leave them uncounted.
 func TestDM1PathsRespectGamma(t *testing.T) {
-	tc := tech.Default()
-	lib := cells.MustNewLibrary(tc, tech.ClosedM1)
+	gamma2 := *tech.Default()
+	gamma2.Gamma = 2
+	for _, arch := range []tech.Arch{tech.ClosedM1, tech.OpenM1} {
+		for _, tc := range []*tech.Tech{tech.Default(), &gamma2} {
+			checkDM1Spans(t, tc, arch)
+		}
+	}
+}
+
+func checkDM1Spans(t *testing.T, tc *tech.Tech, arch tech.Arch) {
+	t.Helper()
+	lib := cells.MustNewLibrary(tc, arch)
 	d := netlist.MustGenerate(lib, netlist.DefaultGenConfig("g", 400, 83))
 	p := layout.MustNewFloorplan(tc, d, 0.7)
 	if err := place.Global(p, place.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(tc, tech.ClosedM1)
-	r := New(p, cfg)
+	r := New(p, DefaultConfig(tc, arch))
 	routeAll(t, r)
+	dm1 := 0
 	for ni, nr := range r.routes {
 		for pi, path := range nr.paths {
 			if !nr.dm1[pi] {
 				continue
 			}
+			dm1++
 			_, x0, yMin := r.nodeOf(path[0])
 			yMax := yMin
 			for _, id := range path {
@@ -116,10 +129,13 @@ func TestDM1PathsRespectGamma(t *testing.T) {
 					yMax = y
 				}
 			}
-			if yMax-yMin > cfg.Gamma {
-				t.Fatalf("net %d: dM1 spans %d rows > gamma %d", ni, yMax-yMin, cfg.Gamma)
+			if yMax-yMin > p.Tech.Gamma {
+				t.Fatalf("net %d: dM1 spans %d rows > gamma %d", ni, yMax-yMin, p.Tech.Gamma)
 			}
 		}
+	}
+	if dm1 == 0 {
+		t.Errorf("%v at gamma %d: no dM1 routes to check", arch, tc.Gamma)
 	}
 }
 

@@ -174,31 +174,6 @@ func (r *Router) totalOverflow() int {
 	return total
 }
 
-// OverflowGrid accumulates the per-tile edge overflow of the last RouteAllCtx
-// into out, tiling the routing grid with tileSites x tileRows tiles
-// (row-major, ceil(nx/tileSites) x ceil(ny/tileRows) tiles). Every edge's
-// overflow max(0, usage-cap) is charged to the tile of its lower/left
-// endpoint, summed across layers. out is reused when it has the right
-// length; the returned slice is the filled grid. The totals match
-// Metrics.Overflow: summing the grid yields the same DRV proxy the router
-// reports, just spatially resolved.
-func (r *Router) OverflowGrid(tileSites, tileRows int, out []int64) []int64 {
-	ntx := (r.nx + tileSites - 1) / tileSites
-	nty := (r.ny + tileRows - 1) / tileRows
-	if len(out) != ntx*nty {
-		out = make([]int64, ntx*nty)
-	} else {
-		clear(out)
-	}
-	for e, u := range r.usage {
-		if over := u - r.edgeCap[e&3]; over > 0 {
-			c := e / routingLayers
-			out[int(r.cy[c])/tileRows*ntx+int(r.cx[c])/tileSites] += int64(over)
-		}
-	}
-	return out
-}
-
 // computeMetrics derives all metrics from the stored routes. Every term is
 // a commutative integer sum, so map iteration order does not matter.
 func (r *Router) computeMetrics() {

@@ -172,7 +172,7 @@ func (r *Router) clampRegion(rg region) region {
 
 // m1Enterable reports whether net ni may occupy the M1 node of cell c.
 func (r *Router) m1Enterable(ni int, c int32) bool {
-	if !r.cfg.M1Routable {
+	if r.cfg.Arch == tech.Conventional {
 		return false
 	}
 	b := r.blockedM1[c]
@@ -533,7 +533,7 @@ func (s *searcher) classifyDM1(path []int32, fromPin bool) bool {
 	if span < 0 {
 		span = -span
 	}
-	return span <= r.cfg.Gamma
+	return span <= r.t.Gamma
 }
 
 // apRegionOf returns the grid bbox of access points [lo, hi).

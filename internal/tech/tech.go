@@ -94,14 +94,15 @@ func (l Layer) Direction() Dir {
 // fields before building libraries or grids; a Tech is immutable once it is
 // shared.
 type Tech struct {
-	// DBUPerMicron scales "µm-equivalent" user units to integer DBU. The
-	// paper quotes window sizes in µm; we preserve the ratio
-	// window ≪ die by mapping 1 µm-equivalent to DBUPerMicron DBU.
+	// DBUPerMicron is the LEF/DEF database unit: the number of DBU in one
+	// micron, written as UNITS DATABASE MICRONS and used to print LEF
+	// dimensions in microns. Experiment window sizes do not use it; they
+	// go through expt.UmToDBU (DESIGN.md scale note).
 	DBUPerMicron int64
 
 	// SiteWidth is the placement site pitch in DBU. The ClosedM1 M1 pin
-	// pitch equals SiteWidth (paper §1.1), so pin alignment is equivalent
-	// to equality of absolute site-granular pin x coordinates.
+	// and track pitch equals SiteWidth (paper §1.1), so pin alignment is
+	// equivalent to equality of absolute site-granular pin x coordinates.
 	SiteWidth int64
 
 	// RowHeight is the placement row pitch in DBU (7.5-track equivalent).
@@ -118,26 +119,12 @@ type Tech struct {
 	// ViaCost is the routed-wirelength-equivalent cost of one via, in DBU,
 	// used by the router's cost function.
 	ViaCost int64
-
-	// M1TrackPitch is the M1 routing track pitch in DBU (equals SiteWidth
-	// for ClosedM1-compatible grids).
-	M1TrackPitch int64
-
-	// M2TrackPitch is the pitch of horizontal tracks (M2/M4) in DBU.
-	M2TrackPitch int64
-
-	// EdgeCapacity is the number of routing tracks per grid-cell edge per
-	// layer for the congestion model.
-	EdgeCapacity int
 }
 
-// Default returns the technology used throughout the reproduction.
-//
-// SiteWidth 100 DBU, RowHeight 250 DBU, DBUPerMicron 1000: a "20 µm"
-// window from the paper maps to 20 u = 20000 DBU ≈ 200 sites x 80 rows in
-// real 7nm; we deliberately compress to keep window MILPs exactly solvable
-// (see DESIGN.md scale note) by interpreting experiment window sizes in
-// "u" with 1 u = 10 sites = 4 rows.
+// Default returns the technology used throughout the reproduction:
+// SiteWidth 100 DBU, RowHeight 250 DBU and 1000 DBU per LEF/DEF micron.
+// Pitches are compressed against real 7nm so that window MILPs stay
+// exactly solvable (DESIGN.md scale note).
 func Default() *Tech {
 	return &Tech{
 		DBUPerMicron: 1000,
@@ -146,9 +133,6 @@ func Default() *Tech {
 		Gamma:        3,
 		Delta:        50,
 		ViaCost:      200,
-		M1TrackPitch: 100,
-		M2TrackPitch: 125,
-		EdgeCapacity: 4,
 	}
 }
 
@@ -165,27 +149,13 @@ func Default6Track() *Tech {
 
 // Default9Track returns the 9-track variant of Default: RowHeight 300 DBU
 // (9/7.5 of the default 250). DBUPerMicron grows to 1200 so the row pitch
-// still divides the unit exactly (Validate requires it); the site pitch is
-// unchanged, so a µm-equivalent unit spans 12 sites x 4 rows here versus
-// the default 10 x 4.
+// still divides a micron exactly (Validate requires it).
 func Default9Track() *Tech {
 	t := Default()
 	t.DBUPerMicron = 1200
 	t.RowHeight = 300
 	return t
 }
-
-// SitesPerU returns the number of sites per µm-equivalent unit.
-func (t *Tech) SitesPerU() int64 { return t.DBUPerMicron / t.SiteWidth }
-
-// RowsPerU returns the number of rows per µm-equivalent unit.
-func (t *Tech) RowsPerU() int64 { return t.DBUPerMicron / t.RowHeight }
-
-// UToDBU converts µm-equivalent units to DBU.
-func (t *Tech) UToDBU(u float64) int64 { return int64(u * float64(t.DBUPerMicron)) }
-
-// DBUToU converts DBU to µm-equivalent units.
-func (t *Tech) DBUToU(dbu int64) float64 { return float64(dbu) / float64(t.DBUPerMicron) }
 
 // SiteX returns the DBU x coordinate of site index sx.
 func (t *Tech) SiteX(sx int) int64 { return int64(sx) * t.SiteWidth }
@@ -223,18 +193,11 @@ func (t *Tech) Validate() error {
 		return fmt.Errorf("tech: DBUPerMicron %d not a multiple of RowHeight %d",
 			t.DBUPerMicron, t.RowHeight)
 	}
-	if t.M1TrackPitch != t.SiteWidth {
-		return fmt.Errorf("tech: M1 track pitch %d must equal site width %d for ClosedM1 alignment",
-			t.M1TrackPitch, t.SiteWidth)
-	}
 	if t.Gamma < 1 {
 		return fmt.Errorf("tech: gamma %d must be >= 1", t.Gamma)
 	}
 	if t.Delta < 0 {
 		return fmt.Errorf("tech: delta %d must be >= 0", t.Delta)
-	}
-	if t.EdgeCapacity < 1 {
-		return fmt.Errorf("tech: edge capacity %d must be >= 1", t.EdgeCapacity)
 	}
 	return nil
 }

@@ -18,10 +18,8 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		func(tc *Tech) { tc.RowHeight = -1 },
 		func(tc *Tech) { tc.DBUPerMicron = 999 }, // not multiple of site width
 		func(tc *Tech) { tc.RowHeight = 300 },    // not divisor of DBUPerMicron
-		func(tc *Tech) { tc.M1TrackPitch = 50 },
 		func(tc *Tech) { tc.Gamma = 0 },
 		func(tc *Tech) { tc.Delta = -5 },
-		func(tc *Tech) { tc.EdgeCapacity = 0 },
 	}
 	for i, mod := range mods {
 		tc := Default()
@@ -29,22 +27,6 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 		if err := tc.Validate(); err == nil {
 			t.Errorf("case %d: expected validation error", i)
 		}
-	}
-}
-
-func TestUnitConversions(t *testing.T) {
-	tc := Default()
-	if tc.SitesPerU() != 10 {
-		t.Errorf("SitesPerU = %d, want 10", tc.SitesPerU())
-	}
-	if tc.RowsPerU() != 4 {
-		t.Errorf("RowsPerU = %d, want 4", tc.RowsPerU())
-	}
-	if tc.UToDBU(20) != 20000 {
-		t.Errorf("UToDBU(20) = %d", tc.UToDBU(20))
-	}
-	if tc.DBUToU(5000) != 5.0 {
-		t.Errorf("DBUToU(5000) = %f", tc.DBUToU(5000))
 	}
 }
 
