@@ -67,7 +67,7 @@ func run() error {
 
 	prm := core.DefaultParams(t, tech.OpenM1) // α = 1000, ε > 0, γ = 3
 	fmt.Printf("params: alpha=%.0f epsilon=%.2f gamma=%d rows, delta=%d DBU\n",
-		prm.Alpha, prm.Epsilon, t.Gamma, t.Delta)
+		prm.Alpha, core.Epsilon, t.Gamma, t.Delta)
 
 	res, err := core.VM1OptCtx(ctx, p, prm, expt.DefaultSequence())
 	if err != nil {

@@ -17,12 +17,15 @@ import (
 	"time"
 
 	"vm1place/internal/cells"
-	"vm1place/internal/geom"
 	"vm1place/internal/layout"
 	"vm1place/internal/netlist"
 	"vm1place/internal/objective"
 	"vm1place/internal/tech"
 )
+
+// Epsilon weighs a pair's surplus against HPWL DBU: total overlap length
+// beyond δ for OpenM1 (the paper's ε), separation margin for "netsep".
+const Epsilon = 0.02
 
 // Params configures the optimizer.
 type Params struct {
@@ -47,11 +50,6 @@ type Params struct {
 	// MarginDBU is the "netsep" objective's separation margin; <= 0
 	// selects that objective's default (4·δ).
 	MarginDBU int64
-	// Epsilon weighs total overlap length for OpenM1 (the paper's ε).
-	Epsilon float64
-	// Theta is the relative objective-improvement threshold that ends the
-	// inner loop of Algorithm 1 (the paper uses 1%).
-	Theta float64
 	// MaxNodes and TimeLimit bound each window MILP (the CPLEX budget
 	// equivalent).
 	MaxNodes  int
@@ -82,8 +80,6 @@ func DefaultParams(t *tech.Tech, arch tech.Arch) Params {
 	return Params{
 		Arch:     arch,
 		Alpha:    alpha,
-		Epsilon:  0.02,
-		Theta:    0.01,
 		MaxNodes: 200,
 		// 400ms per window MILP: with warm-started dual re-solves the
 		// branch-and-bound explores more nodes in 400ms than the seed
@@ -122,92 +118,105 @@ type Objective struct {
 	Value float64
 }
 
-// pinRef caches the geometry of one net terminal used in pair tests.
-type pinRef struct {
-	inst   int
-	alignX int64         // absolute ClosedM1 track x
-	ext    geom.Interval // absolute OpenM1 x extent
-	row    int
-	y      int64 // absolute pin y center
-}
-
-// terminalRef builds the cached geometry for an instance pin.
-func terminalRef(p *layout.Placement, c netlist.Conn) pinRef {
-	inst := &p.Design.Insts[c.Inst]
-	pin := &inst.Master.Pins[c.Pin]
-	x := p.InstX(c.Inst)
-	flip := p.Flip[c.Inst]
-	ext := cells.XExtent(inst.Master, p.Tech, pin, flip)
-	return pinRef{
-		inst:   c.Inst,
-		alignX: x + cells.AlignX(inst.Master, p.Tech, pin, flip),
-		ext:    geom.Interval{Lo: x + ext.Lo, Hi: x + ext.Hi},
-		row:    p.Row[c.Inst],
-		y:      p.InstY(c.Inst) + cells.PinY(inst.Master, p.Tech, pin),
-	}
-}
-
-// appendNetTerminals appends the signal-pin terminals of a net to buf and
-// returns it (ports are not M1-accessible pins and never participate in
-// pairs). Passing a reused buffer avoids the per-net allocation that
-// dominated CalculateObj's constant factor.
-func appendNetTerminals(buf []pinRef, p *layout.Placement, ni int) []pinRef {
-	p.Design.Nets[ni].ForEachConn(func(c netlist.Conn) {
-		buf = append(buf, terminalRef(p, c))
-	})
-	return buf
-}
-
-// netTerminals is appendNetTerminals with a fresh buffer.
-func netTerminals(p *layout.Placement, ni int) []pinRef {
-	return appendNetTerminals(make([]pinRef, 0, p.Design.Nets[ni].NumConns()), p, ni)
-}
-
-// pinGeom converts a cached terminal to the objective package's view of
-// its x/y geometry.
-func pinGeom(r pinRef) objective.PinGeom {
+// pinGeomAt is the geometry of connection c's pin with its instance at
+// site/row and orientation flip: the objective package's x/row view plus
+// the pin's absolute y center. Net terminals read it at the placed
+// location, window candidates at each candidate location.
+func pinGeomAt(p *layout.Placement, c netlist.Conn, site, row int, flip bool) (objective.PinGeom, int64) {
+	t := p.Tech
+	m := p.Design.Insts[c.Inst].Master
+	pin := &m.Pins[c.Pin]
+	x := t.SiteX(site)
+	ext := cells.XExtent(m, t, pin, flip)
+	lo, hi := x+ext.Lo, x+ext.Hi
 	return objective.PinGeom{
-		Row:     r.row,
-		AlignX:  r.alignX,
-		ExtLo:   r.ext.Lo,
-		ExtHi:   r.ext.Hi,
-		CenterX: (r.ext.Lo + r.ext.Hi) / 2,
+		Row:     row,
+		AlignX:  x + cells.AlignX(m, t, pin, flip),
+		ExtLo:   lo,
+		ExtHi:   hi,
+		CenterX: (lo + hi) / 2,
+	}, t.RowY(row) + cells.PinY(m, t, pin)
+}
+
+// pairRule is the pair predicate of one Params on one technology: the
+// geometry objective, its weights and its pair row window, resolved once
+// per rescan, tracker and window so the three agree on what a pair is.
+type pairRule struct {
+	obj  objective.GeomObjective
+	w    objective.Weights
+	rows int
+}
+
+// newPairRule resolves prm's objective (the explicit Objective when set,
+// else the paper formulation for the architecture) with δ from t.
+func newPairRule(prm Params, t *tech.Tech) pairRule {
+	o := prm.Objective
+	if o == nil {
+		o = objective.ForArch(prm.Arch)
+	}
+	return pairRule{
+		obj: o,
+		w: objective.Weights{
+			Alpha:     prm.Alpha,
+			Epsilon:   Epsilon,
+			DeltaDBU:  t.Delta,
+			MarginDBU: prm.MarginDBU,
+			NetAlpha:  prm.NetAlpha,
+		},
+		rows: pairRows(o, t),
 	}
 }
 
-// pairStats counts the dM1-eligible terminal pairs of one net and their
-// overlap surplus (terms on the same instance never pair).
-func pairStats(prm Params, t *tech.Tech, terms []pinRef) (align int, over int64) {
-	o := prm.obj()
-	w := prm.weights(t)
-	gamma := pairRows(o, t)
-	for i := 0; i < len(terms); i++ {
+// eval reports whether two pins realize a pair, plus its surplus: the
+// |Δrow| gate shared by every objective, then the objective's x test.
+func (r *pairRule) eval(a, b objective.PinGeom) (bool, int64) {
+	if max(a.Row-b.Row, b.Row-a.Row) > r.rows {
+		return false, 0
+	}
+	return r.obj.PairEval(r.w, a, b)
+}
+
+// feasible conservatively reports whether any candidate combination of
+// two window pins can realize a pair: their candidate rows must come
+// within the row window, and the objective's x test must pass.
+func (r *pairRule) feasible(a, b objective.PinView) bool {
+	aLo, aHi := minMaxInt(a.RowOf)
+	bLo, bHi := minMaxInt(b.RowOf)
+	if max(aLo-bHi, bLo-aHi) > r.rows {
+		return false
+	}
+	return r.obj.PairFeasible(r.w, a, b)
+}
+
+// netPin is one net terminal under the current placement.
+type netPin struct {
+	inst int
+	g    objective.PinGeom
+}
+
+// netStats scores net ni under the current placement: its realized pairs
+// among the signal-pin terminals (ports are not M1 pins, and two pins of
+// one instance never pair), their surplus and their α-weighted reward.
+// *buf is reused terminal scratch, so a scan allocates once, not per net.
+func (r *pairRule) netStats(p *layout.Placement, ni int, buf *[]netPin) (align int, over int64, reward float64) {
+	terms := (*buf)[:0]
+	p.Design.Nets[ni].ForEachConn(func(c netlist.Conn) {
+		g, _ := pinGeomAt(p, c, p.SiteX[c.Inst], p.Row[c.Inst], p.Flip[c.Inst])
+		terms = append(terms, netPin{inst: c.Inst, g: g})
+	})
+	*buf = terms
+	for i := range terms {
 		for j := i + 1; j < len(terms); j++ {
 			if terms[i].inst == terms[j].inst {
 				continue
 			}
-			if ok, ov := pairEnablesDM1(o, w, gamma, terms[i], terms[j]); ok {
+			if ok, ov := r.eval(terms[i].g, terms[j].g); ok {
 				align++
 				over += ov
 			}
 		}
 	}
-	return align, over
-}
-
-// pairEnablesDM1 reports whether two terminals enable a direct vertical M1
-// route (or, generally, realize the objective's pair predicate) under the
-// current placement, plus the overlap surplus. The row-window gate is
-// shared by every objective; the x-geometry test is the objective's.
-func pairEnablesDM1(o objective.GeomObjective, w objective.Weights, gamma int, a, b pinRef) (bool, int64) {
-	dr := a.row - b.row
-	if dr < 0 {
-		dr = -dr
-	}
-	if dr > gamma {
-		return false, 0
-	}
-	return o.PairEval(w, pinGeom(a), pinGeom(b))
+	return align, over, r.obj.PairAlpha(r.w, ni) * float64(align)
 }
 
 // pairRows is the row window within which two pins of objective o can
@@ -222,46 +231,24 @@ func pairRows(o objective.GeomObjective, t *tech.Tech) int {
 	return t.Gamma
 }
 
-// obj resolves the effective geometry objective: the explicit Objective
-// when set, else the paper formulation for the architecture.
-func (prm Params) obj() objective.GeomObjective {
-	if prm.Objective != nil {
-		return prm.Objective
-	}
-	return objective.ForArch(prm.Arch)
-}
-
-// weights packs the objective-facing scalar knobs, with δ from t.
-func (prm Params) weights(t *tech.Tech) objective.Weights {
-	return objective.Weights{
-		Alpha:     prm.Alpha,
-		Epsilon:   prm.Epsilon,
-		DeltaDBU:  t.Delta,
-		MarginDBU: prm.MarginDBU,
-		NetAlpha:  prm.NetAlpha,
-	}
-}
-
 // CalculateObj evaluates the global objective of a placement (Algorithm 2's
 // CalculateObj).
 func CalculateObj(p *layout.Placement, prm Params) Objective {
 	var obj Objective
-	o := prm.obj()
-	w := prm.weights(p.Tech)
+	r := newPairRule(prm, p.Tech)
 	obj.HPWL = p.TotalHPWL()
 	var weighted, reward float64
-	var buf []pinRef
+	var buf []netPin
 	for ni := range p.Design.Nets {
 		if p.Design.Nets[ni].IsClock {
 			continue
 		}
 		weighted += float64(p.NetHPWL(ni))
-		buf = appendNetTerminals(buf[:0], p, ni)
-		align, over := pairStats(prm, p.Tech, buf)
+		align, over, rw := r.netStats(p, ni, &buf)
 		obj.Alignments += align
 		obj.OverlapSum += over
-		reward += o.PairAlpha(w, ni) * float64(align)
+		reward += rw
 	}
-	obj.Value = o.Value(w, weighted, obj.Alignments, obj.OverlapSum, reward)
+	obj.Value = r.obj.Value(r.w, weighted, obj.Alignments, obj.OverlapSum, reward)
 	return obj
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -11,44 +12,71 @@ import (
 
 // TestWindowObjectiveMatchesGlobalDelta: for a single whole-die window,
 // the window objective delta between two assignments equals the global
-// CalculateObj delta (no fixed-terminal approximation error is possible).
+// CalculateObj delta (no fixed-terminal approximation error is possible),
+// for every registered objective with and without flip candidates. The
+// window and the rescan read pins through the same pinGeomAt and pairRule;
+// this is the check that they score the same geometry.
 func TestWindowObjectiveMatchesGlobalDelta(t *testing.T) {
-	p := genPlaced(t, tech.ClosedM1, 120, 61, 0.6)
-	prm := DefaultParams(p.Tech, tech.ClosedM1)
-	ps := ParamSet{BW: p.DieWidth(), BH: p.DieHeight(), LX: 2, LY: 1}
-	all := make([]int, len(p.Design.Insts))
-	for i := range all {
-		all[i] = i
-	}
-	w := buildWindow(p, prm, p.DieRect(), ps, all, true, false)
-	if len(w.movable) != len(p.Design.Insts) {
-		t.Fatalf("whole-die window must hold every cell (%d vs %d)",
-			len(w.movable), len(p.Design.Insts))
-	}
-
-	globalOf := func(assign []int) float64 {
-		q := p.Clone()
-		for ci, inst := range w.movable {
-			cd := w.cand[ci][assign[ci]]
-			q.SetLoc(inst, cd.site, cd.row, cd.flip)
+	const wantChecks = 40
+	for _, name := range objective.Names() {
+		o, err := objective.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return CalculateObj(q, prm).Value
-	}
+		for _, allowFlip := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/flip=%v", name, allowFlip), func(t *testing.T) {
+				p := genPlaced(t, o.Arch(), 120, 61, 0.6)
+				prm := objectiveParams(p, o)
+				ps := ParamSet{BW: p.DieWidth(), BH: p.DieHeight(), LX: 2, LY: 1}
+				all := make([]int, len(p.Design.Insts))
+				for i := range all {
+					all[i] = i
+				}
+				w := buildWindow(p, prm, p.DieRect(), ps, all, true, allowFlip)
+				if len(w.movable) != len(p.Design.Insts) {
+					t.Fatalf("whole-die window must hold every cell (%d vs %d)",
+						len(w.movable), len(p.Design.Insts))
+				}
 
-	rng := rand.New(rand.NewSource(7))
-	base := append([]int(nil), w.curCand...)
-	for trial := 0; trial < 20; trial++ {
-		alt := append([]int(nil), base...)
-		// Random feasible single-cell change.
-		ci := rng.Intn(len(w.movable))
-		alt[ci] = rng.Intn(len(w.cand[ci]))
-		if !w.feasibleAssign(alt) {
-			continue
-		}
-		dWin := w.objective(alt) - w.objective(base)
-		dGlobal := globalOf(alt) - globalOf(base)
-		if diff := dWin - dGlobal; diff > 1e-6 || diff < -1e-6 {
-			t.Fatalf("trial %d: window delta %f != global delta %f", trial, dWin, dGlobal)
+				globalOf := func(assign []int) Objective {
+					q := p.Clone()
+					for ci, inst := range w.movable {
+						cd := w.cand[ci][assign[ci]]
+						q.SetLoc(inst, cd.site, cd.row, cd.flip)
+					}
+					return CalculateObj(q, prm)
+				}
+
+				rng := rand.New(rand.NewSource(7))
+				base := append([]int(nil), w.curCand...)
+				baseGlobal := globalOf(base)
+				checked, pairMoves := 0, 0
+				for trial := 0; trial < 5000 && checked < wantChecks; trial++ {
+					alt := append([]int(nil), base...)
+					// Random feasible single-cell change.
+					ci := rng.Intn(len(w.movable))
+					alt[ci] = rng.Intn(len(w.cand[ci]))
+					if alt[ci] == base[ci] || !w.feasibleAssign(alt) {
+						continue
+					}
+					checked++
+					g := globalOf(alt)
+					if g.Alignments != baseGlobal.Alignments {
+						pairMoves++
+					}
+					dWin := w.objective(alt) - w.objective(base)
+					dGlobal := g.Value - baseGlobal.Value
+					if diff := dWin - dGlobal; diff > 1e-6 || diff < -1e-6 {
+						t.Fatalf("trial %d: window delta %f != global delta %f", trial, dWin, dGlobal)
+					}
+				}
+				if checked < wantChecks {
+					t.Fatalf("only %d feasible changes checked, want %d", checked, wantChecks)
+				}
+				if pairMoves == 0 {
+					t.Fatalf("none of %d changes made or broke a pair: the pair terms went unchecked", checked)
+				}
+			})
 		}
 	}
 }

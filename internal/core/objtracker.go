@@ -28,8 +28,9 @@ type Move struct {
 // through ApplyMoves so the caches never go stale. It is not safe for
 // concurrent use.
 type ObjTracker struct {
-	p   *layout.Placement
-	prm Params
+	p    *layout.Placement
+	prm  Params
+	rule pairRule
 
 	netHPWL   []int64   // per-net HPWL, zero for clock nets (as TotalHPWL)
 	netAlign  []int     // per-net dM1-eligible pair count (non-clock)
@@ -42,7 +43,7 @@ type ObjTracker struct {
 	epoch   int
 	touched []int
 
-	termBuf []pinRef // reused terminal scratch (no per-net allocation)
+	termBuf []netPin // reused terminal scratch (no per-net allocation)
 
 	// onCommit, when set, runs after every committed batch. Tests use it
 	// to act at an exact commit, such as canceling the run.
@@ -61,6 +62,7 @@ func NewObjTracker(p *layout.Placement, prm Params) *ObjTracker {
 	t := &ObjTracker{
 		p:         p,
 		prm:       prm,
+		rule:      newPairRule(prm, p.Tech),
 		netHPWL:   make([]int64, nNets),
 		netAlign:  make([]int, nNets),
 		netOver:   make([]int64, nNets),
@@ -111,19 +113,13 @@ func NewObjTracker(p *layout.Placement, prm Params) *ObjTracker {
 }
 
 // refreshNet recomputes the cached statistics of one net from the current
-// placement.
+// placement, through the same netStats CalculateObj sums.
 func (t *ObjTracker) refreshNet(ni int) {
-	p, prm := t.p, t.prm
-	if p.Design.Nets[ni].IsClock {
+	if t.p.Design.Nets[ni].IsClock {
 		return // never contributes; caches stay zero
 	}
-	t.netHPWL[ni] = p.NetHPWL(ni)
-	terms := appendNetTerminals(t.termBuf[:0], p, ni)
-	t.termBuf = terms
-	align, over := pairStats(prm, p.Tech, terms)
-	t.netAlign[ni] = align
-	t.netOver[ni] = over
-	t.netReward[ni] = prm.obj().PairAlpha(prm.weights(p.Tech), ni) * float64(align)
+	t.netHPWL[ni] = t.p.NetHPWL(ni)
+	t.netAlign[ni], t.netOver[ni], t.netReward[ni] = t.rule.netStats(t.p, ni, &t.termBuf)
 }
 
 // ApplyMoves applies a batch of accepted moves to the placement and
@@ -176,8 +172,7 @@ func (t *ObjTracker) Objective() Objective {
 	}
 	obj.Alignments = t.align
 	obj.OverlapSum = t.over
-	obj.Value = t.prm.obj().Value(t.prm.weights(t.p.Tech), weighted,
-		obj.Alignments, obj.OverlapSum, reward)
+	obj.Value = t.rule.obj.Value(t.rule.w, weighted, obj.Alignments, obj.OverlapSum, reward)
 	return obj
 }
 

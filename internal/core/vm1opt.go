@@ -74,6 +74,10 @@ func VM1OptJointCtx(ctx context.Context, p *layout.Placement, prm Params, u Sequ
 	return vm1optRun(ctx, p, prm, u, true, distPass)
 }
 
+// theta is the relative objective improvement below which Algorithm 1's
+// inner loop ends (the paper's θ = 1%).
+const theta = 0.01
+
 // vm1optRun drives Algorithm 1 in either the sequential perturb-then-flip
 // mode or the joint move+flip ablation mode, running each DistOpt pass
 // with pass.
@@ -125,7 +129,7 @@ loop:
 			iters++
 
 			dObj := (preObj - obj.Value) / math.Max(math.Abs(preObj), 1)
-			if dObj < prm.Theta {
+			if dObj < theta {
 				break
 			}
 			if prm.MaxOuterIters > 0 && iters >= prm.MaxOuterIters {

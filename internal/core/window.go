@@ -1,7 +1,6 @@
 package core
 
 import (
-	"vm1place/internal/cells"
 	"vm1place/internal/geom"
 	"vm1place/internal/layout"
 	"vm1place/internal/netlist"
@@ -33,12 +32,9 @@ type cand struct {
 type window struct {
 	p   *layout.Placement // read-only snapshot during parallel solves
 	prm Params
-	// obj/wts/rows are the resolved geometry objective, its weight view
-	// and its pair row window, hoisted once per build so pair tests and
-	// model assembly never re-resolve them on the hot path.
-	obj  objective.GeomObjective
-	wts  objective.Weights
-	rows int
+	// rule is the pair rule, resolved once per build so pair tests and
+	// model assembly never re-resolve it on the hot path.
+	rule pairRule
 
 	s0, s1 int // site range [s0, s1)
 	r0, r1 int // row range [r0, r1)
@@ -71,18 +67,13 @@ type window struct {
 }
 
 // winPin is a net terminal as seen by the window MILP: movable (cell index
-// within window plus per-candidate geometry) or fixed (constants).
+// within window plus per-candidate geometry) or fixed (single-element
+// geometry). The embedded view's Lambda stays nil; pinView supplies the λ
+// ids during model assembly.
 type winPin struct {
+	objective.PinView
 	cell int // index into movable, or -1 when fixed
 	conn netlist.Conn
-
-	// Per-candidate geometry (movable) or single-element (fixed):
-	// centerX/centerY for HPWL, alignX for ClosedM1, extLo/extHi for
-	// OpenM1, rowOf for pruning.
-	centerX, centerY []int64
-	alignX           []int64
-	extLo, extHi     []int64
-	rowOf            []int
 }
 
 // winNet is a net with at least one movable pin.
@@ -186,9 +177,7 @@ func (w *window) buildGeom(p *layout.Placement, prm Params, rect geom.Rect, ps P
 	insts []int, allowMove, allowFlip bool) {
 	w.reset()
 	w.p, w.prm = p, prm
-	w.obj = prm.obj()
-	w.wts = prm.weights(p.Tech)
-	w.rows = pairRows(w.obj, p.Tech)
+	w.rule = newPairRule(prm, p.Tech)
 	w.s0, w.s1, w.r0, w.r1 = windowSpan(p, rect)
 	if w.s1 <= w.s0 || w.r1 <= w.r0 {
 		w.blocked = w.blocked[:0]
@@ -346,43 +335,32 @@ func (w *window) cellOf(inst int) int {
 	return -1
 }
 
-// makePin builds the winPin view of a connection. Geometry arrays are
-// carved from the window slabs.
+// makePin builds the winPin view of a connection: the pin's geometry at
+// each candidate of its movable cell, or at its placed location when
+// fixed. Geometry arrays are carved from the window slabs.
 func (w *window) makePin(c netlist.Conn) winPin {
 	p := w.p
-	t := p.Tech
-	inst := &p.Design.Insts[c.Inst]
-	pin := &inst.Master.Pins[c.Pin]
 	wp := winPin{cell: w.cellOf(c.Inst), conn: c}
-	geomFor := func(site, row int, flip bool) (cx, cy, ax, lo, hi int64, r int) {
-		x := t.SiteX(site)
-		y := t.RowY(row)
-		ax = x + cells.AlignX(inst.Master, t, pin, flip)
-		ext := cells.XExtent(inst.Master, t, pin, flip)
-		lo, hi = x+ext.Lo, x+ext.Hi
-		cx = (lo + hi) / 2
-		cy = y + cells.PinY(inst.Master, t, pin)
-		return cx, cy, ax, lo, hi, row
-	}
 	n := 1
 	if wp.cell >= 0 {
 		n = len(w.cand[wp.cell])
 	}
 	b := w.carve64(5 * n)
-	wp.centerX = b[0*n : 1*n : 1*n]
-	wp.centerY = b[1*n : 2*n : 2*n]
-	wp.alignX = b[2*n : 3*n : 3*n]
-	wp.extLo = b[3*n : 4*n : 4*n]
-	wp.extHi = b[4*n : 5*n : 5*n]
-	wp.rowOf = w.carveInt(n)
-	if wp.cell < 0 {
-		wp.centerX[0], wp.centerY[0], wp.alignX[0], wp.extLo[0], wp.extHi[0], wp.rowOf[0] =
-			geomFor(p.SiteX[c.Inst], p.Row[c.Inst], p.Flip[c.Inst])
-		return wp
-	}
-	for k, cd := range w.cand[wp.cell] {
-		wp.centerX[k], wp.centerY[k], wp.alignX[k], wp.extLo[k], wp.extHi[k], wp.rowOf[k] =
-			geomFor(cd.site, cd.row, cd.flip)
+	wp.CenterX = b[0*n : 1*n : 1*n]
+	wp.CenterY = b[1*n : 2*n : 2*n]
+	wp.AlignX = b[2*n : 3*n : 3*n]
+	wp.ExtLo = b[3*n : 4*n : 4*n]
+	wp.ExtHi = b[4*n : 5*n : 5*n]
+	wp.RowOf = w.carveInt(n)
+	for k := range n {
+		site, row, flip := p.SiteX[c.Inst], p.Row[c.Inst], p.Flip[c.Inst]
+		if wp.cell >= 0 {
+			cd := w.cand[wp.cell][k]
+			site, row, flip = cd.site, cd.row, cd.flip
+		}
+		g, cy := pinGeomAt(p, c, site, row, flip)
+		wp.CenterX[k], wp.CenterY[k], wp.AlignX[k] = g.CenterX, cy, g.AlignX
+		wp.ExtLo[k], wp.ExtHi[k], wp.RowOf[k] = g.ExtLo, g.ExtHi, g.Row
 	}
 	return wp
 }
@@ -434,7 +412,7 @@ func (w *window) newPair(wn *winNet, p, q winPin) *winPair {
 		w.pairSlab = append(w.pairSlab, winPair{})
 	}
 	pr := &w.pairSlab[len(w.pairSlab)-1]
-	*pr = winPair{net: wn, p: p, q: q, alpha: w.obj.PairAlpha(w.wts, wn.ni)}
+	*pr = winPair{net: wn, p: p, q: q, alpha: w.rule.obj.PairAlpha(w.rule.w, wn.ni)}
 	return pr
 }
 
@@ -463,7 +441,7 @@ func (w *window) buildNet(ni int) *winNet {
 		if wp.cell >= 0 {
 			wn.movable = append(wn.movable, wp)
 		} else {
-			addFixed(wp.centerX[0], wp.centerY[0])
+			addFixed(wp.CenterX[0], wp.CenterY[0])
 		}
 	})
 	for _, pi := range w.ports.of(ni) {
@@ -501,7 +479,7 @@ func (w *window) buildPairs(wn *winNet) {
 			if a.cell < 0 && b.cell < 0 {
 				continue // fixed-fixed pairs are constants
 			}
-			if !w.pairFeasible(a, b) {
+			if !w.rule.feasible(a.PinView, b.PinView) {
 				continue
 			}
 			ra := w.p.Row[a.conn.Inst]
@@ -536,38 +514,11 @@ func (w *window) buildPairs(wn *winNet) {
 	w.scoreBuf = cands[:0]
 }
 
-// pairFeasible conservatively tests whether any candidate combination can
-// realize the pair under the window's objective.
-func (w *window) pairFeasible(a, b winPin) bool {
-	// Row distance must be able to reach <= gamma (shared by every
-	// objective); the x-geometry test is the objective's.
-	aLo, aHi := minMaxInt(a.rowOf)
-	bLo, bHi := minMaxInt(b.rowOf)
-	dist := 0
-	if aLo > bHi {
-		dist = aLo - bHi
-	} else if bLo > aHi {
-		dist = bLo - aHi
-	}
-	if dist > w.rows {
-		return false
-	}
-	return w.obj.PairFeasible(w.wts, pinView(a, nil), pinView(b, nil))
-}
-
-// pinView adapts a winPin to the objective package's per-candidate view.
-// lambda supplies the MILP λ variable ids per movable cell (model assembly);
-// pass nil outside the MILP, where only the geometry arrays are read.
+// pinView is p's geometry view with the λ variable ids of its cell for
+// model assembly (nil Lambda, as built, for a fixed pin).
 func pinView(p winPin, lambda [][]int) objective.PinView {
-	v := objective.PinView{
-		CenterX: p.centerX,
-		CenterY: p.centerY,
-		AlignX:  p.alignX,
-		ExtLo:   p.extLo,
-		ExtHi:   p.extHi,
-		RowOf:   p.rowOf,
-	}
-	if p.cell >= 0 && lambda != nil {
+	v := p.PinView
+	if p.cell >= 0 {
 		v.Lambda = lambda[p.cell]
 	}
 	return v

@@ -21,7 +21,7 @@ func (w *window) objective(assign []int) float64 {
 		hit, over := w.pairState(pr, assign)
 		if hit {
 			total -= pr.alpha
-			total -= w.prm.Epsilon * float64(over)
+			total -= Epsilon * float64(over)
 		}
 	}
 	return total
@@ -56,7 +56,7 @@ func (w *window) netWL(wn *winNet, assign []int) int64 {
 	}
 	for _, mp := range wn.movable {
 		k := assign[mp.cell]
-		add(mp.centerX[k], mp.centerY[k])
+		add(mp.CenterX[k], mp.CenterY[k])
 	}
 	if !init {
 		return 0
@@ -73,30 +73,9 @@ func pinAt(p winPin, assign []int) int {
 	return assign[p.cell]
 }
 
-// pairState evaluates a pair under an assignment: the shared |Δrow| gate,
-// then the objective's exact x-geometry test.
+// pairState evaluates a pair under an assignment.
 func (w *window) pairState(pr *winPair, assign []int) (bool, int64) {
-	kp := pinAt(pr.p, assign)
-	kq := pinAt(pr.q, assign)
-	dr := pr.p.rowOf[kp] - pr.q.rowOf[kq]
-	if dr < 0 {
-		dr = -dr
-	}
-	if dr > w.rows {
-		return false, 0
-	}
-	return w.obj.PairEval(w.wts, winGeom(pr.p, kp), winGeom(pr.q, kq))
-}
-
-// winGeom is the scalar geometry of a window pin under candidate k.
-func winGeom(p winPin, k int) objective.PinGeom {
-	return objective.PinGeom{
-		Row:     p.rowOf[k],
-		AlignX:  p.alignX[k],
-		ExtLo:   p.extLo[k],
-		ExtHi:   p.extHi[k],
-		CenterX: p.centerX[k],
-	}
+	return w.rule.eval(pr.p.At(pinAt(pr.p, assign)), pr.q.At(pinAt(pr.q, assign)))
 }
 
 // feasibleAssign reports whether an assignment is overlap-free within the
@@ -154,7 +133,7 @@ func (w *window) buildModel() (*lp.Model, *milp.Model, [][]int, float64) {
 	t := w.p.Tech
 	m, mm := sv.models()
 	inf := math.Inf(1)
-	gammaH := float64(int64(w.rows) * t.RowHeight)
+	gammaH := float64(int64(w.rule.rows) * t.RowHeight)
 
 	// λ variables, one exactly-one group per cell (Constraints 5-8 in SCP
 	// form).
@@ -196,19 +175,6 @@ func (w *window) buildModel() (*lp.Model, *milp.Model, [][]int, float64) {
 		}
 	}
 	sv.occTerms = occT
-
-	// appendPin appends the λ-terms of a pin coordinate (scaled by sign)
-	// to dst and returns the pin's constant (fixed pins contribute no
-	// terms; the caller folds the constant into the RHS).
-	appendPin := func(dst []lp.Term, p winPin, vals []int64, sign float64) ([]lp.Term, float64) {
-		if p.cell < 0 {
-			return dst, float64(vals[0])
-		}
-		for k, v := range vals {
-			dst = append(dst, lp.Term{Var: lambda[p.cell][k], Coef: sign * float64(v)})
-		}
-		return dst, 0
-	}
 
 	// Net bound variables and rows (Constraints 2-3; wn folded into the
 	// objective coefficients of the four bound variables). Two exact
@@ -255,7 +221,7 @@ func (w *window) buildModel() (*lp.Model, *milp.Model, [][]int, float64) {
 			vmin := m.AddVar(-inf, hi, -1, "min")
 			for _, mp := range contrib {
 				tb = tb[:0]
-				tb, _ = appendPin(tb, mp, axisVals(mp, axi), -1)
+				tb, _ = objective.AppendPin(tb, pinView(mp, lambda), axisVals(mp, axi), -1)
 				tb = append(tb, lp.Term{Var: vmax, Coef: 1})
 				m.AddRow(lp.GE, 0, tb...)
 				tb[len(tb)-1] = lp.Term{Var: vmin, Coef: 1}
@@ -274,8 +240,7 @@ func (w *window) buildModel() (*lp.Model, *milp.Model, [][]int, float64) {
 	for _, pr := range w.pairs {
 		d := m.AddVar(0, 1, -pr.alpha, "d")
 		mm.MarkInt(d)
-		tb = w.obj.EmitPair(em, w.wts, d,
-			pinView(pr.p, lambda), pinView(pr.q, lambda), tb)
+		tb = w.rule.obj.EmitPair(em, w.rule.w, d, pinView(pr.p, lambda), pinView(pr.q, lambda), tb)
 	}
 	sv.tbuf = tb
 
@@ -285,9 +250,9 @@ func (w *window) buildModel() (*lp.Model, *milp.Model, [][]int, float64) {
 // axisVals selects a pin's candidate coordinates for axis 0 (x) or 1 (y).
 func axisVals(mp winPin, axi int) []int64 {
 	if axi == 0 {
-		return mp.centerX
+		return mp.CenterX
 	}
-	return mp.centerY
+	return mp.CenterY
 }
 
 // solveMILP builds and solves the paper's window MILP.
@@ -497,7 +462,7 @@ func (w *window) solveGreedy() []int {
 		}
 		for _, pr := range pairsOf[ci] {
 			if hit, over := w.pairState(pr, assign); hit {
-				v -= pr.alpha + w.prm.Epsilon*float64(over)
+				v -= pr.alpha + Epsilon*float64(over)
 			}
 		}
 		return v

@@ -23,12 +23,12 @@ const maxDieSites = 1 << 24
 // instances to masters from lib. It reconstructs the netlist (components,
 // pins, nets) and the placement (locations, orientations, die, ports).
 // A placement that is not legal — a component off the die or overlapping
-// another — is an error.
+// another — is an error, and so are ROWs that do not tile the die.
 func ParseDEF(r io.Reader, t *tech.Tech, lib *cells.Library) (*layout.Placement, error) {
 	tk := newTokenizer(r)
 	d := &netlist.Design{Lib: lib}
 	var dieW, dieH int64
-	numRows := 0
+	var rows [][]string // each ROW statement's tokens, checked against the die at the end
 
 	instIdx := map[string]int{}
 	netIdx := map[string]int{}
@@ -71,8 +71,7 @@ func ParseDEF(r io.Reader, t *tech.Tech, lib *cells.Library) (*layout.Placement,
 				return nil, err
 			}
 		case "ROW":
-			tk.until()
-			numRows++
+			rows = append(rows, tk.until())
 		case "COMPONENTS":
 			tk.until()
 			for {
@@ -235,11 +234,15 @@ func ParseDEF(r io.Reader, t *tech.Tech, lib *cells.Library) (*layout.Placement,
 		}
 	}
 
+	numRows := len(rows)
 	if dieW <= 0 || dieH <= 0 || numRows == 0 {
 		return nil, fmt.Errorf("lefdef: DEF missing DIEAREA or ROW statements")
 	}
 	if sites := dieW / t.SiteWidth; sites == 0 || sites*int64(numRows) > maxDieSites {
 		return nil, fmt.Errorf("lefdef: die of %d rows x %d sites outside 1..%d sites", numRows, sites, maxDieSites)
+	}
+	if err := checkRows(rows, dieH, t.RowHeight); err != nil {
+		return nil, err
 	}
 
 	p := &layout.Placement{
@@ -286,6 +289,46 @@ func parseDieArea(rest []string) (w, h int64, err error) {
 		return 0, 0, fmt.Errorf("lefdef: DIEAREA lower-left corner ( %d %d ) is not ( 0 0 )", v[0], v[1])
 	}
 	return v[2], v[3], nil
+}
+
+// checkRows reads the ROW statements' tokens (NAME SITE x y ...): the
+// placement numbers rows from y 0 in steps of rowH, so each ROW must start
+// at ( 0 y ) with y on that grid inside the die, no two ROWs may share a
+// y, and together they must fill the die height exactly.
+func checkRows(rows [][]string, dieH, rowH int64) error {
+	byY := make(map[int64]string, len(rows))
+	for _, r := range rows {
+		if len(r) < 4 {
+			return fmt.Errorf("lefdef: ROW %v is not NAME SITE x y ...", r)
+		}
+		name := r[0]
+		x, errX := strconv.ParseInt(r[2], 10, 64)
+		y, errY := strconv.ParseInt(r[3], 10, 64)
+		if err := errors.Join(errX, errY); err != nil {
+			return fmt.Errorf("lefdef: ROW %s has a bad origin: %w", name, err)
+		}
+		if x != 0 || y < 0 || y%rowH != 0 || y > dieH-rowH {
+			return fmt.Errorf("lefdef: ROW %s origin ( %d %d ) is not ( 0 y ) with y a multiple of %d in a die %d high",
+				name, x, y, rowH, dieH)
+		}
+		if prev, dup := byY[y]; dup {
+			return fmt.Errorf("lefdef: ROW %s at y %d repeats ROW %s", name, y, prev)
+		}
+		byY[y] = name
+	}
+	if int64(len(rows))*rowH == dieH {
+		return nil
+	}
+	if dieH%rowH != 0 {
+		return fmt.Errorf("lefdef: DIEAREA height %d is not a whole number of %d-DBU rows", dieH, rowH)
+	}
+	// Some row of the die is missing; the lowest one is at most
+	// len(rows) rows up, so this loop is short.
+	for y := int64(0); ; y += rowH {
+		if _, ok := byY[y]; !ok {
+			return fmt.Errorf("lefdef: no ROW at y %d: ROWs must fill the die height %d", y, dieH)
+		}
+	}
 }
 
 // peekConsume consumes the next token when it equals want.

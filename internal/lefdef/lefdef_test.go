@@ -183,9 +183,11 @@ func TestParseDEFErrors(t *testing.T) {
 	}
 	// Inputs that would otherwise parse into a wrong placement must fail
 	// naming what is wrong: a pin coordinate that is not a number, a die
-	// whose origin is not (0, 0), and a die that is not one rectangle.
+	// whose origin is not (0, 0), a die that is not one rectangle, and
+	// ROWs that do not tile the die.
 	legal := invDEF([2]int64{0, 0}, [2]int64{500, 250})
 	const die = "DIEAREA ( 0 0 ) ( 1000 500 ) ;"
+	const row1 = "ROW r1 coreSite 0 250 FS DO 10 BY 1 STEP 100 0 ;"
 	named := []struct{ src, want string }{
 		{strings.Replace(legal, "FIXED ( 0 0 )", "FIXED ( 12x 7y )", 1), "FIXED"},
 		{strings.Replace(legal, die, "DIEAREA ( 5000 5000 ) ( 6000 5500 ) ;", 1), "( 5000 5000 )"},
@@ -198,6 +200,17 @@ func TestParseDEFErrors(t *testing.T) {
 		{strings.Replace(legal, "( u0 ZN )", "( u0 ZN ) ( u1 ZN )", 1), "second driver u1/ZN"},
 		{strings.Replace(legal, "- in + NET n0 +", "- in +", 1), "pin in names no net"},
 		{strings.Replace(legal, "- in + NET n0 +", "- in + NET n0 + NET n1 +", 1), "pin in names two nets"},
+		// ROWs that do not tile the die from ( 0 0 ) one row pitch apart:
+		// a third row above the die, a row off x 0 or off the row grid, two
+		// rows at one y, a missing row, and a die no whole number of rows
+		// high.
+		{strings.Replace(legal, row1, row1+"\nROW r2 coreSite 0 500 N DO 10 BY 1 STEP 100 0 ;", 1), "ROW r2 origin ( 0 500 )"},
+		{strings.Replace(legal, row1, "ROW r1 coreSite 300 250 FS ;", 1), "ROW r1 origin ( 300 250 )"},
+		{strings.Replace(legal, row1, "ROW r1 coreSite 0 240 FS ;", 1), "ROW r1 origin ( 0 240 )"},
+		{strings.Replace(legal, row1, "ROW r1 coreSite 0 0 FS ;", 1), "ROW r1 at y 0 repeats ROW r0"},
+		{strings.Replace(legal, row1, "ROW r1 coreSite 0 x FS ;", 1), "ROW r1 has a bad origin"},
+		{strings.Replace(legal, row1, "", 1), "no ROW at y 250"},
+		{strings.Replace(legal, die, "DIEAREA ( 0 0 ) ( 1000 600 ) ;", 1), "DIEAREA height 600"},
 	}
 	for i, c := range named {
 		_, err := ParseDEF(strings.NewReader(c.src), tc, lib)
