@@ -14,7 +14,9 @@
 //
 // Usage (existing LEF/DEF):
 //
-//	vm1opt -lef lib.lef -def placed.def -arch closedm1 -out opt.def
+//	vm1opt -lef lib.lef -def placed.def -out opt.def
+//
+// With -lef/-def the cell architecture is the LEF library's.
 package main
 
 import (
@@ -52,7 +54,8 @@ func run() error {
 	design := flag.String("design", "aes", "paper design name: m0|aes|jpeg|vga")
 	n := flag.Int("n", 0, "override instance count (0: paper count)")
 	scale := flag.Float64("scale", 1.0, "scale factor on the paper instance count")
-	archStr := flag.String("arch", "closedm1", "cell architecture: closedm1|openm1")
+	archStr := flag.String("arch", "closedm1",
+		"cell architecture: closedm1|openm1 (with -lef/-def: the library's)")
 	objStr := flag.String("objective", "",
 		"geometry objective: "+strings.Join(objective.Names(), "|")+
 			" (default: the paper objective for -arch; overrides -arch)")
@@ -147,7 +150,13 @@ func run() error {
 		if *lefPath == "" || *defPath == "" {
 			return fmt.Errorf("-lef and -def must be given together")
 		}
-		return runOnDEF(ctx, *lefPath, *defPath, *outPath, cfg)
+		archFlag := ""
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "arch" {
+				archFlag = *archStr
+			}
+		})
+		return runOnDEF(ctx, *lefPath, *defPath, *outPath, archFlag, cfg)
 	}
 
 	spec, err := specFor(*design, *n, *scale)
@@ -212,8 +221,10 @@ func specFor(name string, n int, scale float64) (expt.DesignSpec, error) {
 	return expt.DesignSpec{}, fmt.Errorf("unknown design %q", name)
 }
 
-// runOnDEF optimizes an externally supplied placement.
-func runOnDEF(ctx context.Context, lefPath, defPath, outPath string, cfg expt.FlowConfig) error {
+// runOnDEF optimizes an externally supplied placement. archFlag is -arch
+// when given explicitly, "" otherwise; the architecture comes from the
+// LEF library (see defArch).
+func runOnDEF(ctx context.Context, lefPath, defPath, outPath, archFlag string, cfg expt.FlowConfig) error {
 	t := tech.Default()
 	lf, err := os.Open(lefPath)
 	if err != nil {
@@ -222,6 +233,9 @@ func runOnDEF(ctx context.Context, lefPath, defPath, outPath string, cfg expt.Fl
 	lib, err := lefdef.ParseLEF(lf, t)
 	lf.Close()
 	if err != nil {
+		return err
+	}
+	if cfg.Arch, err = defArch(lib.Arch, archFlag, cfg.Objective); err != nil {
 		return err
 	}
 	df, err := os.Open(defPath)
@@ -282,6 +296,37 @@ func runOnDEF(ctx context.Context, lefPath, defPath, outPath string, cfg expt.Fl
 		fmt.Println("wrote", outPath)
 	}
 	return nil
+}
+
+// defArch returns the cell architecture of the -lef/-def path: the one
+// the LEF library's pins draw, as lefdef.ParseLEF detects it. An explicit
+// -arch (archFlag, "" when not given) or an -objective (obj) scoring
+// another architecture is an error, and so is a library the optimizer has
+// no objective for.
+func defArch(lib tech.Arch, archFlag, obj string) (tech.Arch, error) {
+	if lib != tech.ClosedM1 && lib != tech.OpenM1 {
+		return 0, fmt.Errorf("the LEF library has %s cells (want ClosedM1 or OpenM1)", lib)
+	}
+	if archFlag != "" {
+		a, err := parseArch(archFlag)
+		if err != nil {
+			return 0, err
+		}
+		if a != lib {
+			return 0, fmt.Errorf("-arch %s conflicts with the LEF library's %s cells", archFlag, lib)
+		}
+	}
+	if obj != "" {
+		o, err := objective.Lookup(obj)
+		if err != nil {
+			return 0, fmt.Errorf("-objective: %w", err)
+		}
+		if o.Arch() != lib {
+			return 0, fmt.Errorf("-objective %s scores %s cells, but the LEF library has %s cells",
+				obj, o.Arch(), lib)
+		}
+	}
+	return lib, nil
 }
 
 type quickMetrics struct {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -153,6 +154,48 @@ func TestCheckObjectiveFlags(t *testing.T) {
 		case tc.flag != "" && !strings.Contains(err.Error(), tc.flag):
 			t.Errorf("checkObjectiveFlags(%q, %v, %d): error %q does not name %s",
 				tc.obj, tc.weight, tc.margin, err, tc.flag)
+		}
+	}
+}
+
+// TestDefArch checks that the -lef/-def path takes the architecture from
+// the LEF library (lib), and rejects an -arch or -objective naming another
+// one.
+func TestDefArch(t *testing.T) {
+	for _, c := range []struct {
+		lib       tech.Arch
+		arch, obj string
+		want      tech.Arch
+		errWords  []string // nil when the flags must be accepted
+	}{
+		{lib: tech.OpenM1, want: tech.OpenM1},
+		{lib: tech.ClosedM1, want: tech.ClosedM1},
+		{lib: tech.OpenM1, arch: "openm1", want: tech.OpenM1},
+		{lib: tech.OpenM1, obj: "netsep", want: tech.OpenM1},
+		{lib: tech.ClosedM1, arch: "closedm1", obj: "slackalpha", want: tech.ClosedM1},
+		{lib: tech.OpenM1, arch: "closedm1", errWords: []string{"-arch closedm1", "OpenM1"}},
+		{lib: tech.ClosedM1, arch: "openm1", errWords: []string{"-arch openm1", "ClosedM1"}},
+		{lib: tech.OpenM1, obj: "closedm1", errWords: []string{"-objective closedm1", "ClosedM1", "OpenM1"}},
+		{lib: tech.ClosedM1, obj: "netsep", errWords: []string{"-objective netsep", "OpenM1", "ClosedM1"}},
+		{lib: tech.OpenM1, obj: "bogus", errWords: []string{"-objective", "bogus"}},
+		{lib: tech.Conventional, errWords: []string{"Conventional"}},
+	} {
+		got, err := defArch(c.lib, c.arch, c.obj)
+		name := fmt.Sprintf("defArch(%s, %q, %q)", c.lib, c.arch, c.obj)
+		if c.errWords == nil {
+			if err != nil || got != c.want {
+				t.Errorf("%s = %v, %v; want %v", name, got, err, c.want)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s = %v, want an error", name, got)
+			continue
+		}
+		for _, w := range c.errWords {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error %q does not name %q", name, err, w)
+			}
 		}
 	}
 }

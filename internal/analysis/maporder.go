@@ -45,10 +45,16 @@ var deterministicPkgPrefixes = []string{
 	"vm1place/internal/lp",
 	"vm1place/internal/route",
 	"vm1place/internal/place",
-	"vm1place/internal/wmilp",
 	// Geometry objectives emit the MILP rows whose ordering steers simplex
 	// pivoting; any map-ordered iteration here breaks the golden flows.
 	"vm1place/internal/objective",
+	// The design, placement, DEF, timing and library models feed the
+	// goldens and the QoR gate.
+	"vm1place/internal/netlist",
+	"vm1place/internal/layout",
+	"vm1place/internal/lefdef",
+	"vm1place/internal/sta",
+	"vm1place/internal/cells",
 }
 
 func isDeterministicPkg(path string) bool {

@@ -75,14 +75,14 @@ func (m *manual) tieOff() {
 					Name: "tie", Driver: netlist.Conn{Inst: -1},
 					Sinks: []netlist.Conn{{Inst: ii, Pin: pi}},
 				})
-				m.d.Ports = append(m.d.Ports, netlist.Port{
+				m.d.AddPort(netlist.Port{
 					Name: "tp", Net: ni, Input: true, Side: netlist.West, Pos: 0.5,
 				})
 			} else {
 				m.d.Nets = append(m.d.Nets, netlist.Net{
 					Name: "obs", Driver: netlist.Conn{Inst: ii, Pin: pi},
 				})
-				m.d.Ports = append(m.d.Ports, netlist.Port{
+				m.d.AddPort(netlist.Port{
 					Name: "op", Net: ni, Input: false, Side: netlist.East, Pos: 0.5,
 				})
 			}

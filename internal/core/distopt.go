@@ -142,7 +142,6 @@ func distPass(ctx context.Context, t *ObjTracker, ps ParamSet, g passGrid,
 	fprm := familyParams(ctx, prm)
 	s := newWinSched(t, g, diagonalFamilies(g))
 	defer context.AfterFunc(ctx, s.stop)()
-	ports := newPortIndex(p.Design)
 
 	workers := min(pool.workers, len(s.win))
 	start := time.Now()   // clock-ok: worker idle time for Result.PassIdle; never feeds a decision
@@ -167,7 +166,7 @@ func distPass(ctx context.Context, t *ObjTracker, ps ParamSet, g passGrid,
 				// worker count, not the grid.
 				w := pool.getWindow()
 				w.buildGeom(p, fprm, g.rects[wid], ps, g.buckets[wid], allowMove, allowFlip)
-				w.buildNetsPairs(&ports)
+				w.buildNetsPairs()
 				s.built(k)
 				w.sv = sv
 				assign := w.solve()

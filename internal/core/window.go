@@ -46,7 +46,6 @@ type window struct {
 
 	nets  []*winNet
 	pairs []*winPair
-	ports *portIndex // the pass's ports-by-net index, set by buildNetsPairs
 
 	// sv is the per-worker solve workspace threaded from DistOpt for the
 	// duration of one solve; solve()/buildModel lazily create a private one
@@ -161,8 +160,7 @@ func buildWindow(p *layout.Placement, prm Params, rect geom.Rect, ps ParamSet,
 	insts []int, allowMove, allowFlip bool) *window {
 	w := &window{}
 	w.buildGeom(p, prm, rect, ps, insts, allowMove, allowFlip)
-	ports := newPortIndex(p.Design)
-	w.buildNetsPairs(&ports)
+	w.buildNetsPairs()
 	return w
 }
 
@@ -279,46 +277,12 @@ func insideSpan(p *layout.Placement, i, s0, s1, r0, r1 int) bool {
 		site+p.Design.Insts[i].Master.WidthSites <= s1
 }
 
-// portIndex lists the ports of every net (CSR): the ports of net ni are
-// list[start[ni]:start[ni+1]], in port order. Ports never move, so one
-// index serves every window of a pass.
-type portIndex struct {
-	start []int32
-	list  []int32
-}
-
-func newPortIndex(d *netlist.Design) portIndex {
-	nn := len(d.Nets)
-	ix := portIndex{start: make([]int32, nn+1)}
-	for pi := range d.Ports {
-		if ni := d.Ports[pi].Net; ni >= 0 && ni < nn {
-			ix.start[ni+1]++
-		}
-	}
-	for i := 1; i <= nn; i++ {
-		ix.start[i] += ix.start[i-1]
-	}
-	ix.list = make([]int32, ix.start[nn])
-	fill := append([]int32(nil), ix.start[:nn]...)
-	for pi := range d.Ports {
-		if ni := d.Ports[pi].Net; ni >= 0 && ni < nn {
-			ix.list[fill[ni]] = int32(pi)
-			fill[ni]++
-		}
-	}
-	return ix
-}
-
-// of returns the ports of net ni.
-func (ix *portIndex) of(ni int) []int32 { return ix.list[ix.start[ni]:ix.start[ni+1]] }
-
 // buildNetsPairs resolves the nets and eligible pin pairs touching the
-// movable cells, taking net ports from ports. Net terminals may sit
-// anywhere on the die, so this stage must run against the placement state
-// the window will be solved on: the DistOpt scheduler orders it after the
-// commits of every earlier-family window that shares a net with this one.
-func (w *window) buildNetsPairs(ports *portIndex) {
-	w.ports = ports
+// movable cells. Net terminals may sit anywhere on the die, so this stage
+// must run against the placement state the window will be solved on: the
+// DistOpt scheduler orders it after the commits of every earlier-family
+// window that shares a net with this one.
+func (w *window) buildNetsPairs() {
 	if len(w.movable) == 0 {
 		return
 	}
@@ -444,7 +408,7 @@ func (w *window) buildNet(ni int) *winNet {
 			addFixed(wp.CenterX[0], wp.CenterY[0])
 		}
 	})
-	for _, pi := range w.ports.of(ni) {
+	for _, pi := range d.Nets[ni].Ports {
 		addFixed(p.PortXY[pi].X, p.PortXY[pi].Y)
 	}
 	return wn

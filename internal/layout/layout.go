@@ -167,23 +167,14 @@ func (p *Placement) PinPos(c netlist.Conn) geom.Point {
 	return geom.Point{X: (s.Rect.XLo + s.Rect.XHi) / 2, Y: (s.Rect.YLo + s.Rect.YHi) / 2}
 }
 
-// PinXExtent returns the absolute x-extent of a connection's pin (the
-// paper's [x_c+x_min,p, x_c+x_max,p] for OpenM1 overlap).
-func (p *Placement) PinXExtent(c netlist.Conn) geom.Interval {
-	s := p.PinShape(c)
-	return geom.Interval{Lo: s.Rect.XLo, Hi: s.Rect.XHi}
-}
-
 // NetBBox accumulates the bounding box of a net over instance pins and
 // ports. Returns an invalid box for nets with no endpoints.
 func (p *Placement) NetBBox(ni int) geom.BBox {
 	var b geom.BBox
 	n := &p.Design.Nets[ni]
 	n.ForEachConn(func(c netlist.Conn) { b.Add(p.PinPos(c)) })
-	for pi := range p.Design.Ports {
-		if p.Design.Ports[pi].Net == ni {
-			b.Add(p.PortXY[pi])
-		}
+	for _, pi := range n.Ports {
+		b.Add(p.PortXY[pi])
 	}
 	return b
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 
 	"vm1place/internal/cells"
@@ -170,7 +171,7 @@ func ParseDEF(r io.Reader, t *tech.Tech, lib *cells.Library) (*layout.Placement,
 				}
 				port.Net = getNet(net)
 				portLocs = append(portLocs, portLoc{idx: len(d.Ports), x: px, y: py})
-				d.Ports = append(d.Ports, port)
+				d.AddPort(port)
 			}
 		case "NETS":
 			tk.until()
@@ -238,17 +239,18 @@ func ParseDEF(r io.Reader, t *tech.Tech, lib *cells.Library) (*layout.Placement,
 	if dieW <= 0 || dieH <= 0 || numRows == 0 {
 		return nil, fmt.Errorf("lefdef: DEF missing DIEAREA or ROW statements")
 	}
-	if sites := dieW / t.SiteWidth; sites == 0 || sites*int64(numRows) > maxDieSites {
+	sites := dieW / t.SiteWidth
+	if sites == 0 || sites*int64(numRows) > maxDieSites {
 		return nil, fmt.Errorf("lefdef: die of %d rows x %d sites outside 1..%d sites", numRows, sites, maxDieSites)
 	}
-	if err := checkRows(rows, dieH, t.RowHeight); err != nil {
+	if err := checkRows(rows, dieH, t.RowHeight, sites); err != nil {
 		return nil, err
 	}
 
 	p := &layout.Placement{
 		Tech:     t,
 		Design:   d,
-		NumSites: int(dieW / t.SiteWidth),
+		NumSites: int(sites),
 		NumRows:  numRows,
 		SiteX:    make([]int, len(d.Insts)),
 		Row:      make([]int, len(d.Insts)),
@@ -294,8 +296,9 @@ func parseDieArea(rest []string) (w, h int64, err error) {
 // checkRows reads the ROW statements' tokens (NAME SITE x y ...): the
 // placement numbers rows from y 0 in steps of rowH, so each ROW must start
 // at ( 0 y ) with y on that grid inside the die, no two ROWs may share a
-// y, and together they must fill the die height exactly.
-func checkRows(rows [][]string, dieH, rowH int64) error {
+// y, and together they must fill the die height exactly. Every row spans
+// the die's sites, so a ROW's DO count, when given, must be sites.
+func checkRows(rows [][]string, dieH, rowH, sites int64) error {
 	byY := make(map[int64]string, len(rows))
 	for _, r := range rows {
 		if len(r) < 4 {
@@ -310,6 +313,12 @@ func checkRows(rows [][]string, dieH, rowH int64) error {
 		if x != 0 || y < 0 || y%rowH != 0 || y > dieH-rowH {
 			return fmt.Errorf("lefdef: ROW %s origin ( %d %d ) is not ( 0 y ) with y a multiple of %d in a die %d high",
 				name, x, y, rowH, dieH)
+		}
+		// A DO count r[k] follows the orientation, r[4].
+		if k := 5 + slices.Index(r[4:], "DO"); k > 4 && k < len(r) {
+			if n, err := strconv.ParseInt(r[k], 10, 64); err != nil || n != sites {
+				return fmt.Errorf("lefdef: ROW %s has DO %s sites, want the die's %d", name, r[k], sites)
+			}
 		}
 		if prev, dup := byY[y]; dup {
 			return fmt.Errorf("lefdef: ROW %s at y %d repeats ROW %s", name, y, prev)

@@ -126,10 +126,8 @@ func WriteDEF(w io.Writer, p *layout.Placement) error {
 			inst := &d.Insts[c.Inst]
 			fmt.Fprintf(bw, " ( %s %s )", inst.Name, inst.Master.Pins[c.Pin].Name)
 		})
-		for pi := range d.Ports {
-			if d.Ports[pi].Net == ni {
-				fmt.Fprintf(bw, " ( PIN %s )", d.Ports[pi].Name)
-			}
+		for _, pi := range n.Ports {
+			fmt.Fprintf(bw, " ( PIN %s )", d.Ports[pi].Name)
 		}
 		if n.IsClock {
 			fmt.Fprintf(bw, " + USE CLOCK")

@@ -211,12 +211,21 @@ func TestParseDEFErrors(t *testing.T) {
 		{strings.Replace(legal, row1, "ROW r1 coreSite 0 x FS ;", 1), "ROW r1 has a bad origin"},
 		{strings.Replace(legal, row1, "", 1), "no ROW at y 250"},
 		{strings.Replace(legal, die, "DIEAREA ( 0 0 ) ( 1000 600 ) ;", 1), "DIEAREA height 600"},
+		// A ROW's DO count other than the die's 10 sites: three sites
+		// would leave a component at site 7 outside every row.
+		{strings.ReplaceAll(invDEF([2]int64{0, 0}, [2]int64{700, 250}), "DO 10", "DO 3"), "ROW r0 has DO 3 sites, want the die's 10"},
+		{strings.Replace(legal, row1, "ROW r1 coreSite 0 250 FS DO 11 BY 1 STEP 100 0 ;", 1), "ROW r1 has DO 11 sites"},
+		{strings.Replace(legal, row1, "ROW r1 coreSite 0 250 FS DO ten BY 1 ;", 1), "ROW r1 has DO ten sites"},
 	}
 	for i, c := range named {
 		_, err := ParseDEF(strings.NewReader(c.src), tc, lib)
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("named case %d: error %v, want one naming %q", i, err, c.want)
 		}
+	}
+	// A ROW without DO spans the die.
+	if _, err := ParseDEF(strings.NewReader(strings.ReplaceAll(legal, " DO 10 BY 1 STEP 100 0", "")), tc, lib); err != nil {
+		t.Errorf("ROWs without DO rejected: %v", err)
 	}
 	// Names that read like keywords are names: a port named NET and a
 	// component named PLACED parse to the same placement as the plain DEF.

@@ -94,10 +94,9 @@ type entry struct {
 // may be solved repeatedly (e.g., with different bounds from a
 // branch-and-bound driver); Solve does not mutate the model.
 type Model struct {
-	obj   []float64
-	lo    []float64
-	hi    []float64
-	names []string
+	obj []float64
+	lo  []float64
+	hi  []float64
 
 	sense []Sense
 	rhs   []float64
@@ -122,7 +121,6 @@ func (m *Model) Reset() {
 	m.obj = m.obj[:0]
 	m.lo = m.lo[:0]
 	m.hi = m.hi[:0]
-	m.names = m.names[:0]
 	m.sense = m.sense[:0]
 	m.rhs = m.rhs[:0]
 	m.cols = m.cols[:0]
@@ -135,7 +133,8 @@ func (m *Model) NumVars() int { return len(m.obj) }
 func (m *Model) NumRows() int { return len(m.rhs) }
 
 // AddVar adds a variable with bounds [lo, hi] and objective coefficient
-// obj, returning its index. Use math.Inf for unbounded sides.
+// obj, returning its index. Use math.Inf for unbounded sides. name labels
+// the variable in the panic for lo > hi.
 func (m *Model) AddVar(lo, hi, obj float64, name string) int {
 	if lo > hi {
 		panic(fmt.Sprintf("lp: variable %q has lo %g > hi %g", name, lo, hi)) // panic-ok: invariant
@@ -143,7 +142,6 @@ func (m *Model) AddVar(lo, hi, obj float64, name string) int {
 	m.obj = append(m.obj, obj)
 	m.lo = append(m.lo, lo)
 	m.hi = append(m.hi, hi)
-	m.names = append(m.names, name)
 	// Re-extend over a Reset model's column backing instead of appending
 	// nil, so pooled models keep their per-column entry storage.
 	if len(m.cols) < cap(m.cols) {
@@ -165,9 +163,6 @@ func (m *Model) Bounds() (lo, hi []float64) {
 	hi = append([]float64(nil), m.hi...)
 	return lo, hi
 }
-
-// VarName returns the name of variable j.
-func (m *Model) VarName(j int) string { return m.names[j] }
 
 // AddRow adds the constraint Σ terms {sense} rhs and returns its row index.
 // Duplicate variables within terms are merged; zero coefficients dropped.

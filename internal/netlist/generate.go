@@ -158,7 +158,7 @@ func Generate(lib *cells.Library, cfg GenConfig) (*Design, error) {
 	for i := 0; i < nPI; i++ {
 		ni := len(d.Nets)
 		d.Nets = append(d.Nets, Net{Name: fmt.Sprintf("pi_%d", i), Driver: Conn{Inst: -1}})
-		d.Ports = append(d.Ports, Port{
+		d.AddPort(Port{
 			Name:  fmt.Sprintf("pi_%d", i),
 			Net:   ni,
 			Input: true,
@@ -167,7 +167,7 @@ func Generate(lib *cells.Library, cfg GenConfig) (*Design, error) {
 		})
 		piNets[i] = ni
 	}
-	d.Ports = append(d.Ports, Port{Name: "clk", Net: clockNet, Input: true, Side: West, Pos: 0})
+	d.AddPort(Port{Name: "clk", Net: clockNet, Input: true, Side: West, Pos: 0})
 
 	// Instances and their output nets.
 	outNet := make([]int, cfg.NumInsts)
@@ -252,7 +252,7 @@ func Generate(lib *cells.Library, cfg GenConfig) (*Design, error) {
 	for i := 0; i < cfg.NumInsts; i++ {
 		ni := outNet[i]
 		if len(d.Nets[ni].Sinks) == 0 {
-			d.Ports = append(d.Ports, Port{
+			d.AddPort(Port{
 				Name:  fmt.Sprintf("po_%d", po),
 				Net:   ni,
 				Input: false,

@@ -11,6 +11,7 @@ package netlist
 
 import (
 	"fmt"
+	"slices"
 
 	"vm1place/internal/cells"
 )
@@ -45,13 +46,16 @@ type Port struct {
 
 // Net is a signal net. Driver is the connection that sources the net
 // (negative Inst when the net is driven by a primary input port). Sinks are
-// the load connections. IsClock marks the clock net, which is excluded from
-// the dM1 optimization and from signal routing (a CTS would own it in a
-// production flow).
+// the load connections. Ports lists the indices into Design.Ports of the
+// net's ports, in port order; it mirrors Port.Net as Driver and Sinks
+// mirror Instance.PinNets. IsClock marks the clock net, which is excluded
+// from the dM1 optimization and from signal routing (a CTS would own it in
+// a production flow).
 type Net struct {
 	Name    string
 	Driver  Conn
 	Sinks   []Conn
+	Ports   []int
 	IsClock bool
 }
 
@@ -92,12 +96,10 @@ type Design struct {
 	Ports []Port
 }
 
-// MasterOf returns the master of instance i.
-func (d *Design) MasterOf(i int) *cells.Master { return d.Insts[i].Master }
-
-// PinOf returns the cells.Pin for a connection.
-func (d *Design) PinOf(c Conn) *cells.Pin {
-	return &d.Insts[c.Inst].Master.Pins[c.Pin]
+// AddPort appends pt to the design's ports and lists it on its net.
+func (d *Design) AddPort(pt Port) {
+	d.Nets[pt.Net].Ports = append(d.Nets[pt.Net].Ports, len(d.Ports))
+	d.Ports = append(d.Ports, pt)
 }
 
 // SignalNets returns the indices of non-clock nets with at least two
@@ -167,8 +169,33 @@ func (d *Design) Stats() Stats {
 
 // Validate checks referential integrity: every connection resolves, every
 // input pin is connected exactly once, every net has exactly one driver,
-// and PinNets is consistent with Nets.
+// PinNets is consistent with Nets, and Net.Ports with Port.Net.
 func (d *Design) Validate() error {
+	// Net.Ports and Port.Net agree: each list ascends and names ports of
+	// its own net, and every port is listed.
+	listed := make([]bool, len(d.Ports))
+	for ni := range d.Nets {
+		n := &d.Nets[ni]
+		for k, pi := range n.Ports {
+			switch {
+			case pi < 0 || pi >= len(d.Ports):
+				return fmt.Errorf("net %s: bad port index %d", n.Name, pi)
+			case k > 0 && pi <= n.Ports[k-1]:
+				return fmt.Errorf("net %s: port %d listed after port %d", n.Name, pi, n.Ports[k-1])
+			case d.Ports[pi].Net != ni:
+				return fmt.Errorf("net %s: port %s belongs to net %d", n.Name, d.Ports[pi].Name, d.Ports[pi].Net)
+			}
+			listed[pi] = true
+		}
+	}
+	for pi, p := range d.Ports {
+		if p.Net < 0 || p.Net >= len(d.Nets) {
+			return fmt.Errorf("port %s: bad net %d", p.Name, p.Net)
+		}
+		if !listed[pi] {
+			return fmt.Errorf("port %s: missing from the Ports of net %s", p.Name, d.Nets[p.Net].Name)
+		}
+	}
 	for ni := range d.Nets {
 		n := &d.Nets[ni]
 		check := func(c Conn, wantDir cells.PinDir) error {
@@ -193,18 +220,9 @@ func (d *Design) Validate() error {
 			if err := check(n.Driver, cells.Output); err != nil {
 				return err
 			}
-		} else {
-			// Port-driven: some port must claim this net as input.
-			found := false
-			for _, p := range d.Ports {
-				if p.Net == ni && p.Input {
-					found = true
-					break
-				}
-			}
-			if !found && !n.IsClock {
-				return fmt.Errorf("net %s has no driver", n.Name)
-			}
+		} else if !n.IsClock && !slices.ContainsFunc(n.Ports, func(pi int) bool { return d.Ports[pi].Input }) {
+			// Port-driven, so some port must claim this net as input.
+			return fmt.Errorf("net %s has no driver", n.Name)
 		}
 		for _, s := range n.Sinks {
 			if err := check(s, cells.Input); err != nil {
@@ -232,11 +250,6 @@ func (d *Design) Validate() error {
 			if ni < 0 || ni >= len(d.Nets) {
 				return fmt.Errorf("inst %s: pin %s bound to bad net %d", inst.Name, p.Name, ni)
 			}
-		}
-	}
-	for _, p := range d.Ports {
-		if p.Net < 0 || p.Net >= len(d.Nets) {
-			return fmt.Errorf("port %s: bad net %d", p.Name, p.Net)
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"vm1place/internal/cells"
@@ -199,6 +200,47 @@ func TestValidateCatchesCorruption(t *testing.T) {
 				}
 				return
 			}
+		}
+	}
+}
+
+// TestValidateChecksNetPorts corrupts Net.Ports of a generated design so
+// that it disagrees with Port.Net; Validate must name each corruption.
+func TestValidateChecksNetPorts(t *testing.T) {
+	lib := testLib(t, tech.ClosedM1)
+	for _, tc := range []struct {
+		name string
+		// corrupt edits Net.Ports given the design's last two ports, a < b:
+		// primary outputs on two nets that list only them.
+		corrupt func(d *Design, a, b int)
+		want    string
+	}{
+		{"port missing from its net", func(d *Design, a, b int) {
+			d.Nets[d.Ports[b].Net].Ports = nil
+		}, "missing from the Ports of net"},
+		{"entry naming another net's port", func(d *Design, a, b int) {
+			n := &d.Nets[d.Ports[a].Net]
+			n.Ports = append(n.Ports, b)
+		}, "belongs to net"},
+		{"duplicated entry", func(d *Design, a, b int) {
+			n := &d.Nets[d.Ports[b].Net]
+			n.Ports = append(n.Ports, b)
+		}, "listed after"},
+		{"out-of-range entry", func(d *Design, a, b int) {
+			n := &d.Nets[d.Ports[b].Net]
+			n.Ports = append(n.Ports, len(d.Ports))
+		}, "bad port index"},
+	} {
+		d := MustGenerate(lib, DefaultGenConfig("v", 100, 2))
+		a, b := len(d.Ports)-2, len(d.Ports)-1
+		for _, pi := range []int{a, b} {
+			if n := d.Nets[d.Ports[pi].Net]; d.Ports[pi].Input || len(n.Ports) != 1 {
+				t.Fatalf("port %s: want a primary output alone on its net, net lists %v", d.Ports[pi].Name, n.Ports)
+			}
+		}
+		tc.corrupt(d, a, b)
+		if err := d.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate = %v, want an error naming %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -87,15 +87,11 @@ func Global(p *layout.Placement, opt Options) error {
 				cys[ni] += y[c.Inst]
 				cnt[ni]++
 			})
-		}
-		for pi := range d.Ports {
-			ni := d.Ports[pi].Net
-			if d.Nets[ni].IsClock {
-				continue
+			for _, pi := range net.Ports {
+				cxs[ni] += float64(p.PortXY[pi].X)
+				cys[ni] += float64(p.PortXY[pi].Y)
+				cnt[ni]++
 			}
-			cxs[ni] += float64(p.PortXY[pi].X)
-			cys[ni] += float64(p.PortXY[pi].Y)
-			cnt[ni]++
 		}
 
 		// Move every cell toward the average centroid of its nets.

@@ -159,14 +159,11 @@ type Router struct {
 
 	// Per-RouteAllCtx endpoint tables. netEpStart is CSR over eps (one
 	// range per net); apNode and apCost hold every endpoint's access
-	// points flat; portStart/portList is the CSR ports-by-net index that
-	// replaces the old O(nets x ports) scan.
+	// points flat.
 	apNode     []int32
 	apCost     []int64
 	eps        []epRec
 	netEpStart []int32
-	portStart  []int32
-	portList   []int32
 	hpwlKey    []int64
 
 	// s is the A* arena, reused across nets and RouteAllCtx calls.
@@ -324,40 +321,6 @@ func (r *Router) portAccess(pi int) accessPoint {
 	return accessPoint{node: r.nodeID(tech.M2, x, y), viaCost: 0}
 }
 
-// buildPortIndex builds the CSR ports-by-net index.
-func (r *Router) buildPortIndex() {
-	d := r.p.Design
-	nn := len(d.Nets)
-	if cap(r.portStart) >= nn+1 {
-		r.portStart = r.portStart[:nn+1]
-		for i := range r.portStart {
-			r.portStart[i] = 0
-		}
-	} else {
-		r.portStart = make([]int32, nn+1)
-	}
-	for pi := range d.Ports {
-		if ni := d.Ports[pi].Net; ni >= 0 && ni < nn {
-			r.portStart[ni+1]++
-		}
-	}
-	for i := 1; i <= nn; i++ {
-		r.portStart[i] += r.portStart[i-1]
-	}
-	if cap(r.portList) >= len(d.Ports) {
-		r.portList = r.portList[:len(d.Ports)]
-	} else {
-		r.portList = make([]int32, len(d.Ports))
-	}
-	fill := make([]int32, nn)
-	for pi := range d.Ports {
-		if ni := d.Ports[pi].Net; ni >= 0 && ni < nn {
-			r.portList[r.portStart[ni]+fill[ni]] = int32(pi)
-			fill[ni]++
-		}
-	}
-}
-
 // buildEndpoints collects every signal net's terminals and access points
 // into the flat CSR tables. Built once per RouteAllCtx and reused across
 // the initial pass and every rip-up pass (the old kernel recomputed
@@ -385,8 +348,7 @@ func (r *Router) buildEndpoints() {
 		for _, c := range n.Sinks {
 			r.appendEndpoint(c)
 		}
-		for k := r.portStart[ni]; k < r.portStart[ni+1]; k++ {
-			pi := int(r.portList[k])
+		for _, pi := range n.Ports {
 			apStart := int32(len(r.apNode))
 			ap := r.portAccess(pi)
 			r.apNode = append(r.apNode, ap.node)

@@ -81,7 +81,7 @@ func (m *manual) tieOff() {
 					Driver: netlist.Conn{Inst: -1},
 					Sinks:  []netlist.Conn{{Inst: ii, Pin: pi}},
 				})
-				m.d.Ports = append(m.d.Ports, netlist.Port{
+				m.d.AddPort(netlist.Port{
 					Name: "tp" + string(rune('0'+ni)), Net: ni, Input: true,
 					Side: netlist.West, Pos: 0.5,
 				})
@@ -90,7 +90,7 @@ func (m *manual) tieOff() {
 					Name:   "obs" + string(rune('0'+ni)),
 					Driver: netlist.Conn{Inst: ii, Pin: pi},
 				})
-				m.d.Ports = append(m.d.Ports, netlist.Port{
+				m.d.AddPort(netlist.Port{
 					Name: "op" + string(rune('0'+ni)), Net: ni, Input: false,
 					Side: netlist.East, Pos: 0.5,
 				})

@@ -27,7 +27,6 @@ func (r *Router) RouteAllCtx(ctx context.Context) (Metrics, error) {
 	r.ripups = r.ripups[:0]
 	r.s.failedConns = 0
 	r.buildBlockage()
-	r.buildPortIndex()
 	r.buildEndpoints()
 
 	nets := r.routableNets()
