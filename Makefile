@@ -46,10 +46,12 @@ fuzz-lp:
 
 # Fifteen seconds of coverage-guided fuzzing for each LEF/DEF parser:
 # neither may panic, and every placement ParseDEF accepts must be legal and
-# survive WriteDEF → ParseDEF unchanged.
+# survive WriteDEF → ParseDEF unchanged. Minimizing a new coverage input
+# may take at most 1 s (the default is 60 s), so one slow minimization
+# cannot use up the whole budget.
 fuzz-lefdef:
-	$(GO) test -run '^$$' -fuzz FuzzParseDEF -fuzztime 15s ./internal/lefdef
-	$(GO) test -run '^$$' -fuzz FuzzParseLEF -fuzztime 15s ./internal/lefdef
+	$(GO) test -run '^$$' -fuzz FuzzParseDEF -fuzztime 15s -fuzzminimizetime 1s ./internal/lefdef
+	$(GO) test -run '^$$' -fuzz FuzzParseLEF -fuzztime 15s -fuzzminimizetime 1s ./internal/lefdef
 
 # The vm1bench harness's own tests (TestBenchmarkJSONMatchesHarness among
 # them). bench/ is a nested module, so `go test ./...` never reaches it.

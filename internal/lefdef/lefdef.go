@@ -328,11 +328,7 @@ func ParseLEF(r io.Reader, t *tech.Tech) (*cells.Library, error) {
 				Rect:  geom.Rect{XLo: v[0], YLo: v[1], XHi: v[2], YHi: v[3]},
 			})
 			if pin.IsSignal() && !archSet {
-				if layer == tech.M0 {
-					arch = tech.OpenM1
-				} else if layer == tech.M2 {
-					arch = tech.Conventional
-				}
+				arch = shapeArch(layer, v[2]-v[0], v[3]-v[1])
 				archSet = true
 			}
 		case "END":
@@ -361,6 +357,20 @@ func ParseLEF(r io.Reader, t *tech.Tech) (*cells.Library, error) {
 		return nil, fmt.Errorf("lefdef: parsed library: %w", err)
 	}
 	return lib, nil
+}
+
+// shapeArch names the cell architecture a library's first signal pin
+// shape implies: M0 pins are OpenM1's, M1 pins wider than tall are
+// Conventional's horizontal pins (as are M2 pins), and the vertical M1 pins
+// that remain are ClosedM1's.
+func shapeArch(layer tech.Layer, w, h int64) tech.Arch {
+	switch {
+	case layer == tech.M0:
+		return tech.OpenM1
+	case layer == tech.M2, layer == tech.M1 && w > h:
+		return tech.Conventional
+	}
+	return tech.ClosedM1
 }
 
 func parseLayer(s string) (tech.Layer, error) {

@@ -29,52 +29,58 @@ func buildPlaced(t testing.TB, arch tech.Arch, n int) (*tech.Tech, *cells.Librar
 	return tc, lib, p
 }
 
+// TestLEFRoundTrip: the library of every architecture and track variant
+// parses back from its LEF with the same architecture and masters.
 func TestLEFRoundTrip(t *testing.T) {
-	for _, arch := range []tech.Arch{tech.ClosedM1, tech.OpenM1} {
-		tc := tech.Default()
-		lib := cells.MustNewLibrary(tc, arch)
-		var buf bytes.Buffer
-		if err := WriteLEF(&buf, lib); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ParseLEF(&buf, tc)
-		if err != nil {
-			t.Fatalf("%s: %v", arch, err)
-		}
-		if got.Arch != arch {
-			t.Errorf("%s: parsed arch = %s", arch, got.Arch)
-		}
-		if len(got.Masters) != len(lib.Masters) {
-			t.Fatalf("%s: %d masters, want %d", arch, len(got.Masters), len(lib.Masters))
-		}
-		for _, want := range lib.Masters {
-			m := got.Master(want.Name)
-			if m == nil {
-				t.Fatalf("%s: master %s lost", arch, want.Name)
-			}
-			if m.WidthSites != want.WidthSites {
-				t.Errorf("%s/%s: width %d, want %d", arch, m.Name, m.WidthSites, want.WidthSites)
-			}
-			if len(m.Pins) != len(want.Pins) {
-				t.Fatalf("%s/%s: %d pins, want %d", arch, m.Name, len(m.Pins), len(want.Pins))
-			}
-			for pi := range want.Pins {
-				wp, gp := &want.Pins[pi], &m.Pins[pi]
-				if wp.Name != gp.Name || wp.Dir != gp.Dir {
-					t.Errorf("%s/%s: pin %d = %s/%s, want %s/%s",
-						arch, m.Name, pi, gp.Name, gp.Dir, wp.Name, wp.Dir)
+	for _, mk := range []func() *tech.Tech{tech.Default, tech.Default6Track, tech.Default9Track} {
+		for _, arch := range []tech.Arch{tech.ClosedM1, tech.OpenM1, tech.Conventional} {
+			tc := mk()
+			t.Run(fmt.Sprintf("%s/row%d", arch, tc.RowHeight), func(t *testing.T) {
+				lib := cells.MustNewLibrary(tc, arch)
+				var buf bytes.Buffer
+				if err := WriteLEF(&buf, lib); err != nil {
+					t.Fatal(err)
 				}
-				if len(wp.Shapes) != len(gp.Shapes) {
-					t.Fatalf("%s/%s/%s: %d shapes, want %d",
-						arch, m.Name, wp.Name, len(gp.Shapes), len(wp.Shapes))
+				got, err := ParseLEF(&buf, tc)
+				if err != nil {
+					t.Fatal(err)
 				}
-				for si := range wp.Shapes {
-					if wp.Shapes[si] != gp.Shapes[si] {
-						t.Errorf("%s/%s/%s: shape %d = %+v, want %+v",
-							arch, m.Name, wp.Name, si, gp.Shapes[si], wp.Shapes[si])
+				if got.Arch != arch {
+					t.Errorf("parsed arch = %s", got.Arch)
+				}
+				if len(got.Masters) != len(lib.Masters) {
+					t.Fatalf("%d masters, want %d", len(got.Masters), len(lib.Masters))
+				}
+				for _, want := range lib.Masters {
+					m := got.Master(want.Name)
+					if m == nil {
+						t.Fatalf("master %s lost", want.Name)
+					}
+					if m.Arch != arch || m.WidthSites != want.WidthSites {
+						t.Errorf("%s: %s, %d sites; want %s, %d", m.Name, m.Arch, m.WidthSites, arch, want.WidthSites)
+					}
+					if len(m.Pins) != len(want.Pins) {
+						t.Fatalf("%s: %d pins, want %d", m.Name, len(m.Pins), len(want.Pins))
+					}
+					for pi := range want.Pins {
+						wp, gp := &want.Pins[pi], &m.Pins[pi]
+						if wp.Name != gp.Name || wp.Dir != gp.Dir {
+							t.Errorf("%s: pin %d = %s/%s, want %s/%s",
+								m.Name, pi, gp.Name, gp.Dir, wp.Name, wp.Dir)
+						}
+						if len(wp.Shapes) != len(gp.Shapes) {
+							t.Fatalf("%s/%s: %d shapes, want %d",
+								m.Name, wp.Name, len(gp.Shapes), len(wp.Shapes))
+						}
+						for si := range wp.Shapes {
+							if wp.Shapes[si] != gp.Shapes[si] {
+								t.Errorf("%s/%s: shape %d = %+v, want %+v",
+									m.Name, wp.Name, si, gp.Shapes[si], wp.Shapes[si])
+							}
+						}
 					}
 				}
-			}
+			})
 		}
 	}
 }

@@ -144,24 +144,20 @@ func TestRouteAllCtxCancelAtNetBoundary(t *testing.T) {
 	}
 	wantHash := routeHash(fresh)
 	nets := len(fresh.routableNets())
-	if len(fresh.ripups) == 0 {
+	victims := fresh.ripped
+	if victims == 0 {
 		t.Fatal("setup: no rip-up pass ran")
 	}
-	// One check before each net of the initial pass, then one before each
+	// One check before each net of the initial pass, then one before the
 	// rip-up pass and one before each victim it reroutes.
-	total := nets
-	for _, ps := range fresh.ripups {
-		total += 1 + ps.nets
-	}
-	if count.calls != total {
+	if total := nets + 1 + victims; count.calls != total {
 		t.Fatalf("setup: %d cancellation checks, want %d", count.calls, total)
 	}
 
 	// committed is the number of nets holding a route when the k-th
 	// check cancels: k-1 in the initial pass; every net at the check
-	// before the first rip-up pass; and once that pass has ripped its
-	// victims, the survivors plus the victims rerouted so far.
-	victims := fresh.ripups[0].nets
+	// before the rip-up pass; and once that pass has ripped its victims,
+	// the survivors plus the victims rerouted so far.
 	cases := []struct {
 		name         string
 		k, committed int
@@ -181,8 +177,8 @@ func TestRouteAllCtxCancelAtNetBoundary(t *testing.T) {
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("k=%d: want context.Canceled, got %v", tc.k, err)
 			}
-			if len(r.ripups) != 0 {
-				t.Errorf("k=%d: canceled run recorded rip-up passes %+v", tc.k, r.ripups)
+			if r.ripped != 0 {
+				t.Errorf("k=%d: canceled run recorded a rip-up pass of %d nets", tc.k, r.ripped)
 			}
 			if len(r.routes) != tc.committed {
 				t.Errorf("k=%d: %d nets committed, want %d", tc.k, len(r.routes), tc.committed)

@@ -1,67 +1,83 @@
 package route
 
 import (
+	"context"
+	"errors"
+	"sort"
 	"testing"
 
 	"vm1place/internal/tech"
 )
 
-// TestRipupStopsWhenOverflowStalls pins the rip-up stop rule: the
-// negotiated-congestion loop ends after the first pass that leaves total
-// overflow no lower than before it, keeping that pass's routing, and
-// otherwise runs all RipupIters passes.
-func TestRipupStopsWhenOverflowStalls(t *testing.T) {
+// TestOneRipupPass pins the negotiated-congestion contract: no rip-up pass
+// when the initial routing leaves no edge over capacity; otherwise exactly
+// one, equal in Metrics and routes to "route every net, rip up every net
+// that crosses an overflowed edge, reroute those nets at 2×CongWeight".
+func TestOneRipupPass(t *testing.T) {
 	cfg := DefaultConfig(tech.Default(), tech.ClosedM1)
 
-	// A route-heavy-like design: 1200 ClosedM1 instances at 0.75
-	// utilization, where the first pass rips up most nets and leaves
-	// overflow higher than the initial routing did.
-	p := genPlaced(t, tech.ClosedM1, "ripup", 1200, 1, 0.75)
-	cfg.RipupIters = 0
-	initial := routeAll(t, New(p, cfg)).Overflow
-
-	cfg.RipupIters = 3
-	r := New(p, cfg)
-	m := routeAll(t, r)
-	if len(r.ripups) != 1 {
-		t.Fatalf("stalling design ran %d rip-up passes %+v, want 1", len(r.ripups), r.ripups)
+	// Tracks to spare on every layer: one cancellation check per net and
+	// none for a rip-up pass.
+	wide := cfg
+	for l := range wide.Caps {
+		wide.Caps[l] = 100
 	}
-	if after := r.ripups[0].overflow; after < initial {
-		t.Fatalf("setup: first pass lowered overflow %d → %d; the design does not stall", initial, after)
+	p := genPlaced(t, tech.ClosedM1, "ripup", 400, 5, 0.75)
+	r := New(p, wide)
+	count := &countdownCtx{Context: context.Background()}
+	m, err := r.RouteAllCtx(count)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if m.Overflow != r.ripups[0].overflow {
-		t.Errorf("Metrics.Overflow %d, want the stalled pass's %d (its routing stays committed)",
-			m.Overflow, r.ripups[0].overflow)
+	if m.Overflow != 0 {
+		t.Fatalf("setup: uncongested design overflows %d", m.Overflow)
 	}
-	cfg.RipupIters = 1
-	one := New(p, cfg)
-	if m1 := routeAll(t, one); m1 != m {
-		t.Errorf("RipupIters 3 stopped early but differs from RipupIters 1:\n got %+v\nwant %+v", m, m1)
-	}
-	if h, h1 := routeHash(r), routeHash(one); h != h1 {
-		t.Errorf("route hash %#x, RipupIters 1 gives %#x", h, h1)
+	if nets := len(r.routableNets()); count.calls != nets || r.ripped != 0 {
+		t.Errorf("overflow-free routing ripped %d nets, %d cancellation checks for %d nets",
+			r.ripped, count.calls, nets)
 	}
 
-	// A lightly congested design where every pass lowers overflow runs
-	// every pass the cap allows, and a second RouteAllCtx on the same
-	// router records its passes afresh.
-	p = genPlaced(t, tech.ClosedM1, "ripup", 400, 5, 0.75)
-	cfg.RipupIters = 0
-	initial = routeAll(t, New(p, cfg)).Overflow
-	cfg.RipupIters = 4
-	r = New(p, cfg)
-	for run := 0; run < 2; run++ {
-		routeAll(t, r)
-		if len(r.ripups) != cfg.RipupIters {
-			t.Fatalf("run %d: improving design ran %d rip-up passes %+v, want %d",
-				run, len(r.ripups), r.ripups, cfg.RipupIters)
+	// A route-heavy-like design whose rip-up pass raises overflow, and a
+	// lightly congested one whose pass lowers it: one pass either way.
+	for _, d := range []struct {
+		n      int
+		seed   int64
+		raises bool
+	}{{1200, 1, true}, {400, 5, false}} {
+		p := genPlaced(t, tech.ClosedM1, "ripup", d.n, d.seed, 0.75)
+		r := New(p, cfg)
+		m := routeAll(t, r)
+
+		ref := New(p, cfg)
+		nets := r.routableNets()
+		// Stop at the check before the rip-up pass: every net routed once.
+		_, err := ref.RouteAllCtx(&countdownCtx{Context: context.Background(), k: len(nets) + 1})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("n=%d: want context.Canceled before the rip-up pass, got %v", d.n, err)
 		}
-		prev := initial
-		for i, ps := range r.ripups {
-			if ps.nets == 0 || ps.overflow >= prev {
-				t.Fatalf("run %d: setup: pass %d %+v does not lower overflow %d", run, i, ps, prev)
-			}
-			prev = ps.overflow
+		initial := ref.totalOverflow()
+		if initial == 0 || (m.Overflow > initial) != d.raises {
+			t.Fatalf("n=%d: setup: rip-up pass takes overflow %d → %d", d.n, initial, m.Overflow)
+		}
+		sort.SliceStable(nets, func(a, b int) bool { return p.NetHPWL(nets[a]) < p.NetHPWL(nets[b]) })
+		victims := ref.overflowVictims(nets)
+		for _, ni := range victims {
+			ref.ripNet(ni)
+		}
+		if err := ref.routeNets(context.Background(), victims, 2*cfg.CongWeight); err != nil {
+			t.Fatal(err)
+		}
+		ref.metrics = Metrics{}
+		want := ref.finishMetrics()
+
+		if r.ripped != len(victims) {
+			t.Errorf("n=%d: rip-up pass rerouted %d nets, want %d", d.n, r.ripped, len(victims))
+		}
+		if m != want {
+			t.Errorf("n=%d: Metrics\n got %+v\nwant %+v", d.n, m, want)
+		}
+		if h, wh := routeHash(r), routeHash(ref); h != wh {
+			t.Errorf("n=%d: route hash %#x, want %#x", d.n, h, wh)
 		}
 	}
 }

@@ -7,13 +7,10 @@
 // The routing fabric is a 3-D grid: one node per (layer, site-column, row)
 // with preferred-direction edges (M1/M3 vertical, M2/M4 horizontal) and
 // vias between adjacent layers. Nets are routed pin-by-pin onto their
-// growing route tree with A* search; a short negotiated-congestion loop
-// rips up and reroutes nets through overflowed edges. Each rip-up pass
-// reroutes every net that crosses an overflowed edge with double the
-// previous pass's congestion weight. Config.RipupIters caps the passes;
-// the loop stops early once total overflow is zero, or after the first
-// pass that leaves it no lower than before that pass (whose routing is
-// kept, not rolled back). Key architecture-specific behaviours:
+// growing route tree with A* search. Congestion is negotiated in one
+// rip-up pass: when the initial routing leaves any edge over capacity,
+// every net that crosses an overflowed edge is ripped up and rerouted once,
+// at twice Config.CongWeight. Key architecture-specific behaviours:
 //
 //   - ClosedM1: pins are M1 nodes; foreign M1 pins block M1 traversal, so
 //     inter-row M1 routing exists only where tracks are clear and pins
@@ -27,7 +24,7 @@
 // counted as a direct vertical M1 route.
 //
 // Routing is sequential and deterministic: one A* searcher routes the nets
-// in ascending-HPWL order, and each rip-up pass reroutes its victims in the
+// in ascending-HPWL order, and the rip-up pass reroutes its victims in the
 // same order, every net committing its usage before the next is searched.
 package route
 
@@ -46,12 +43,8 @@ type Config struct {
 	// M1CostFactor scales M1 edge cost; < 1 makes the router prefer
 	// direct vertical M1 where geometry permits (the dM1-aware mode).
 	M1CostFactor float64
-	// RipupIters caps the congestion-negotiation passes after the initial
-	// routing pass. Fewer run when overflow reaches zero or a pass fails
-	// to lower it (see the package doc).
-	RipupIters int
 	// CongWeight scales the per-overflow cost penalty of the initial
-	// pass; each rip-up pass doubles it.
+	// routing; the rip-up pass reroutes at twice it.
 	CongWeight float64
 	// SearchMargin pads each connection's search bounding box, in grid
 	// cells.
@@ -69,7 +62,6 @@ func DefaultConfig(t *tech.Tech, arch tech.Arch) Config {
 	cfg := Config{
 		ViaCost:      t.ViaCost,
 		M1CostFactor: 0.3,
-		RipupIters:   2,
 		CongWeight:   4.0,
 		SearchMargin: 12,
 		Arch:         arch,
@@ -172,16 +164,11 @@ type Router struct {
 	// routes holds the current route of each net.
 	routes map[int]*netRoute
 
-	// ripups records the rip-up passes of the last RouteAllCtx, in order.
-	ripups []ripupPass
+	// ripped is the number of nets the last RouteAllCtx's rip-up pass
+	// rerouted: 0 when no edge overflowed or the run was cancelled.
+	ripped int
 
 	metrics Metrics
-}
-
-// ripupPass is one completed rip-up pass: the nets it ripped up and
-// rerouted, and the total overflow it left.
-type ripupPass struct {
-	nets, overflow int
 }
 
 // New creates a router over the placement.

@@ -9,11 +9,11 @@ import (
 )
 
 // RouteAllCtx routes every signal net from scratch (clearing any previous
-// routing), runs up to cfg.RipupIters rip-up-and-reroute passes, and returns
-// the final metrics. Nets are routed one at a time in ascending-HPWL order
-// (see routeNets), so the result depends only on the placement and cfg.
+// routing), runs at most one rip-up-and-reroute pass, and returns the final
+// metrics. Nets are routed one at a time in ascending-HPWL order (see
+// routeNets), so the result depends only on the placement and cfg.
 //
-// Cancellation is checked before each net and before each rip-up pass —
+// Cancellation is checked before each net and before the rip-up pass —
 // points where every routed net is committed — so when it returns early
 // the usage arrays and route records agree: every committed net is fully
 // routed and accounted, every uncommitted net is absent. The returned
@@ -24,7 +24,7 @@ func (r *Router) RouteAllCtx(ctx context.Context) (Metrics, error) {
 	clear(r.usage)
 	r.routes = make(map[int]*netRoute, len(r.p.Design.Nets))
 	r.metrics = Metrics{}
-	r.ripups = r.ripups[:0]
+	r.ripped = 0
 	r.s.failedConns = 0
 	r.buildBlockage()
 	r.buildEndpoints()
@@ -45,31 +45,23 @@ func (r *Router) RouteAllCtx(ctx context.Context) (Metrics, error) {
 		return r.finishMetrics(), fmt.Errorf("route: RouteAllCtx interrupted: %w", err)
 	}
 
-	// Negotiated-congestion rip-up: nets crossing overflowed edges are
-	// rerouted with a congestion penalty that doubles each pass. The loop
-	// stops once overflow is zero, or after the first pass that does not
-	// lower it; that pass's routing stays committed.
-	cw := r.cfg.CongWeight
-	over := r.totalOverflow()
-	for pass := 0; pass < r.cfg.RipupIters && over > 0; pass++ {
-		if err := ctx.Err(); err != nil {
-			return r.finishMetrics(), fmt.Errorf("route: RouteAllCtx interrupted: %w", err)
-		}
-		cw *= 2
-		victims := r.overflowVictims(nets)
-		for _, ni := range victims {
-			r.ripNet(ni)
-		}
-		if err := r.routeNets(ctx, victims, cw); err != nil {
-			return r.finishMetrics(), fmt.Errorf("route: RouteAllCtx interrupted: %w", err)
-		}
-		prev := over
-		over = r.totalOverflow()
-		r.ripups = append(r.ripups, ripupPass{nets: len(victims), overflow: over})
-		if over >= prev {
-			break
-		}
+	// Negotiated congestion, one pass: if any edge is over capacity, every
+	// net crossing one is ripped up and rerouted at twice the congestion
+	// weight, in the same order.
+	victims := r.overflowVictims(nets)
+	if len(victims) == 0 {
+		return r.finishMetrics(), nil
 	}
+	if err := ctx.Err(); err != nil {
+		return r.finishMetrics(), fmt.Errorf("route: RouteAllCtx interrupted: %w", err)
+	}
+	for _, ni := range victims {
+		r.ripNet(ni)
+	}
+	if err := r.routeNets(ctx, victims, 2*r.cfg.CongWeight); err != nil {
+		return r.finishMetrics(), fmt.Errorf("route: RouteAllCtx interrupted: %w", err)
+	}
+	r.ripped = len(victims)
 
 	return r.finishMetrics(), nil
 }
