@@ -59,9 +59,11 @@ bench-harness:
 	cd bench && $(GO) test .
 
 # One iteration of each substrate microbenchmark — a fast sanity pass that
-# the benchmarks still build and run, not a measurement.
+# the benchmarks still build and run, not a measurement of time. The
+# router's BenchmarkRouteAll (internal/route) also prints its per-pass A*
+# searches and pops, which do not depend on the host.
 bench-smoke: bench-objective
-	$(GO) test -run '^$$' -bench 'DistOptPass|LPSolve|CalculateObj|RouteAll' -benchtime 1x -timeout 20m .
+	$(GO) test -run '^$$' -bench 'DistOptPass|LPSolve|CalculateObj|RouteAll' -benchtime 1x -timeout 20m . ./internal/route
 
 # One rescan per registered geometry objective (BenchmarkObjectiveEval
 # sub-benches). The measured series lands in BENCH_core.json's

@@ -120,8 +120,8 @@ func run() error {
 		}
 		fmt.Printf("%s: sequential RWL %.1f um / dM1 %d / %.1fs ; joint RWL %.1f um / dM1 %d / %.1fs\n",
 			r.Name,
-			float64(r.BaseRWL)/1000, r.BaseDM1, r.BaseSec,
-			float64(r.VarRWL)/1000, r.VarDM1, r.VarSec)
+			expt.Um(r.BaseRWL), r.BaseDM1, r.BaseSec,
+			expt.Um(r.VarRWL), r.VarDM1, r.VarSec)
 		fmt.Println()
 	}
 

@@ -14,6 +14,7 @@ import (
 	"os"
 
 	"vm1place/internal/cells"
+	"vm1place/internal/expt"
 	"vm1place/internal/layout"
 	"vm1place/internal/lefdef"
 	"vm1place/internal/netlist"
@@ -61,7 +62,7 @@ func run() error {
 	st := d.Stats()
 	fmt.Printf("%s: %d insts (%d FFs), %d nets, %d ports, die %d sites x %d rows, HPWL %.1f um\n",
 		d.Name, st.NumInsts, st.NumFFs, st.NumNets, st.NumPorts,
-		p.NumSites, p.NumRows, float64(p.TotalHPWL())/1000)
+		p.NumSites, p.NumRows, expt.Um(p.TotalHPWL()))
 
 	if *lefPath != "" {
 		if err := writeTo(*lefPath, func(f *os.File) error { return lefdef.WriteLEF(f, lib) }); err != nil {

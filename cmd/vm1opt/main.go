@@ -275,8 +275,8 @@ func runOnDEF(ctx context.Context, lefPath, defPath, outPath, archFlag string, c
 	}
 	fmt.Printf("%s: dM1 %d -> %d, RWL %.1f -> %.1f um, HPWL %.1f -> %.1f um, WNS %.3f -> %.3f, opt %.1fs\n",
 		p.Design.Name, before.dm1, after.dm1,
-		float64(before.rwl)/1000, float64(after.rwl)/1000,
-		float64(before.hpwl)/1000, float64(after.hpwl)/1000,
+		expt.Um(before.rwl), expt.Um(after.rwl),
+		expt.Um(before.hpwl), expt.Um(after.hpwl),
 		before.wns, after.wns, res.Duration.Seconds())
 	if optErr != nil {
 		// The interrupted placement is still legal; the numbers above

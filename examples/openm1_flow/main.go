@@ -83,7 +83,7 @@ func run() error {
 		res.Initial.OverlapSum, res.Final.OverlapSum)
 	fmt.Printf("dM1 %d -> %d, RWL %.1f -> %.1f um, via01 %d -> %d\n",
 		before.DM1, after.DM1,
-		float64(before.RWL)/1000, float64(after.RWL)/1000,
+		expt.Um(before.RWL), expt.Um(after.RWL),
 		before.Via01, after.Via01)
 	fmt.Println()
 	fmt.Println("Note (paper §5.2): OpenM1 gains are structurally smaller than")

@@ -64,7 +64,7 @@ func run() error {
 		return err
 	}
 	fmt.Printf("initial:   dM1 %4d   RWL %8.1f um   via12 %5d\n",
-		before.DM1, float64(before.RWL)/1000, before.Via12)
+		before.DM1, expt.Um(before.RWL), before.Via12)
 
 	// 5. Vertical-M1-aware detailed placement (the paper's contribution).
 	prm := core.DefaultParams(t, tech.ClosedM1) // α = 1200
@@ -81,7 +81,7 @@ func run() error {
 		return err
 	}
 	fmt.Printf("optimized: dM1 %4d   RWL %8.1f um   via12 %5d\n",
-		after.DM1, float64(after.RWL)/1000, after.Via12)
+		after.DM1, expt.Um(after.RWL), after.Via12)
 	fmt.Printf("deltas:    dM1 %+.1f%%   RWL %+.2f%%   via12 %+.2f%%\n",
 		pct(before.DM1, after.DM1), pct64(before.RWL, after.RWL), pct(before.Via12, after.Via12))
 	return nil

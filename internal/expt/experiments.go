@@ -146,7 +146,7 @@ func WriteFig6(w io.Writer, arch tech.Arch, pts []Fig6Point) {
 	fmt.Fprintf(w, "# Figure 6: RWL and #dM1 vs alpha (aes, %s)\n", arch)
 	fmt.Fprintln(w, "alpha  rwl_um  dm1")
 	for _, p := range pts {
-		fmt.Fprintf(w, "%5.0f  %9.1f  %6d\n", p.Alpha, um(p.RWL), p.DM1)
+		fmt.Fprintf(w, "%5.0f  %9.1f  %6d\n", p.Alpha, Um(p.RWL), p.DM1)
 	}
 }
 
@@ -211,7 +211,7 @@ func WriteFig7(w io.Writer, pts []Fig7Point) {
 	fmt.Fprintln(w, "# Figure 7: RWL and runtime per optimization sequence (aes, ClosedM1)")
 	fmt.Fprintln(w, "sequence  rwl_um  runtime_s")
 	for _, p := range pts {
-		fmt.Fprintf(w, "%-8s  %9.1f  %9.2f\n", p.Name, um(p.RWL), p.Runtime.Seconds())
+		fmt.Fprintf(w, "%-8s  %9.1f  %9.2f\n", p.Name, Um(p.RWL), p.Runtime.Seconds())
 	}
 }
 

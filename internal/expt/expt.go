@@ -40,9 +40,17 @@ import (
 // SuiteConfig.design wraps it, so callers can errors.Is against it.
 var ErrUnknownDesign = errors.New("expt: unknown design")
 
-// UmToDBU converts a paper window size in µm to DBU: 1 µm ≈ 1 site
-// (100 DBU) horizontally and 0.4 rows vertically (see package comment).
-func UmToDBU(um float64) int64 { return int64(um * 100) }
+// DBUPerUm is the harness's micron: 100 DBU, one placement site
+// horizontally and 0.4 rows vertically (see the package comment). Paper
+// window sizes convert to DBU through it (UmToDBU), and every length the
+// harness prints (Table 2, Figures 6–7, the objective sweep, and the
+// vm1opt, gendesign, exptables and example summaries) converts back
+// through it (Um), so window sizes and wirelengths share one micron. It is
+// not the LEF/DEF micron (tech.Tech.DBUPerMicron, 1000 DBU).
+const DBUPerUm = 100
+
+// UmToDBU converts a paper window size in µm to DBU.
+func UmToDBU(um float64) int64 { return int64(um * DBUPerUm) }
 
 // DesignSpec names one benchmark design of the paper (Table 2).
 type DesignSpec struct {
@@ -362,23 +370,21 @@ func pct(init, final float64) string {
 	return fmt.Sprintf("%+6.1f", (final-init)/init*100)
 }
 
-// WriteTable2Row prints one Table 2 row.
+// WriteTable2Row prints one Table 2 row, lengths in µm (DBUPerUm).
 func WriteTable2Row(w io.Writer, r FlowResult) {
 	fmt.Fprintf(w,
-		"%-5s %6d %4.0f%% %6.0f | #dM1 %6d -> %6d (%s%%) | M1WL %8.1f -> %8.1f (%s%%) | via12 %6d -> %6d (%s%%) | HPWL %9.1f -> %9.1f (%s%%) | RWL %9.1f -> %9.1f (%s%%) | WNS %6.3f -> %6.3f | P(mW) %7.3f -> %7.3f (%s%%) | opt %5.1fs\n",
+		"%-5s %6d %4.0f%% %6.0f | #dM1 %6d -> %6d (%s%%) | M1WL(um) %8.1f -> %8.1f (%s%%) | via12 %6d -> %6d (%s%%) | HPWL(um) %9.1f -> %9.1f (%s%%) | RWL(um) %9.1f -> %9.1f (%s%%) | WNS %6.3f -> %6.3f | P(mW) %7.3f -> %7.3f (%s%%) | opt %5.1fs\n",
 		r.Design, r.NumInsts, r.Util*100, r.Alpha,
 		r.Init.DM1, r.Final.DM1, pct(float64(r.Init.DM1), float64(r.Final.DM1)),
-		um(r.Init.M1WL), um(r.Final.M1WL), pct(float64(r.Init.M1WL), float64(r.Final.M1WL)),
+		Um(r.Init.M1WL), Um(r.Final.M1WL), pct(float64(r.Init.M1WL), float64(r.Final.M1WL)),
 		r.Init.Via12, r.Final.Via12, pct(float64(r.Init.Via12), float64(r.Final.Via12)),
-		um(r.Init.HPWL), um(r.Final.HPWL), pct(float64(r.Init.HPWL), float64(r.Final.HPWL)),
-		um(r.Init.RWL), um(r.Final.RWL), pct(float64(r.Init.RWL), float64(r.Final.RWL)),
+		Um(r.Init.HPWL), Um(r.Final.HPWL), pct(float64(r.Init.HPWL), float64(r.Final.HPWL)),
+		Um(r.Init.RWL), Um(r.Final.RWL), pct(float64(r.Init.RWL), float64(r.Final.RWL)),
 		r.Init.WNS, r.Final.WNS,
 		r.Init.PowerMW, r.Final.PowerMW, pct(r.Init.PowerMW, r.Final.PowerMW),
 		r.OptRuntime.Seconds(),
 	)
 }
 
-// um converts DBU to microns for display, at tech.Default's 1000 DBU per
-// LEF/DEF micron. It is not the inverse of UmToDBU, which scales paper
-// window sizes at 100 DBU per µm.
-func um(dbu int64) float64 { return float64(dbu) / 1000 }
+// Um converts a length in DBU to µm for display: the inverse of UmToDBU.
+func Um(dbu int64) float64 { return float64(dbu) / DBUPerUm }

@@ -21,9 +21,14 @@ func mustDesign(t *testing.T, cfg SuiteConfig, name string) DesignSpec {
 	return spec
 }
 
+// TestUmToDBU: window sizes and printed lengths share one micron, so a
+// 20 µm window prints back as 20 µm.
 func TestUmToDBU(t *testing.T) {
 	if UmToDBU(20) != 2000 {
 		t.Errorf("UmToDBU(20) = %d", UmToDBU(20))
+	}
+	if got := Um(UmToDBU(20)); got != 20 {
+		t.Errorf("Um(UmToDBU(20)) = %g, want 20", got)
 	}
 }
 

@@ -137,8 +137,8 @@ func WriteObjSweep(w io.Writer, pts []ObjSweepPoint) {
 		fmt.Fprintf(w, "%-16s %-10s %6d  %8d  %7d  %12.1f  %11.1f  %11.1f  %10.1f  %10.1f\n",
 			p.Label, p.Objective, p.Res.NumInsts,
 			p.Res.Init.DM1, p.Res.Final.DM1,
-			um(p.Res.Init.HPWL), um(p.Res.Final.HPWL),
-			um(p.Res.Init.RWL), um(p.Res.Final.RWL),
+			Um(p.Res.Init.HPWL), Um(p.Res.Final.HPWL),
+			Um(p.Res.Init.RWL), Um(p.Res.Final.RWL),
 			p.Res.OptFinal.Value)
 	}
 }

@@ -14,7 +14,8 @@ import (
 // unchanged: writing the reparsed placement reproduces the first write
 // byte for byte.
 func FuzzParseDEF(f *testing.F) {
-	tc, lib, p := buildPlaced(f, tech.ClosedM1, 30)
+	tc := tech.Default()
+	lib, p := buildPlaced(f, tc, tech.ClosedM1, 30)
 	var seed bytes.Buffer
 	if err := WriteDEF(&seed, p); err != nil {
 		f.Fatal(err)

@@ -13,9 +13,8 @@ import (
 	"vm1place/internal/tech"
 )
 
-func buildPlaced(t testing.TB, arch tech.Arch, n int) (*tech.Tech, *cells.Library, *layout.Placement) {
+func buildPlaced(t testing.TB, tc *tech.Tech, arch tech.Arch, n int) (*cells.Library, *layout.Placement) {
 	t.Helper()
-	tc := tech.Default()
 	lib := cells.MustNewLibrary(tc, arch)
 	d := netlist.MustGenerate(lib, netlist.DefaultGenConfig("io", n, 71))
 	p := layout.MustNewFloorplan(tc, d, 0.7)
@@ -26,7 +25,7 @@ func buildPlaced(t testing.TB, arch tech.Arch, n int) (*tech.Tech, *cells.Librar
 	for i := 0; i < len(d.Insts); i += 7 {
 		p.Flip[i] = true
 	}
-	return tc, lib, p
+	return lib, p
 }
 
 // TestLEFRoundTrip: the library of every architecture and track variant
@@ -85,8 +84,23 @@ func TestLEFRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDEFRoundTrip: a placement of every architecture and track variant
+// survives WriteDEF → ParseDEF with its die, masters, sites, rows, flips,
+// HPWL and clock net, and stays legal.
 func TestDEFRoundTrip(t *testing.T) {
-	tc, lib, p := buildPlaced(t, tech.ClosedM1, 300)
+	for _, mk := range []func() *tech.Tech{tech.Default, tech.Default6Track, tech.Default9Track} {
+		for _, arch := range []tech.Arch{tech.ClosedM1, tech.OpenM1, tech.Conventional} {
+			tc := mk()
+			t.Run(fmt.Sprintf("%s/row%d", arch, tc.RowHeight), func(t *testing.T) {
+				checkDEFRoundTrip(t, tc, arch)
+			})
+		}
+	}
+}
+
+func checkDEFRoundTrip(t *testing.T, tc *tech.Tech, arch tech.Arch) {
+	t.Helper()
+	lib, p := buildPlaced(t, tc, arch, 300)
 	var buf bytes.Buffer
 	if err := WriteDEF(&buf, p); err != nil {
 		t.Fatal(err)
@@ -125,21 +139,6 @@ func TestDEFRoundTrip(t *testing.T) {
 	}
 	if err := q.CheckLegal(); err != nil {
 		t.Errorf("round-tripped placement illegal: %v", err)
-	}
-}
-
-func TestDEFRoundTripOpenM1(t *testing.T) {
-	tc, lib, p := buildPlaced(t, tech.OpenM1, 250)
-	var buf bytes.Buffer
-	if err := WriteDEF(&buf, p); err != nil {
-		t.Fatal(err)
-	}
-	q, err := ParseDEF(&buf, tc, lib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := q.TotalHPWL(), p.TotalHPWL(); got != want {
-		t.Errorf("HPWL after round trip = %d, want %d", got, want)
 	}
 }
 
@@ -276,7 +275,7 @@ func TestLEFContainsExpectedSections(t *testing.T) {
 }
 
 func TestDEFContainsExpectedSections(t *testing.T) {
-	_, _, p := buildPlaced(t, tech.ClosedM1, 200)
+	_, p := buildPlaced(t, tech.Default(), tech.ClosedM1, 200)
 	var buf bytes.Buffer
 	if err := WriteDEF(&buf, p); err != nil {
 		t.Fatal(err)

@@ -12,7 +12,7 @@ import (
 )
 
 // genPlaced builds a generated, globally placed design.
-func genPlaced(t *testing.T, arch tech.Arch, name string, n int, seed int64, util float64) *layout.Placement {
+func genPlaced(t testing.TB, arch tech.Arch, name string, n int, seed int64, util float64) *layout.Placement {
 	t.Helper()
 	tc := tech.Default()
 	lib := cells.MustNewLibrary(tc, arch)

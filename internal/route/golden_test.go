@@ -47,11 +47,11 @@ func routeHash(r *Router) uint64 {
 // TestRouteMetricsGolden pins the router's exact output — full Metrics
 // and a digest of every net's decoded paths — on seeded designs for all
 // three architectures, including a capacity-starved one. The values were
-// recorded when negotiated congestion became a single rip-up pass; any
-// change to net order, relax order, cost arithmetic or queue order shows
-// up here. Every case runs its rip-up pass. The closedm1-ripup values
-// predate that change: its one pass raises overflow 5017 → 5178, so the
-// old stop rule never ran a second pass there either.
+// recorded when the initial pass began searching each connection's own
+// bounding box and the rip-up pass began ripping only each overflowed
+// edge's excess; any change to net order, relax order, search boxes, cost
+// arithmetic or queue order shows up here. Every case runs its rip-up
+// pass; closedm1-ripup's raises overflow 5023 → 5242.
 func TestRouteMetricsGolden(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -66,34 +66,34 @@ func TestRouteMetricsGolden(t *testing.T) {
 		{
 			name: "closedm1", arch: tech.ClosedM1, n: 1000, seed: 61, util: 0.75,
 			want: Metrics{
-				RWL: 5320300, LayerWL: [tech.NumLayers]int64{0, 362000, 1631400, 1844000, 1482900},
-				Via12: 3315, Via23: 3541, Via34: 2351, DM1: 18, M1Segs: 1023, Overflow: 3839,
+				RWL: 5314350, LayerWL: [tech.NumLayers]int64{0, 345000, 1621300, 1862250, 1485800},
+				Via12: 3297, Via23: 3623, Via34: 2335, DM1: 18, M1Segs: 963, Overflow: 3830,
 			},
-			hash: 0x824bf665b3433eb7,
+			hash: 0x3e10caa478930bfc,
 		},
 		{
 			name: "openm1", arch: tech.OpenM1, n: 1000, seed: 62, util: 0.75,
 			want: Metrics{
-				RWL: 5168550, LayerWL: [tech.NumLayers]int64{0, 994000, 1525900, 1303250, 1345400},
-				Via01: 2761, Via12: 4252, Via23: 2409, Via34: 1811, DM1: 49, M1Segs: 2212, Overflow: 2111,
+				RWL: 5156700, LayerWL: [tech.NumLayers]int64{0, 994750, 1525500, 1293750, 1342700},
+				Via01: 2761, Via12: 4254, Via23: 2451, Via34: 1818, DM1: 51, M1Segs: 2173, Overflow: 2070,
 			},
-			hash: 0x796205216fa33187,
+			hash: 0x0702545469787782,
 		},
 		{
 			name: "conventional", arch: tech.Conventional, n: 1000, seed: 63, util: 0.75,
 			want: Metrics{
-				RWL: 4788950, LayerWL: [tech.NumLayers]int64{0, 0, 1489400, 1932750, 1366800},
-				Via12: 2761, Via23: 3956, Via34: 2409, Overflow: 2078,
+				RWL: 4786600, LayerWL: [tech.NumLayers]int64{0, 0, 1484300, 1939500, 1362800},
+				Via12: 2761, Via23: 3970, Via34: 2402, Overflow: 2069,
 			},
-			hash: 0x4c3aae8f87ad4e7b,
+			hash: 0xa0180b0ea29e31ad,
 		},
 		{
 			name: "closedm1-ripup", arch: tech.ClosedM1, n: 600, seed: 64, util: 0.85, starved: true,
 			want: Metrics{
-				RWL: 2486750, LayerWL: [tech.NumLayers]int64{0, 189750, 495500, 810000, 991500},
-				Via12: 1985, Via23: 2363, Via34: 2478, DM1: 13, M1Segs: 573, Overflow: 5178,
+				RWL: 2485750, LayerWL: [tech.NumLayers]int64{0, 185500, 500700, 802250, 997300},
+				Via12: 2006, Via23: 2324, Via34: 2393, DM1: 14, M1Segs: 558, Overflow: 5242,
 			},
-			hash: 0xe39e7b0685d6c5f4,
+			hash: 0xebeeaef70ea60e23,
 		},
 	}
 	for _, tc := range cases {

@@ -7,10 +7,13 @@
 // The routing fabric is a 3-D grid: one node per (layer, site-column, row)
 // with preferred-direction edges (M1/M3 vertical, M2/M4 horizontal) and
 // vias between adjacent layers. Nets are routed pin-by-pin onto their
-// growing route tree with A* search. Congestion is negotiated in one
-// rip-up pass: when the initial routing leaves any edge over capacity,
-// every net that crosses an overflowed edge is ripped up and rerouted once,
-// at twice Config.CongWeight. Key architecture-specific behaviours:
+// growing route tree with A* search; in the initial pass each connection
+// searches only the bounding box of the tree and its endpoint. Congestion
+// is negotiated in one rip-up pass: when the initial routing leaves any
+// edge over capacity, just enough nets to clear every edge's excess are
+// ripped up (the latest routed first) and rerouted once, at twice
+// Config.CongWeight, each connection in its box padded by
+// Config.SearchMargin. Key architecture-specific behaviours:
 //
 //   - ClosedM1: pins are M1 nodes; foreign M1 pins block M1 traversal, so
 //     inter-row M1 routing exists only where tracks are clear and pins
@@ -46,8 +49,11 @@ type Config struct {
 	// CongWeight scales the per-overflow cost penalty of the initial
 	// routing; the rip-up pass reroutes at twice it.
 	CongWeight float64
-	// SearchMargin pads each connection's search bounding box, in grid
-	// cells.
+	// SearchMargin pads each connection's search bounding box in the
+	// rip-up pass, in grid cells (columns horizontally, rows vertically);
+	// the initial pass searches the unpadded box. A connection that finds
+	// no path is retried once in its box padded by a further
+	// 6*SearchMargin.
 	SearchMargin int
 	// Arch selects pin-access behaviour. Conventional libraries get no
 	// inter-cell M1 routing.
@@ -167,6 +173,9 @@ type Router struct {
 	// ripped is the number of nets the last RouteAllCtx's rip-up pass
 	// rerouted: 0 when no edge overflowed or the run was cancelled.
 	ripped int
+	// work is the last RouteAllCtx's A* work per pass: [0] the initial
+	// pass, [1] the rip-up pass (zero when none ran).
+	work [2]passWork
 
 	metrics Metrics
 }
@@ -310,7 +319,7 @@ func (r *Router) portAccess(pi int) accessPoint {
 
 // buildEndpoints collects every signal net's terminals and access points
 // into the flat CSR tables. Built once per RouteAllCtx and reused across
-// the initial pass and every rip-up pass (the old kernel recomputed
+// the initial pass and the rip-up pass (the old kernel recomputed
 // endpoints on each routeNet call).
 func (r *Router) buildEndpoints() {
 	d := r.p.Design

@@ -3,6 +3,7 @@ package route
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"vm1place/internal/tech"
@@ -25,6 +26,7 @@ func (r *Router) RouteAllCtx(ctx context.Context) (Metrics, error) {
 	r.routes = make(map[int]*netRoute, len(r.p.Design.Nets))
 	r.metrics = Metrics{}
 	r.ripped = 0
+	r.work = [2]passWork{}
 	r.s.failedConns = 0
 	r.buildBlockage()
 	r.buildEndpoints()
@@ -41,24 +43,27 @@ func (r *Router) RouteAllCtx(ctx context.Context) (Metrics, error) {
 		return r.hpwlKey[nets[a]] < r.hpwlKey[nets[b]]
 	})
 
-	if err := r.routeNets(ctx, nets, r.cfg.CongWeight); err != nil {
+	// The initial pass searches each connection's own bounding box.
+	err := r.routeNets(ctx, nets, r.cfg.CongWeight, 0)
+	r.work[0] = r.s.work
+	if err != nil {
 		return r.finishMetrics(), fmt.Errorf("route: RouteAllCtx interrupted: %w", err)
 	}
 
-	// Negotiated congestion, one pass: if any edge is over capacity, every
-	// net crossing one is ripped up and rerouted at twice the congestion
-	// weight, in the same order.
-	victims := r.overflowVictims(nets)
-	if len(victims) == 0 {
+	// Negotiated congestion, one pass: if any edge is over capacity, just
+	// enough nets to clear every edge's excess are ripped up and rerouted
+	// at twice the congestion weight, in routing order, each in its box
+	// padded by SearchMargin.
+	if r.totalOverflow() == 0 {
 		return r.finishMetrics(), nil
 	}
 	if err := ctx.Err(); err != nil {
 		return r.finishMetrics(), fmt.Errorf("route: RouteAllCtx interrupted: %w", err)
 	}
-	for _, ni := range victims {
-		r.ripNet(ni)
-	}
-	if err := r.routeNets(ctx, victims, 2*r.cfg.CongWeight); err != nil {
+	victims := r.ripExcess(nets)
+	err = r.routeNets(ctx, victims, 2*r.cfg.CongWeight, r.cfg.SearchMargin)
+	r.work[1] = r.s.work
+	if err != nil {
 		return r.finishMetrics(), fmt.Errorf("route: RouteAllCtx interrupted: %w", err)
 	}
 	r.ripped = len(victims)
@@ -66,17 +71,19 @@ func (r *Router) RouteAllCtx(ctx context.Context) (Metrics, error) {
 	return r.finishMetrics(), nil
 }
 
-// routeNets routes nets in order at congestion weight cw, each committing
-// its usage before the next is searched. Cancellation is checked before
-// each net, so an early return leaves every committed net fully routed and
-// the usage arrays consistent.
-func (r *Router) routeNets(ctx context.Context, nets []int, cw float64) error {
+// routeNets routes nets in order at congestion weight cw, padding every
+// connection's search box by margin cells, each net committing its usage
+// before the next is searched. Cancellation is checked before each net, so
+// an early return leaves every committed net fully routed and the usage
+// arrays consistent. The searcher's work counts cover this call alone.
+func (r *Router) routeNets(ctx context.Context, nets []int, cw float64, margin int) error {
 	r.rebuildEdgeCosts(cw)
+	r.s.work = passWork{}
 	for _, ni := range nets {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		r.routes[ni] = r.s.routeNet(ni)
+		r.routes[ni] = r.s.routeNet(ni, margin)
 	}
 	return nil
 }
@@ -121,25 +128,24 @@ func (r *Router) ripNet(ni int) {
 	delete(r.routes, ni)
 }
 
-// overflowVictims returns nets with at least one path edge over capacity.
-func (r *Router) overflowVictims(nets []int) []int {
+// ripExcess rips up just enough nets to take every edge back to
+// capacity. It walks nets latest-routed first (nets is in routing order)
+// and rips each net that crosses an edge still over capacity; ripping
+// takes the net's crossings off every edge it crosses, so an edge one
+// track over capacity loses one net, not every net on it. It returns the
+// ripped nets in routing order.
+func (r *Router) ripExcess(nets []int) []int {
 	var victims []int
-	for _, ni := range nets {
+	for i := len(nets) - 1; i >= 0; i-- {
+		ni := nets[i]
 		nr := r.routes[ni]
-		if nr == nil {
+		if nr == nil || !slices.ContainsFunc(nr.paths, r.pathOverflows) {
 			continue
 		}
-		hit := false
-		for _, path := range nr.paths {
-			if r.pathOverflows(path) {
-				hit = true
-				break
-			}
-		}
-		if hit {
-			victims = append(victims, ni)
-		}
+		r.ripNet(ni)
+		victims = append(victims, ni)
 	}
+	slices.Reverse(victims)
 	return victims
 }
 

@@ -234,7 +234,18 @@ type searcher struct {
 
 	pathBuf []int32
 
+	// work counts the in-flight pass's searches and queue pops (stale
+	// entries included); routeNets zeroes it.
+	work passWork
+
 	failedConns int
+}
+
+// passWork is one routing pass's A* work: searches run and entries taken
+// from the queue. Both depend only on the placement and the config, never
+// on the host.
+type passWork struct {
+	searches, pops int
 }
 
 func newSearcher(r *Router) *searcher {
@@ -349,7 +360,10 @@ func (s *searcher) astar(ni int, apStart, apEnd int32, rg region) []int32 {
 	ec := r.edgeCost
 	row := int32(routingLayers * r.nx) // id step of one row
 	const col = int32(routingLayers)   // id step of one column
+	s.work.searches++
+	pops := 0
 	for !s.open.empty() {
+		pops++
 		seq := s.open.pop()
 		id := s.open.ents[seq].node
 		st := &s.ns[id]
@@ -367,6 +381,7 @@ func (s *searcher) astar(ni int, apStart, apEnd int32, rg region) []int32 {
 				buf[i], buf[j] = buf[j], buf[i]
 			}
 			s.pathBuf = buf
+			s.work.pops += pops
 			return buf
 		}
 
@@ -414,15 +429,17 @@ func (s *searcher) astar(ni int, apStart, apEnd int32, rg region) []int32 {
 			s.relax(id-1, g+vc)
 		}
 	}
+	s.work.pops += pops
 	return nil
 }
 
 // routeNet routes net ni at the current cached edge costs, updating edge
 // usage as each connection lands. Each connection searches the bbox of
-// the tree and its endpoint padded by SearchMargin; a connection that finds
-// no path there is retried once in a box padded by a further 6*SearchMargin,
-// and one that still fails is counted and skipped.
-func (s *searcher) routeNet(ni int) *netRoute {
+// the tree and its endpoint padded by margin cells: 0 in the initial pass,
+// SearchMargin in the rip-up pass. A connection that finds no path there is
+// retried once in that box padded by a further 6*SearchMargin, and one that
+// still fails is counted and skipped.
+func (s *searcher) routeNet(ni, margin int) *netRoute {
 	r := s.r
 	epStart, epEnd := r.netEpStart[ni], r.netEpStart[ni+1]
 	nr := &netRoute{}
@@ -463,22 +480,22 @@ func (s *searcher) routeNet(ni int) *netRoute {
 		}
 	}
 
-	m := r.cfg.SearchMargin
 	for _, k := range s.order {
 		ep := &r.eps[k]
 		epRg := r.apRegionOf(ep.apStart, ep.apEnd)
 		search := r.clampRegion(region{
-			xlo: min(treeGrid.xlo, epRg.xlo) - m,
-			ylo: min(treeGrid.ylo, epRg.ylo) - m,
-			xhi: max(treeGrid.xhi, epRg.xhi) + m,
-			yhi: max(treeGrid.yhi, epRg.yhi) + m,
+			xlo: min(treeGrid.xlo, epRg.xlo) - margin,
+			ylo: min(treeGrid.ylo, epRg.ylo) - margin,
+			xhi: max(treeGrid.xhi, epRg.xhi) + margin,
+			yhi: max(treeGrid.yhi, epRg.yhi) + margin,
 		})
 		s.tb = treeGrid
 		path := s.astar(ni, ep.apStart, ep.apEnd, search)
 		if path == nil {
+			w := 6 * r.cfg.SearchMargin
 			retry := r.clampRegion(region{
-				xlo: search.xlo - 6*m, ylo: search.ylo - 6*m,
-				xhi: search.xhi + 6*m, yhi: search.yhi + 6*m,
+				xlo: search.xlo - w, ylo: search.ylo - w,
+				xhi: search.xhi + w, yhi: search.yhi + w,
 			})
 			path = s.astar(ni, ep.apStart, ep.apEnd, retry)
 		}

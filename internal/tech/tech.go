@@ -96,8 +96,8 @@ func (l Layer) Direction() Dir {
 type Tech struct {
 	// DBUPerMicron is the LEF/DEF database unit: the number of DBU in one
 	// micron, written as UNITS DATABASE MICRONS and used to print LEF
-	// dimensions in microns. Experiment window sizes do not use it; they
-	// go through expt.UmToDBU (DESIGN.md scale note).
+	// dimensions in microns. Experiment window sizes and printed lengths
+	// do not use it; they go through expt.DBUPerUm (DESIGN.md scale note).
 	DBUPerMicron int64
 
 	// SiteWidth is the placement site pitch in DBU. The ClosedM1 M1 pin
