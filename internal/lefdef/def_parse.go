@@ -24,7 +24,8 @@ const maxDieSites = 1 << 24
 // instances to masters from lib. It reconstructs the netlist (components,
 // pins, nets) and the placement (locations, orientations, die, ports).
 // A placement that is not legal — a component off the die or overlapping
-// another — is an error, and so are ROWs that do not tile the die.
+// another — is an error, and so are ROWs that do not tile the die. Every
+// such error wraps ErrBadDEF.
 func ParseDEF(r io.Reader, t *tech.Tech, lib *cells.Library) (*layout.Placement, error) {
 	tk := newTokenizer(r)
 	d := &netlist.Design{Lib: lib}
@@ -82,16 +83,16 @@ func ParseDEF(r io.Reader, t *tech.Tech, lib *cells.Library) (*layout.Placement,
 					break
 				}
 				if lead != "-" {
-					return nil, fmt.Errorf("lefdef: expected '-' in COMPONENTS, got %q", lead)
+					return nil, fmt.Errorf("%w: expected '-' in COMPONENTS, got %q", ErrBadDEF, lead)
 				}
 				rest := tk.until()
 				if len(rest) < 2 {
-					return nil, fmt.Errorf("lefdef: short component line %v", rest)
+					return nil, fmt.Errorf("%w: short component line %v", ErrBadDEF, rest)
 				}
 				name, masterName := rest[0], rest[1]
 				master := lib.Master(masterName)
 				if master == nil {
-					return nil, fmt.Errorf("lefdef: unknown master %q", masterName)
+					return nil, fmt.Errorf("%w: unknown master %q", ErrBadDEF, masterName)
 				}
 				inst := netlist.Instance{
 					Name:    name,
@@ -107,7 +108,7 @@ func ParseDEF(r io.Reader, t *tech.Tech, lib *cells.Library) (*layout.Placement,
 						x, err1 := strconv.ParseInt(rest[k+2], 10, 64)
 						y, err2 := strconv.ParseInt(rest[k+3], 10, 64)
 						if err1 != nil || err2 != nil {
-							return nil, fmt.Errorf("lefdef: bad PLACED coords in %v", rest)
+							return nil, fmt.Errorf("%w: bad PLACED coords in %v", ErrBadDEF, rest)
 						}
 						pl.x, pl.y = x, y
 						if k+5 < len(rest) && rest[k+5] == "FN" {
@@ -128,7 +129,7 @@ func ParseDEF(r io.Reader, t *tech.Tech, lib *cells.Library) (*layout.Placement,
 					break
 				}
 				if lead != "-" {
-					return nil, fmt.Errorf("lefdef: expected '-' in PINS, got %q", lead)
+					return nil, fmt.Errorf("%w: expected '-' in PINS, got %q", ErrBadDEF, lead)
 				}
 				rest := tk.until()
 				if len(rest) < 1 {
@@ -144,7 +145,7 @@ func ParseDEF(r io.Reader, t *tech.Tech, lib *cells.Library) (*layout.Placement,
 					case "NET":
 						if k+1 < len(rest) {
 							if net != "" {
-								return nil, fmt.Errorf("lefdef: pin %s names two nets", port.Name)
+								return nil, fmt.Errorf("%w: pin %s names two nets", ErrBadDEF, port.Name)
 							}
 							k++
 							net = rest[k]
@@ -160,14 +161,14 @@ func ParseDEF(r io.Reader, t *tech.Tech, lib *cells.Library) (*layout.Placement,
 							px, err1 = strconv.ParseInt(rest[k+2], 10, 64)
 							py, err2 = strconv.ParseInt(rest[k+3], 10, 64)
 							if err := errors.Join(err1, err2); err != nil {
-								return nil, fmt.Errorf("lefdef: bad FIXED coords of pin %s: %w", port.Name, err)
+								return nil, fmt.Errorf("%w: bad FIXED coords of pin %s: %w", ErrBadDEF, port.Name, err)
 							}
 							k += 4
 						}
 					}
 				}
 				if net == "" {
-					return nil, fmt.Errorf("lefdef: pin %s names no net", port.Name)
+					return nil, fmt.Errorf("%w: pin %s names no net", ErrBadDEF, port.Name)
 				}
 				port.Net = getNet(net)
 				portLocs = append(portLocs, portLoc{idx: len(d.Ports), x: px, y: py})
@@ -182,7 +183,7 @@ func ParseDEF(r io.Reader, t *tech.Tech, lib *cells.Library) (*layout.Placement,
 					break
 				}
 				if lead != "-" {
-					return nil, fmt.Errorf("lefdef: expected '-' in NETS, got %q", lead)
+					return nil, fmt.Errorf("%w: expected '-' in NETS, got %q", ErrBadDEF, lead)
 				}
 				rest := tk.until()
 				if len(rest) < 1 {
@@ -198,7 +199,7 @@ func ParseDEF(r io.Reader, t *tech.Tech, lib *cells.Library) (*layout.Placement,
 						continue
 					}
 					if k+2 >= len(rest) {
-						return nil, fmt.Errorf("lefdef: truncated net term in %v", rest)
+						return nil, fmt.Errorf("%w: truncated net term in %v", ErrBadDEF, rest)
 					}
 					a, b := rest[k+1], rest[k+2]
 					k += 3 // skip "( a b )"
@@ -207,7 +208,7 @@ func ParseDEF(r io.Reader, t *tech.Tech, lib *cells.Library) (*layout.Placement,
 					}
 					ii, ok := instIdx[a]
 					if !ok {
-						return nil, fmt.Errorf("lefdef: net %s references unknown component %q", net.Name, a)
+						return nil, fmt.Errorf("%w: net %s references unknown component %q", ErrBadDEF, net.Name, a)
 					}
 					master := d.Insts[ii].Master
 					pinIdx := -1
@@ -218,12 +219,12 @@ func ParseDEF(r io.Reader, t *tech.Tech, lib *cells.Library) (*layout.Placement,
 						}
 					}
 					if pinIdx < 0 {
-						return nil, fmt.Errorf("lefdef: unknown pin %s/%s", master.Name, b)
+						return nil, fmt.Errorf("%w: unknown pin %s/%s", ErrBadDEF, master.Name, b)
 					}
 					conn := netlist.Conn{Inst: ii, Pin: pinIdx}
 					if master.Pins[pinIdx].Dir == cells.Output {
 						if net.Driver.Inst >= 0 {
-							return nil, fmt.Errorf("lefdef: net %s has a second driver %s/%s", net.Name, a, b)
+							return nil, fmt.Errorf("%w: net %s has a second driver %s/%s", ErrBadDEF, net.Name, a, b)
 						}
 						net.Driver = conn
 					} else {
@@ -237,11 +238,11 @@ func ParseDEF(r io.Reader, t *tech.Tech, lib *cells.Library) (*layout.Placement,
 
 	numRows := len(rows)
 	if dieW <= 0 || dieH <= 0 || numRows == 0 {
-		return nil, fmt.Errorf("lefdef: DEF missing DIEAREA or ROW statements")
+		return nil, fmt.Errorf("%w: missing DIEAREA or ROW statements", ErrBadDEF)
 	}
 	sites := dieW / t.SiteWidth
 	if sites == 0 || sites*int64(numRows) > maxDieSites {
-		return nil, fmt.Errorf("lefdef: die of %d rows x %d sites outside 1..%d sites", numRows, sites, maxDieSites)
+		return nil, fmt.Errorf("%w: die of %d rows x %d sites outside 1..%d sites", ErrBadDEF, numRows, sites, maxDieSites)
 	}
 	if err := checkRows(rows, dieH, t.RowHeight, sites); err != nil {
 		return nil, err
@@ -266,10 +267,10 @@ func ParseDEF(r io.Reader, t *tech.Tech, lib *cells.Library) (*layout.Placement,
 		p.PortXY[pl.idx] = geom.Point{X: pl.x, Y: pl.y}
 	}
 	if err := d.Validate(); err != nil {
-		return nil, fmt.Errorf("lefdef: parsed design invalid: %w", err)
+		return nil, fmt.Errorf("%w: parsed design invalid: %w", ErrBadDEF, err)
 	}
 	if err := p.CheckLegal(); err != nil {
-		return nil, fmt.Errorf("lefdef: parsed placement illegal: %w", err)
+		return nil, fmt.Errorf("%w: parsed placement illegal: %w", ErrBadDEF, err)
 	}
 	return p, nil
 }
@@ -279,16 +280,16 @@ func ParseDEF(r io.Reader, t *tech.Tech, lib *cells.Library) (*layout.Placement,
 // lower-left corner is the origin, so any other origin is an error.
 func parseDieArea(rest []string) (w, h int64, err error) {
 	if len(rest) != 8 || rest[0] != "(" || rest[3] != ")" || rest[4] != "(" || rest[7] != ")" {
-		return 0, 0, fmt.Errorf("lefdef: DIEAREA %v is not two points ( x y ) ( x y )", rest)
+		return 0, 0, fmt.Errorf("%w: DIEAREA %v is not two points ( x y ) ( x y )", ErrBadDEF, rest)
 	}
 	var v [4]int64
 	for i, tok := range [4]string{rest[1], rest[2], rest[5], rest[6]} {
 		if v[i], err = strconv.ParseInt(tok, 10, 64); err != nil {
-			return 0, 0, fmt.Errorf("lefdef: bad DIEAREA coordinate: %w", err)
+			return 0, 0, fmt.Errorf("%w: bad DIEAREA coordinate: %w", ErrBadDEF, err)
 		}
 	}
 	if v[0] != 0 || v[1] != 0 {
-		return 0, 0, fmt.Errorf("lefdef: DIEAREA lower-left corner ( %d %d ) is not ( 0 0 )", v[0], v[1])
+		return 0, 0, fmt.Errorf("%w: DIEAREA lower-left corner ( %d %d ) is not ( 0 0 )", ErrBadDEF, v[0], v[1])
 	}
 	return v[2], v[3], nil
 }
@@ -302,26 +303,26 @@ func checkRows(rows [][]string, dieH, rowH, sites int64) error {
 	byY := make(map[int64]string, len(rows))
 	for _, r := range rows {
 		if len(r) < 4 {
-			return fmt.Errorf("lefdef: ROW %v is not NAME SITE x y ...", r)
+			return fmt.Errorf("%w: ROW %v is not NAME SITE x y ...", ErrBadDEF, r)
 		}
 		name := r[0]
 		x, errX := strconv.ParseInt(r[2], 10, 64)
 		y, errY := strconv.ParseInt(r[3], 10, 64)
 		if err := errors.Join(errX, errY); err != nil {
-			return fmt.Errorf("lefdef: ROW %s has a bad origin: %w", name, err)
+			return fmt.Errorf("%w: ROW %s has a bad origin: %w", ErrBadDEF, name, err)
 		}
 		if x != 0 || y < 0 || y%rowH != 0 || y > dieH-rowH {
-			return fmt.Errorf("lefdef: ROW %s origin ( %d %d ) is not ( 0 y ) with y a multiple of %d in a die %d high",
+			return fmt.Errorf("%w: ROW %s origin ( %d %d ) is not ( 0 y ) with y a multiple of %d in a die %d high", ErrBadDEF,
 				name, x, y, rowH, dieH)
 		}
 		// A DO count r[k] follows the orientation, r[4].
 		if k := 5 + slices.Index(r[4:], "DO"); k > 4 && k < len(r) {
 			if n, err := strconv.ParseInt(r[k], 10, 64); err != nil || n != sites {
-				return fmt.Errorf("lefdef: ROW %s has DO %s sites, want the die's %d", name, r[k], sites)
+				return fmt.Errorf("%w: ROW %s has DO %s sites, want the die's %d", ErrBadDEF, name, r[k], sites)
 			}
 		}
 		if prev, dup := byY[y]; dup {
-			return fmt.Errorf("lefdef: ROW %s at y %d repeats ROW %s", name, y, prev)
+			return fmt.Errorf("%w: ROW %s at y %d repeats ROW %s", ErrBadDEF, name, y, prev)
 		}
 		byY[y] = name
 	}
@@ -329,13 +330,13 @@ func checkRows(rows [][]string, dieH, rowH, sites int64) error {
 		return nil
 	}
 	if dieH%rowH != 0 {
-		return fmt.Errorf("lefdef: DIEAREA height %d is not a whole number of %d-DBU rows", dieH, rowH)
+		return fmt.Errorf("%w: DIEAREA height %d is not a whole number of %d-DBU rows", ErrBadDEF, dieH, rowH)
 	}
 	// Some row of the die is missing; the lowest one is at most
 	// len(rows) rows up, so this loop is short.
 	for y := int64(0); ; y += rowH {
 		if _, ok := byY[y]; !ok {
-			return fmt.Errorf("lefdef: no ROW at y %d: ROWs must fill the die height %d", y, dieH)
+			return fmt.Errorf("%w: no ROW at y %d: ROWs must fill the die height %d", ErrBadDEF, y, dieH)
 		}
 	}
 }

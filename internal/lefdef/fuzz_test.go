@@ -2,6 +2,7 @@ package lefdef
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -9,8 +10,9 @@ import (
 	"vm1place/internal/tech"
 )
 
-// FuzzParseDEF feeds arbitrary text to ParseDEF. It must never panic, and
-// every placement it accepts must be legal and survive WriteDEF → ParseDEF
+// FuzzParseDEF feeds arbitrary text to ParseDEF. It must never panic,
+// every error it returns must wrap ErrBadDEF, and every placement it
+// accepts must be legal and survive WriteDEF → ParseDEF
 // unchanged: writing the reparsed placement reproduces the first write
 // byte for byte.
 func FuzzParseDEF(f *testing.F) {
@@ -28,6 +30,9 @@ func FuzzParseDEF(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src string) {
 		p, err := ParseDEF(strings.NewReader(src), tc, lib)
 		if err != nil {
+			if !errors.Is(err, ErrBadDEF) {
+				t.Fatalf("error %v does not wrap ErrBadDEF", err)
+			}
 			return
 		}
 		if err := p.CheckLegal(); err != nil {
@@ -51,7 +56,8 @@ func FuzzParseDEF(f *testing.F) {
 	})
 }
 
-// FuzzParseLEF feeds arbitrary text to ParseLEF, which must never panic.
+// FuzzParseLEF feeds arbitrary text to ParseLEF, which must never panic,
+// and every error it returns must wrap ErrBadLEF.
 // Its seed is a one-macro library: every LEF statement the writer emits,
 // at a small fraction of a whole library's cost per exec.
 func FuzzParseLEF(f *testing.F) {
@@ -67,6 +73,8 @@ func FuzzParseLEF(f *testing.F) {
 	f.Add(seed.String())
 	f.Add("MACRO X\n PIN A\n DIRECTION INPUT ;\n PORT\n LAYER M9 ;\n RECT 0 0 1 1 ;\n END\n END A\nEND X\n")
 	f.Fuzz(func(t *testing.T, src string) {
-		_, _ = ParseLEF(strings.NewReader(src), tc)
+		if _, err := ParseLEF(strings.NewReader(src), tc); err != nil && !errors.Is(err, ErrBadLEF) {
+			t.Fatalf("error %v does not wrap ErrBadLEF", err)
+		}
 	})
 }

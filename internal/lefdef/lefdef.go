@@ -8,6 +8,7 @@ package lefdef
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -17,6 +18,15 @@ import (
 	"vm1place/internal/layout"
 	"vm1place/internal/netlist"
 	"vm1place/internal/tech"
+)
+
+// ErrBadLEF and ErrBadDEF report malformed input: every error ParseLEF
+// returns wraps ErrBadLEF and every error ParseDEF returns wraps ErrBadDEF,
+// so callers can errors.Is against them. A read error ends the input
+// early; it has no error of its own.
+var (
+	ErrBadLEF = errors.New("lefdef: bad LEF")
+	ErrBadDEF = errors.New("lefdef: bad DEF")
 )
 
 // WriteLEF emits the library as LEF: site, layers and one MACRO per
@@ -224,7 +234,8 @@ func (tk *tokenizer) until() []string {
 	}
 }
 
-// ParseLEF reads a library in the subset written by WriteLEF.
+// ParseLEF reads a library in the subset written by WriteLEF. Malformed
+// input is an error wrapping ErrBadLEF.
 func ParseLEF(r io.Reader, t *tech.Tech) (*cells.Library, error) {
 	tk := newTokenizer(r)
 	dbu := float64(t.DBUPerMicron)
@@ -259,14 +270,14 @@ func ParseLEF(r io.Reader, t *tech.Tech) (*cells.Library, error) {
 			if cur != nil && len(rest) >= 1 {
 				wdbu, err := toDBU(rest[0])
 				if err != nil {
-					return nil, fmt.Errorf("lefdef: bad SIZE %q: %w", rest[0], err)
+					return nil, fmt.Errorf("%w: bad SIZE %q: %w", ErrBadLEF, rest[0], err)
 				}
 				cur.WidthSites = int(wdbu / t.SiteWidth)
 			}
 			if cur != nil && len(rest) >= 3 {
 				hdbu, err := toDBU(rest[2])
 				if err != nil {
-					return nil, fmt.Errorf("lefdef: bad SIZE height %q: %w", rest[2], err)
+					return nil, fmt.Errorf("%w: bad SIZE height %q: %w", ErrBadLEF, rest[2], err)
 				}
 				// Rows covered, rounded up: library validation rejects
 				// multi-height masters instead of letting the floorplan
@@ -308,17 +319,17 @@ func ParseLEF(r io.Reader, t *tech.Tech) (*cells.Library, error) {
 				return nil, err
 			}
 			if tok2 := tk.next(); tok2 != "RECT" {
-				return nil, fmt.Errorf("lefdef: expected RECT after LAYER, got %q", tok2)
+				return nil, fmt.Errorf("%w: expected RECT after LAYER, got %q", ErrBadLEF, tok2)
 			}
 			coords := tk.until()
 			if len(coords) != 4 {
-				return nil, fmt.Errorf("lefdef: RECT wants 4 coords, got %d", len(coords))
+				return nil, fmt.Errorf("%w: RECT wants 4 coords, got %d", ErrBadLEF, len(coords))
 			}
 			var v [4]int64
 			for i, c := range coords {
 				x, err := toDBU(c)
 				if err != nil {
-					return nil, fmt.Errorf("lefdef: bad RECT coord %q: %w", c, err)
+					return nil, fmt.Errorf("%w: bad RECT coord %q: %w", ErrBadLEF, c, err)
 				}
 				v[i] = x
 			}
@@ -354,7 +365,7 @@ func ParseLEF(r io.Reader, t *tech.Tech) (*cells.Library, error) {
 	}
 	lib, err := cells.NewLibraryFromMasters(t, arch, masters)
 	if err != nil {
-		return nil, fmt.Errorf("lefdef: parsed library: %w", err)
+		return nil, fmt.Errorf("%w: parsed library: %w", ErrBadLEF, err)
 	}
 	return lib, nil
 }
@@ -386,5 +397,5 @@ func parseLayer(s string) (tech.Layer, error) {
 	case "M4":
 		return tech.M4, nil
 	}
-	return 0, fmt.Errorf("lefdef: unknown layer %q", s)
+	return 0, fmt.Errorf("%w: unknown layer %q", ErrBadLEF, s)
 }

@@ -2,6 +2,7 @@ package lefdef
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -182,8 +183,8 @@ func TestParseDEFErrors(t *testing.T) {
 		invDEF([2]int64{200, 0}, [2]int64{200, 0}),
 	}
 	for i, src := range cases {
-		if _, err := ParseDEF(strings.NewReader(src), tc, lib); err == nil {
-			t.Errorf("case %d: expected error", i)
+		if _, err := ParseDEF(strings.NewReader(src), tc, lib); !errors.Is(err, ErrBadDEF) {
+			t.Errorf("case %d: error %v, want one wrapping ErrBadDEF", i, err)
 		}
 	}
 	// Inputs that would otherwise parse into a wrong placement must fail
@@ -224,8 +225,8 @@ func TestParseDEFErrors(t *testing.T) {
 	}
 	for i, c := range named {
 		_, err := ParseDEF(strings.NewReader(c.src), tc, lib)
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("named case %d: error %v, want one naming %q", i, err, c.want)
+		if !errors.Is(err, ErrBadDEF) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("named case %d: error %v, want one wrapping ErrBadDEF naming %q", i, err, c.want)
 		}
 	}
 	// A ROW without DO spans the die.
@@ -251,11 +252,27 @@ func TestParseDEFErrors(t *testing.T) {
 	}
 }
 
+// TestParseLEFErrors: malformed LEF fails with an error wrapping ErrBadLEF
+// that names what is wrong.
 func TestParseLEFErrors(t *testing.T) {
 	tc := tech.Default()
-	bad := "MACRO X\n PIN A\n DIRECTION INPUT ;\n PORT\n LAYER M9 ;\n RECT 0 0 1 1 ;\n END\n END A\nEND X\n"
-	if _, err := ParseLEF(strings.NewReader(bad), tc); err == nil {
-		t.Error("unknown layer not rejected")
+	pin := func(port string) string {
+		return "MACRO X\n SIZE 0.2 BY 0.5 ;\n PIN A\n DIRECTION INPUT ;\n PORT\n" + port + " END\n END A\nEND X\n"
+	}
+	for i, c := range []struct{ src, want string }{
+		{pin(" LAYER M9 ;\n RECT 0 0 1 1 ;\n"), `unknown layer "M9"`},
+		{pin(" LAYER M1 ;\n POLYGON 0 0 1 1 ;\n"), `expected RECT after LAYER, got "POLYGON"`},
+		{pin(" LAYER M1 ;\n RECT 0 0 1 ;\n"), "RECT wants 4 coords, got 3"},
+		{pin(" LAYER M1 ;\n RECT 0 0 x 1 ;\n"), `bad RECT coord "x"`},
+		{"MACRO X\n SIZE w BY 0.5 ;\nEND X\n", `bad SIZE "w"`},
+		{"MACRO X\n SIZE 0.2 BY h ;\nEND X\n", `bad SIZE height "h"`},
+		// A two-row master fails the library's own validation.
+		{"MACRO X\n SIZE 0.2 BY 1.0 ;\nEND X\n", "parsed library"},
+	} {
+		_, err := ParseLEF(strings.NewReader(c.src), tc)
+		if !errors.Is(err, ErrBadLEF) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("case %d: error %v, want one wrapping ErrBadLEF naming %q", i, err, c.want)
+		}
 	}
 }
 

@@ -8,8 +8,9 @@ import (
 
 // BenchmarkRouteAll routes a 1200-instance ClosedM1 design whose initial
 // routing overflows, so both passes run. Besides time it reports each
-// pass's A* searches and queue pops, which depend only on the design and
-// the config, never on the host: the router's work in numbers that compare
+// pass's A* searches, queue pops and pops per path node (the search work
+// one node of a found path cost), which depend only on the design and the
+// config, never on the host: the router's work in numbers that compare
 // across machines.
 func BenchmarkRouteAll(b *testing.B) {
 	p := genPlaced(b, tech.ClosedM1, "bench", 1200, 1, 0.75)
@@ -22,8 +23,10 @@ func BenchmarkRouteAll(b *testing.B) {
 	if r.ripped == 0 {
 		b.Fatal("no rip-up pass ran")
 	}
-	b.ReportMetric(float64(r.work[0].searches), "init-searches/op")
-	b.ReportMetric(float64(r.work[0].pops), "init-pops/op")
-	b.ReportMetric(float64(r.work[1].searches), "ripup-searches/op")
-	b.ReportMetric(float64(r.work[1].pops), "ripup-pops/op")
+	for pass, name := range []string{"init", "ripup"} {
+		w := r.work[pass]
+		b.ReportMetric(float64(w.searches), name+"-searches/op")
+		b.ReportMetric(float64(w.pops), name+"-pops/op")
+		b.ReportMetric(float64(w.pops)/float64(w.pathNodes), name+"-pops/pathnode")
+	}
 }

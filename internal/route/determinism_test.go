@@ -36,7 +36,8 @@ func routeAll(t testing.TB, r *Router) Metrics {
 
 // TestRouteDeterministicFreshAndReused: fresh routers and a reused router
 // (whose searcher scratch carries over between runs) must return identical
-// Metrics and identical routes, on both M1 architectures.
+// Metrics, identical routes and identical per-pass A* work counts, on both
+// M1 architectures.
 func TestRouteDeterministicFreshAndReused(t *testing.T) {
 	for _, arch := range []tech.Arch{tech.ClosedM1, tech.OpenM1} {
 		p := genPlaced(t, arch, "winv", 500, 41, 0.75)
@@ -44,7 +45,7 @@ func TestRouteDeterministicFreshAndReused(t *testing.T) {
 		ref := New(p, cfg)
 		want := routeAll(t, ref)
 		wantHash := routeHash(ref)
-		if want.RWL <= 0 {
+		if want.RWL <= 0 || ref.work[0].pathNodes == 0 {
 			t.Fatalf("%s: reference run routed nothing", arch)
 		}
 		reused := New(p, cfg)
@@ -56,6 +57,9 @@ func TestRouteDeterministicFreshAndReused(t *testing.T) {
 				}
 				if h := routeHash(r); h != wantHash {
 					t.Errorf("%s run %d: route hash %#x, want %#x", arch, run, h, wantHash)
+				}
+				if r.work != ref.work {
+					t.Errorf("%s run %d: work %+v, want %+v", arch, run, r.work, ref.work)
 				}
 			}
 		}

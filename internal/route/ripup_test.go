@@ -57,19 +57,10 @@ func TestOneRipupPass(t *testing.T) {
 		r := New(p, cfg)
 		m := routeAll(t, r)
 
-		ref := New(p, cfg)
-		nets := r.routableNets()
-		// Stop at the check before the rip-up pass: every net routed once.
-		_, err := ref.RouteAllCtx(&countdownCtx{Context: context.Background(), k: len(nets) + 1})
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("n=%d: want context.Canceled before the rip-up pass, got %v", d.n, err)
-		}
-		initial := ref.totalOverflow()
+		ref, initial, victims := ripupVictims(t, r)
 		if initial == 0 || (m.Overflow > initial) != d.raises {
 			t.Fatalf("n=%d: setup: rip-up pass takes overflow %d → %d", d.n, initial, m.Overflow)
 		}
-		sort.SliceStable(nets, func(a, b int) bool { return p.NetHPWL(nets[a]) < p.NetHPWL(nets[b]) })
-		victims := ref.ripExcess(nets)
 		if err := ref.routeNets(context.Background(), victims, 2*cfg.CongWeight, cfg.SearchMargin); err != nil {
 			t.Fatal(err)
 		}
@@ -107,14 +98,68 @@ func TestInitialPassStaysInBBox(t *testing.T) {
 				arch, m.Overflow, m.FailedConns, r.ripped)
 		}
 		for ni, nr := range r.routes {
-			lo, hi := r.netEpStart[ni], r.netEpStart[ni+1]
-			box := r.apRegionOf(r.eps[lo].apStart, r.eps[hi-1].apEnd)
+			box := netAPBox(r, ni)
 			for _, path := range nr.paths {
 				for _, id := range path {
 					if l, x, y := r.nodeOf(id); x < box.xlo || x > box.xhi || y < box.ylo || y > box.yhi {
 						t.Fatalf("%s: net %d node (%s,%d,%d) outside its access-point box %+v",
 							arch, ni, l, x, y, box)
 					}
+				}
+			}
+		}
+	}
+}
+
+// ripupVictims routes r's placement with r's config up to the check before
+// the rip-up pass, every net routed once, and rips up the victims
+// ripExcess picks. It returns that router, its overflow before the rip-up,
+// and the victims in routing order. r must have routed (its endpoints list
+// the routable nets).
+func ripupVictims(t *testing.T, r *Router) (*Router, int, []int) {
+	t.Helper()
+	ref := New(r.p, r.cfg)
+	nets := r.routableNets()
+	if _, err := ref.RouteAllCtx(&countdownCtx{Context: context.Background(), k: len(nets) + 1}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled before the rip-up pass, got %v", err)
+	}
+	initial := ref.totalOverflow()
+	sort.SliceStable(nets, func(a, b int) bool { return r.p.NetHPWL(nets[a]) < r.p.NetHPWL(nets[b]) })
+	return ref, initial, ref.ripExcess(nets)
+}
+
+// netAPBox is the grid bbox of every access point of net ni.
+func netAPBox(r *Router, ni int) region {
+	lo, hi := r.netEpStart[ni], r.netEpStart[ni+1]
+	return r.apRegionOf(r.eps[lo].apStart, r.eps[hi-1].apEnd)
+}
+
+// TestRipupBoxRowsOnly: the rip-up pass pads its search boxes by
+// SearchMargin rows above and below and by no column, so every node of a
+// rerouted victim lies inside its net's access-point x-range and within
+// SearchMargin rows of its y-range. On the capacity-starved design some
+// victim leaves the x-range when the box is padded sideways too.
+func TestRipupBoxRowsOnly(t *testing.T) {
+	p := genPlaced(t, tech.ClosedM1, "ripup", 600, 64, 0.85)
+	cfg := DefaultConfig(p.Tech, tech.ClosedM1)
+	cfg.Caps[tech.M2] = 1
+	cfg.Caps[tech.M3] = 1
+	r := New(p, cfg)
+	routeAll(t, r)
+
+	_, _, victims := ripupVictims(t, r)
+	if len(victims) == 0 || r.ripped != len(victims) {
+		t.Fatalf("setup: %d victims, %d nets rerouted", len(victims), r.ripped)
+	}
+
+	m := cfg.SearchMargin
+	for _, ni := range victims {
+		box := netAPBox(r, ni)
+		for _, path := range r.routes[ni].paths {
+			for _, id := range path {
+				if l, x, y := r.nodeOf(id); x < box.xlo || x > box.xhi || y < box.ylo-m || y > box.yhi+m {
+					t.Fatalf("victim net %d node (%s,%d,%d) outside its access-point box %+v padded by %d rows",
+						ni, l, x, y, box, m)
 				}
 			}
 		}

@@ -13,7 +13,9 @@
 // edge over capacity, just enough nets to clear every edge's excess are
 // ripped up (the latest routed first) and rerouted once, at twice
 // Config.CongWeight, each connection in its box padded by
-// Config.SearchMargin. Key architecture-specific behaviours:
+// Config.SearchMargin rows above and below (never sideways: the columns
+// buy no overflow and cost a fifth of the pass's search work). Key
+// architecture-specific behaviours:
 //
 //   - ClosedM1: pins are M1 nodes; foreign M1 pins block M1 traversal, so
 //     inter-row M1 routing exists only where tracks are clear and pins
@@ -50,10 +52,10 @@ type Config struct {
 	// routing; the rip-up pass reroutes at twice it.
 	CongWeight float64
 	// SearchMargin pads each connection's search bounding box in the
-	// rip-up pass, in grid cells (columns horizontally, rows vertically);
-	// the initial pass searches the unpadded box. A connection that finds
-	// no path is retried once in its box padded by a further
-	// 6*SearchMargin.
+	// rip-up pass by this many rows above and below; the box keeps its
+	// horizontal extent, and the initial pass searches the unpadded box.
+	// A connection that finds no path in its box is counted in
+	// Metrics.FailedConns.
 	SearchMargin int
 	// Arch selects pin-access behaviour. Conventional libraries get no
 	// inter-cell M1 routing.

@@ -53,7 +53,7 @@ func (r *Router) RouteAllCtx(ctx context.Context) (Metrics, error) {
 	// Negotiated congestion, one pass: if any edge is over capacity, just
 	// enough nets to clear every edge's excess are ripped up and rerouted
 	// at twice the congestion weight, in routing order, each in its box
-	// padded by SearchMargin.
+	// padded by SearchMargin rows above and below.
 	if r.totalOverflow() == 0 {
 		return r.finishMetrics(), nil
 	}
@@ -72,10 +72,11 @@ func (r *Router) RouteAllCtx(ctx context.Context) (Metrics, error) {
 }
 
 // routeNets routes nets in order at congestion weight cw, padding every
-// connection's search box by margin cells, each net committing its usage
-// before the next is searched. Cancellation is checked before each net, so
-// an early return leaves every committed net fully routed and the usage
-// arrays consistent. The searcher's work counts cover this call alone.
+// connection's search box by margin rows above and below, each net
+// committing its usage before the next is searched. Cancellation is
+// checked before each net, so an early return leaves every committed net
+// fully routed and the usage arrays consistent. The searcher's work counts
+// cover this call alone.
 func (r *Router) routeNets(ctx context.Context, nets []int, cw float64, margin int) error {
 	r.rebuildEdgeCosts(cw)
 	r.s.work = passWork{}

@@ -234,18 +234,18 @@ type searcher struct {
 
 	pathBuf []int32
 
-	// work counts the in-flight pass's searches and queue pops (stale
-	// entries included); routeNets zeroes it.
+	// work counts the in-flight pass's searches, queue pops (stale
+	// entries included) and path nodes; routeNets zeroes it.
 	work passWork
 
 	failedConns int
 }
 
-// passWork is one routing pass's A* work: searches run and entries taken
-// from the queue. Both depend only on the placement and the config, never
-// on the host.
+// passWork is one routing pass's A* work: searches run, entries taken
+// from the queue, and nodes on the paths the searches found. All three
+// depend only on the placement and the config, never on the host.
 type passWork struct {
-	searches, pops int
+	searches, pops, pathNodes int
 }
 
 func newSearcher(r *Router) *searcher {
@@ -435,10 +435,9 @@ func (s *searcher) astar(ni int, apStart, apEnd int32, rg region) []int32 {
 
 // routeNet routes net ni at the current cached edge costs, updating edge
 // usage as each connection lands. Each connection searches the bbox of
-// the tree and its endpoint padded by margin cells: 0 in the initial pass,
-// SearchMargin in the rip-up pass. A connection that finds no path there is
-// retried once in that box padded by a further 6*SearchMargin, and one that
-// still fails is counted and skipped.
+// the tree and its endpoint, padded by margin rows above and below and
+// never sideways: 0 rows in the initial pass, SearchMargin in the rip-up
+// pass. A connection that finds no path there is counted and skipped.
 func (s *searcher) routeNet(ni, margin int) *netRoute {
 	r := s.r
 	epStart, epEnd := r.netEpStart[ni], r.netEpStart[ni+1]
@@ -484,25 +483,18 @@ func (s *searcher) routeNet(ni, margin int) *netRoute {
 		ep := &r.eps[k]
 		epRg := r.apRegionOf(ep.apStart, ep.apEnd)
 		search := r.clampRegion(region{
-			xlo: min(treeGrid.xlo, epRg.xlo) - margin,
+			xlo: min(treeGrid.xlo, epRg.xlo),
 			ylo: min(treeGrid.ylo, epRg.ylo) - margin,
-			xhi: max(treeGrid.xhi, epRg.xhi) + margin,
+			xhi: max(treeGrid.xhi, epRg.xhi),
 			yhi: max(treeGrid.yhi, epRg.yhi) + margin,
 		})
 		s.tb = treeGrid
 		path := s.astar(ni, ep.apStart, ep.apEnd, search)
 		if path == nil {
-			w := 6 * r.cfg.SearchMargin
-			retry := r.clampRegion(region{
-				xlo: search.xlo - w, ylo: search.ylo - w,
-				xhi: search.xhi + w, yhi: search.yhi + w,
-			})
-			path = s.astar(ni, ep.apStart, ep.apEnd, retry)
-		}
-		if path == nil {
 			s.failedConns++
 			continue
 		}
+		s.work.pathNodes += len(path)
 		dm1 := s.classifyDM1(path, ep.isPin)
 		r.addUsage(path, +1)
 		for _, id := range path {
