@@ -61,9 +61,11 @@ bench-harness:
 # One iteration of each substrate microbenchmark — a fast sanity pass that
 # the benchmarks still build and run, not a measurement of time. The
 # router's BenchmarkRouteAll (internal/route) also prints its per-pass A*
-# searches and pops, which do not depend on the host.
+# searches and pops, which do not depend on the host. BenchmarkFactorize
+# (internal/lp) factors every basis of its committed corpus once before it
+# times one.
 bench-smoke: bench-objective
-	$(GO) test -run '^$$' -bench 'DistOptPass|LPSolve|CalculateObj|RouteAll' -benchtime 1x -timeout 20m . ./internal/route
+	$(GO) test -run '^$$' -bench 'DistOptPass|LPSolve|CalculateObj|RouteAll|Factorize' -benchtime 1x -timeout 20m . ./internal/route ./internal/lp
 
 # One rescan per registered geometry objective (BenchmarkObjectiveEval
 # sub-benches). The measured series lands in BENCH_core.json's

@@ -1,6 +1,9 @@
 package lp
 
-import "time"
+import (
+	"slices"
+	"time"
+)
 
 // Arena is a reusable scratch workspace for repeated solves. A single
 // branch-and-bound run over one window MILP re-solves the same Model
@@ -262,6 +265,12 @@ func growSlice[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
+}
+
+// extendSlice returns s lengthened by n, keeping its contents. The n new
+// elements are unspecified.
+func extendSlice[T any](s []T, n int) []T {
+	return slices.Grow(s, n)[:len(s)+n]
 }
 
 // perturbRHS applies the deterministic tiny RHS shift that breaks the

@@ -422,3 +422,59 @@ func (s *refSimplex) iterate(obj []float64, stopAtZero bool) (Status, int) {
 	}
 	return IterLimit, iters
 }
+
+// denseBasisSolve solves B·x = rhs (trans false: rhs by constraint row, x
+// by basis slot) or Bᵀ·y = rhs (trans true: rhs by slot, y by row) for the
+// basis whose slot j holds cols[basis[j]], by Gaussian elimination with
+// partial pivoting on an explicit dense copy — an oracle for the sparse LU
+// that shares none of its code. It reports false when a pivot falls below
+// 1e-12 of the matrix's largest entry.
+func denseBasisSolve(cols [][]entry, basis []int, rhs []float64, trans bool) ([]float64, bool) {
+	m := len(basis)
+	a := make([][]float64, m)
+	for i := range a {
+		a[i] = make([]float64, m+1)
+	}
+	big := 0.0
+	for j, q := range basis {
+		for _, e := range cols[q] {
+			if trans {
+				a[j][e.row] = e.val
+			} else {
+				a[e.row][j] = e.val
+			}
+			big = math.Max(big, math.Abs(e.val))
+		}
+	}
+	for i := range a {
+		a[i][m] = rhs[i]
+	}
+	for k := 0; k < m; k++ {
+		p := k
+		for i := k + 1; i < m; i++ {
+			if math.Abs(a[i][k]) > math.Abs(a[p][k]) {
+				p = i
+			}
+		}
+		if math.Abs(a[p][k]) <= 1e-12*big {
+			return nil, false
+		}
+		a[k], a[p] = a[p], a[k]
+		for i := k + 1; i < m; i++ {
+			if l := a[i][k] / a[k][k]; l != 0 {
+				for c := k; c <= m; c++ {
+					a[i][c] -= l * a[k][c]
+				}
+			}
+		}
+	}
+	x := make([]float64, m)
+	for k := m - 1; k >= 0; k-- {
+		s := a[k][m]
+		for c := k + 1; c < m; c++ {
+			s -= a[k][c] * x[c]
+		}
+		x[k] = s / a[k][k]
+	}
+	return x, true
+}

@@ -86,6 +86,56 @@ func genLP(rng *rand.Rand) *Model {
 	return m
 }
 
+// genAssignLP builds a window-shaped LP: an exactly-one row per cell over
+// its candidate sites (λ ∈ [0, 1]), a capacity row Σλ ≤ 1 per site the
+// cells share, and pairs of big-G rows G·d ± (off·λ_a − off·λ_b) ≤ G that
+// tie a pair variable d ∈ [0, 1] to two cells' sites, as the window MILPs'
+// relaxations do. G and every right-hand side stay at most 20, so
+// perturbRHS's shift stays below feasTol. Placing each cell on its first
+// site is feasible.
+func genAssignLP(rng *rand.Rand) *Model {
+	m := NewModel()
+	cells, sites := 2+rng.Intn(5), 2+rng.Intn(4)
+	lambda := make([][]int, cells)
+	for c := range lambda {
+		var terms []Term
+		for s := 0; s < sites; s++ {
+			j := m.AddVar(0, 1, float64(rng.Intn(11)-5), "")
+			lambda[c] = append(lambda[c], j)
+			terms = append(terms, Term{Var: j, Coef: 1})
+		}
+		m.AddRow(EQ, 1, terms...)
+	}
+	// Cell c's site s is position (c+s) mod P, so first sites never share.
+	P := cells + sites
+	for p := 0; p < P; p++ {
+		var terms []Term
+		for c := range lambda {
+			if s := (p - c + P) % P; s < sites {
+				terms = append(terms, Term{Var: lambda[c][s], Coef: 1})
+			}
+		}
+		if len(terms) > 1 {
+			m.AddRow(LE, 1, terms...)
+		}
+	}
+	for k := 1 + rng.Intn(cells); k > 0; k-- {
+		a := rng.Intn(cells)
+		b := (a + 1 + rng.Intn(cells-1)) % cells
+		d := m.AddVar(0, 1, -float64(1+rng.Intn(5)), "")
+		G := float64(8 + rng.Intn(13))
+		for _, sign := range []float64{1, -1} {
+			terms := []Term{{Var: d, Coef: G}}
+			for s := 0; s < sites; s++ {
+				off := float64(s + 1)
+				terms = append(terms, Term{Var: lambda[a][s], Coef: sign * off}, Term{Var: lambda[b][s], Coef: -sign * off})
+			}
+			m.AddRow(LE, G, terms...)
+		}
+	}
+	return m
+}
+
 // checkAgainstRef solves m with the live kernel (through a, warm or cold as
 // a's state dictates) and the dense reference (always cold) under the same
 // bounds, and fails the test on any disagreement. Returns the live solution.
@@ -133,7 +183,12 @@ func tightenBounds(rng *rand.Rand, lo, hi []float64) {
 func runKernelAgreement(t *testing.T, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	m := genLP(rng)
+	var m *Model
+	if seed < 0 {
+		m = genAssignLP(rng)
+	} else {
+		m = genLP(rng)
+	}
 	a := NewArena()
 
 	sol := checkAgainstRef(t, m, nil, nil, a, "cold")
@@ -266,9 +321,11 @@ func TestLPKernelAgreement(t *testing.T) {
 // Seeds 1318 through 1527 are ones where the dual pricing's weights pick a
 // leaving row other than the most violated one at least twice (counted
 // with a temporary counter beside the pricing loop): only 2 of
-// TestLPKernelAgreement's 400 seeds do so even once.
+// TestLPKernelAgreement's 400 seeds do so even once. A negative seed draws
+// an assignment-structured window LP (genAssignLP) instead; seeds −1
+// through −8 are such.
 func FuzzLPKernelAgreement(f *testing.F) {
-	for _, s := range []int64{1, 7, 42, 1337, 99991, 317, 409, 436, 544, 747, 1318, 1445, 1482, 1527} {
+	for _, s := range []int64{1, 7, 42, 1337, 99991, 317, 409, 436, 544, 747, 1318, 1445, 1482, 1527, -1, -2, -3, -4, -5, -6, -7, -8} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
