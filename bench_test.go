@@ -6,11 +6,14 @@
 package vm1place_test
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"math/rand"
 	"os"
+	"os/exec"
 	"runtime"
+	"strings"
 	"testing"
 
 	"vm1place/internal/cells"
@@ -325,6 +328,37 @@ func BenchmarkLPSolve(b *testing.B) {
 	reportLPStats(b, stats)
 }
 
+// benchHost names the host, toolchain and tree a BENCH file was measured
+// on, so that its time series can tell a code change from a host change.
+type benchHost struct {
+	CPU       string `json:"cpu"`
+	NumCPU    int    `json:"nproc"`
+	GoVersion string `json:"go_version"`
+	// Commit is `git describe --always --dirty` of the working tree:
+	// "-dirty" marks uncommitted changes on top of the named commit.
+	Commit string `json:"commit"`
+}
+
+// hostInfo reads the CPU model from /proc/cpuinfo where it exists and the
+// commit from git where it runs; either reads "unknown" otherwise.
+func hostInfo() benchHost {
+	h := benchHost{CPU: "unknown", NumCPU: runtime.NumCPU(), GoVersion: runtime.Version(), Commit: "unknown"}
+	if f, err := os.Open("/proc/cpuinfo"); err == nil {
+		defer f.Close()
+		sc := bufio.NewScanner(f)
+		for sc.Scan() {
+			if k, v, ok := strings.Cut(sc.Text(), ":"); ok && strings.TrimSpace(k) == "model name" {
+				h.CPU = strings.TrimSpace(v)
+				break
+			}
+		}
+	}
+	if out, err := exec.Command("git", "describe", "--always", "--dirty").Output(); err == nil {
+		h.Commit = strings.TrimSpace(string(out))
+	}
+	return h
+}
+
 // TestEmitBenchCoreJSON regenerates BENCH_core.json, the machine-readable
 // record of the core-substrate microbenchmarks that the performance
 // acceptance gates compare against, plus a determinism check that window
@@ -398,13 +432,15 @@ func TestEmitBenchCoreJSON(t *testing.T) {
 			func(b *testing.B) { benchObjectiveEval(b, name) }, 0})
 	}
 	out := struct {
-		Note                string           `json:"note"`
-		GOMAXPROCS          int              `json:"gomaxprocs"`
+		Note       string `json:"note"`
+		GOMAXPROCS int    `json:"gomaxprocs"`
+		benchHost
 		PlacementsIdentical bool             `json:"placements_identical"`
 		Results             map[string]entry `json:"results"`
 	}{
 		Note:                "regenerate with: BENCH_JSON=1 go test -run TestEmitBenchCoreJSON -timeout 30m . (or make bench-core)",
 		GOMAXPROCS:          runtime.GOMAXPROCS(0),
+		benchHost:           hostInfo(),
 		PlacementsIdentical: true,
 		Results:             map[string]entry{},
 	}
@@ -446,12 +482,14 @@ func TestEmitBenchRouteJSON(t *testing.T) {
 	r := testing.Benchmark(BenchmarkRouteAllSeq)
 	t.Logf("RouteAllSeq: %s", r)
 	out := struct {
-		Note       string           `json:"note"`
-		GOMAXPROCS int              `json:"gomaxprocs"`
-		Results    map[string]entry `json:"results"`
+		Note       string `json:"note"`
+		GOMAXPROCS int    `json:"gomaxprocs"`
+		benchHost
+		Results map[string]entry `json:"results"`
 	}{
 		Note:       "regenerate with: BENCH_JSON=1 go test -run TestEmitBenchRouteJSON -timeout 30m . (or make bench-route)",
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		benchHost:  hostInfo(),
 		Results: map[string]entry{"RouteAllSeq": {
 			NsPerOp:     r.NsPerOp(),
 			AllocsPerOp: r.AllocsPerOp(),

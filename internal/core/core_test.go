@@ -205,7 +205,7 @@ func TestWindowMILPAlignsPair(t *testing.T) {
 	if len(w.pairs) == 0 {
 		t.Fatal("no pairs built")
 	}
-	assign := w.solve()
+	assign, _ := w.solve()
 	if assign == nil {
 		t.Fatal("window solve found no improvement")
 	}
@@ -240,7 +240,7 @@ func TestWindowFlipPassAligns(t *testing.T) {
 	prm := DefaultParams(tc, tech.ClosedM1)
 	ps := ParamSet{BW: p.DieWidth(), BH: p.DieHeight(), LX: 0, LY: 0}
 	w := buildWindow(p, prm, p.DieRect(), ps, []int{u0, u1}, false, true)
-	assign := w.solve()
+	assign, _ := w.solve()
 	if assign == nil {
 		t.Fatal("flip pass found no improvement")
 	}
@@ -273,7 +273,7 @@ func TestWindowOpenM1IncreasesOverlap(t *testing.T) {
 	}
 	ps := ParamSet{BW: p.DieWidth(), BH: p.DieHeight(), LX: 4, LY: 1}
 	w := buildWindow(p, prm, p.DieRect(), ps, []int{u0, u1}, true, false)
-	assign := w.solve()
+	assign, _ := w.solve()
 	if assign == nil {
 		t.Fatal("OpenM1 window solve found no improvement")
 	}

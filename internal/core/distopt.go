@@ -169,12 +169,12 @@ func distPass(ctx context.Context, t *ObjTracker, ps ParamSet, g passGrid,
 				w.buildNetsPairs()
 				s.built(k)
 				w.sv = sv
-				assign := w.solve()
+				assign, work := w.solve()
 				w.sv = nil
 				moves = appendWindowMoves(moves[:0], p, w, assign)
 				pool.putWindow(w)
 				busy.Add(int64(time.Since(t0))) // clock-ok: idle-time accounting only
-				s.solved(k, moves)
+				s.solved(k, moves, work)
 			}
 		}()
 	}
@@ -193,6 +193,7 @@ func distPass(ctx context.Context, t *ObjTracker, ps ParamSet, g passGrid,
 	}
 	wg.Wait()
 	res.stats.Windows = s.started
+	res.stats.Nodes, res.stats.Capped = s.work.nodes, s.work.capped
 	res.idle = time.Duration(workers)*time.Since(start) - time.Duration(busy.Load()) // clock-ok: idle-time accounting only
 	res.obj = t.Objective()
 	if s.started < len(s.win) {

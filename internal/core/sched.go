@@ -51,6 +51,7 @@ type winSched struct {
 	cond    sync.Cond // signals every state change below
 	held    []bool    // solved, but rule 2 still holds the moves back
 	moves   [][]Move  // accepted moves of a solved window until it commits
+	work    milpWork  // summed over the solved windows
 	ready   readyHeap
 	queue   []int32 // commit-ready windows
 	started int     // windows claimed by workers
@@ -183,10 +184,13 @@ func (s *winSched) built(k int) {
 	s.cond.Broadcast()
 }
 
-// solved hands window k's accepted moves to the committer. The moves are
-// copied, so the caller may reuse its buffer.
-func (s *winSched) solved(k int, moves []Move) {
+// solved hands window k's accepted moves to the committer and adds its
+// branch-and-bound work to the pass's. The moves are copied, so the caller
+// may reuse its buffer.
+func (s *winSched) solved(k int, moves []Move, work milpWork) {
 	s.mu.Lock()
+	s.work.nodes += work.nodes
+	s.work.capped += work.capped
 	if len(moves) > 0 {
 		s.moves[k] = append([]Move(nil), moves...)
 	}

@@ -40,8 +40,11 @@ func refDistPass(ctx context.Context, t *ObjTracker, ps ParamSet, g passGrid,
 		var moves []Move
 		for _, w := range ws {
 			n := len(moves)
-			moves = appendWindowMoves(moves, p, w, w.solve())
+			assign, work := w.solve()
+			moves = appendWindowMoves(moves, p, w, assign)
 			res.stats.Windows++
+			res.stats.Nodes += work.nodes
+			res.stats.Capped += work.capped
 			if len(moves) > n {
 				res.stats.Commits++
 			}
@@ -112,14 +115,22 @@ func (a oracleRun) diff(b oracleRun) string {
 // TestDataflowMatchesBarrierReference is the scheduler's bit-identity
 // oracle: for every worker count and objective, VM1Opt on
 // the dataflow scheduler must reproduce the family-barrier reference loop
-// exactly — placement, objectives, history, per-pass counts and lp work.
-// Seed 1 uses a high-fanout design. Run under -race, Workers 8 exercises
-// every scheduler path concurrently.
+// exactly — placement, objectives, history, per-pass counts (branch-and-
+// bound nodes and capped windows among them) and lp work. Seed 1 uses a
+// high-fanout design. Run under -race, Workers 8 exercises every scheduler
+// path concurrently.
 func TestDataflowMatchesBarrierReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 150 small optimizer flows")
 	}
 	seq := Sequence{{BW: 1000, BH: 1000, LX: 2, LY: 1}}
+	var total PassStats // the reference runs' B&B work, summed
+	defer func() {
+		if !t.Failed() && (total.Nodes == 0 || total.Capped == 0) {
+			t.Errorf("reference runs solved %d nodes and capped %d windows: the B&B counts went unchecked",
+				total.Nodes, total.Capped)
+		}
+	}()
 	for seed := int64(1); seed <= 5; seed++ {
 		for _, name := range []string{"closedm1", "openm1", "netsep"} {
 			o, err := objective.Lookup(name)
@@ -145,6 +156,10 @@ func TestDataflowMatchesBarrierReference(t *testing.T) {
 				return oracleRun{site: p.SiteX, row: p.Row, flip: p.Flip, res: res, work: work}
 			}
 			want := run(refDistPass, 1)
+			for _, ps := range want.res.Passes {
+				total.Nodes += ps.Nodes
+				total.Capped += ps.Capped
+			}
 			for _, workers := range []int{1, 2, 3, 8} {
 				if d := want.diff(run(distPass, workers)); d != "" {
 					t.Fatalf("seed %d %s Workers=%d: %s", seed, name, workers, d)

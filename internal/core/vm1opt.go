@@ -37,6 +37,13 @@ type PassStats struct {
 	// Commits is the number of windows whose moves changed the placement;
 	// each commits as its own tracker batch.
 	Commits int
+	// Nodes is the number of branch-and-bound nodes the pass's window
+	// MILPs solved.
+	Nodes int
+	// Capped is the number of window MILPs that stopped at MaxNodes or at
+	// their deadline before proving their incumbent optimal (or, rarely,
+	// at a node relaxation the simplex could not resolve).
+	Capped int
 }
 
 // VM1OptCtx is Algorithm 1: for each parameter set u in the sequence U,

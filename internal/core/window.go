@@ -62,6 +62,7 @@ type window struct {
 	netSlab  []winNet
 	pairSlab []winPair
 	scoreBuf []scoredPair
+	supMark  []bool // support membership scratch of one pair
 	netSeen  map[int]*winNet
 }
 
@@ -89,10 +90,15 @@ type winNet struct {
 // objective's PairAlpha for the net (== Params.Alpha bitwise for uniform
 // objectives), so the MILP objective coefficient and the greedy/objective
 // arithmetic agree without per-evaluation lookups.
+//
+// supP and supQ are the pins' supports: the candidates of the pin that
+// realize the pair with some candidate of the other pin. Each is nil when
+// it needs no support row: the pin is fixed, or every candidate is in it.
 type winPair struct {
-	net   *winNet
-	p, q  winPin
-	alpha float64
+	net        *winNet
+	p, q       winPin
+	alpha      float64
+	supP, supQ []int
 }
 
 // occKey indexes window occupancy cells.
@@ -369,14 +375,14 @@ func (w *window) newNet(ni int) *winNet {
 }
 
 // newPair carves a winPair from the pair slab.
-func (w *window) newPair(wn *winNet, p, q winPin) *winPair {
+func (w *window) newPair(wn *winNet, p, q winPin, supP, supQ []int) *winPair {
 	if len(w.pairSlab) < cap(w.pairSlab) {
 		w.pairSlab = w.pairSlab[:len(w.pairSlab)+1]
 	} else {
 		w.pairSlab = append(w.pairSlab, winPair{})
 	}
 	pr := &w.pairSlab[len(w.pairSlab)-1]
-	*pr = winPair{net: wn, p: p, q: q, alpha: w.rule.obj.PairAlpha(w.rule.w, wn.ni)}
+	*pr = winPair{net: wn, p: p, q: q, alpha: w.rule.obj.PairAlpha(w.rule.w, wn.ni), supP: supP, supQ: supQ}
 	return pr
 }
 
@@ -429,8 +435,11 @@ type scoredPair struct {
 
 // buildPairs enumerates the eligible (movable, movable) and (movable,
 // fixed-pin) pairs of a net, pruning pairs that cannot possibly align or
-// overlap under any candidate choice. The terminal views built by buildNet
-// are reused directly (ports are excluded there — they are not M1 pins).
+// overlap under any candidate choice: first by the objective's range test,
+// then, for the pairs kept, by their supports. A kept pair with an empty
+// support is not built; it would score 0 under every assignment. The
+// terminal views built by buildNet are reused directly (ports are excluded
+// there — they are not M1 pins).
 func (w *window) buildPairs(wn *winNet) {
 	terms := wn.terms
 	cands := w.scoreBuf[:0]
@@ -473,9 +482,62 @@ func (w *window) buildPairs(wn *winNet) {
 		cands = cands[:maxPairsPerNet]
 	}
 	for _, c := range cands {
-		w.pairs = append(w.pairs, w.newPair(wn, terms[c.i], terms[c.j]))
+		p, q := terms[c.i], terms[c.j]
+		if supP, supQ, ok := w.support(p, q); ok {
+			w.pairs = append(w.pairs, w.newPair(wn, p, q, supP, supQ))
+		}
 	}
 	w.scoreBuf = cands[:0]
+}
+
+// support finds the candidates of p and of q that realize the pair with
+// some candidate of the other pin, under the full pair rule (row gate
+// included). ok is false when no combination realizes it. A side that
+// needs no support row (fixed, or every candidate realizes the pair) gets
+// nil; the others are carved from the int slab.
+func (w *window) support(p, q winPin) (supP, supQ []int, ok bool) {
+	np, nq := len(p.RowOf), len(q.RowOf)
+	w.supMark = grown(w.supMark, np+nq)
+	inP, inQ := w.supMark[:np], w.supMark[np:]
+	clear(w.supMark)
+	nP, nQ := 0, 0
+	for k := range np {
+		a := p.At(k)
+		for k2 := range nq {
+			if inP[k] && inQ[k2] {
+				continue
+			}
+			if hit, _ := w.rule.eval(a, q.At(k2)); hit {
+				if !inP[k] {
+					inP[k] = true
+					nP++
+				}
+				if !inQ[k2] {
+					inQ[k2] = true
+					nQ++
+				}
+			}
+		}
+	}
+	if nP == 0 {
+		return nil, nil, false
+	}
+	return w.supportList(p, inP, nP), w.supportList(q, inQ, nQ), true
+}
+
+// supportList lists the n candidates marked in, or returns nil when pin p
+// needs no support row.
+func (w *window) supportList(p winPin, in []bool, n int) []int {
+	if p.cell < 0 || n == len(in) {
+		return nil
+	}
+	sup := w.carveInt(n)[:0]
+	for k, ok := range in {
+		if ok {
+			sup = append(sup, k)
+		}
+	}
+	return sup
 }
 
 // pinView is p's geometry view with the λ variable ids of its cell for

@@ -99,12 +99,20 @@ func (w *window) feasibleAssign(assign []int) bool {
 	return true
 }
 
+// milpWork is the branch-and-bound work of window MILPs: the nodes solved,
+// and how many MILPs stopped at MaxNodes or their deadline (capped). A
+// greedy-only window adds none.
+type milpWork struct {
+	nodes, capped int
+}
+
 // solve optimizes the window and returns an improved assignment, or nil
-// when the input placement is retained. Windows beyond the MILP size
-// budget fall back to the greedy hill-climbing heuristic.
-func (w *window) solve() []int {
+// when the input placement is retained, with the MILP's work. Windows
+// beyond the MILP size budget fall back to the greedy hill-climbing
+// heuristic.
+func (w *window) solve() ([]int, milpWork) {
 	if len(w.movable) == 0 {
-		return nil
+		return nil, milpWork{}
 	}
 	nBin := 0
 	for _, cs := range w.cand {
@@ -115,16 +123,17 @@ func (w *window) solve() []int {
 		limit = 100
 	}
 	if len(w.movable) > limit || nBin > 6000 {
-		return w.solveGreedy()
+		return w.solveGreedy(), milpWork{}
 	}
 	return w.solveMILP()
 }
 
-// buildModel assembles the window MILP (Section 3 of the paper) and
-// returns the LP, the MILP wrapper, the λ variable ids per cell and
-// candidate, and the constant objective offset K (window HPWL parts that
-// no candidate choice can affect and that are therefore kept out of the
-// model; modelObj = windowObj − K). The models and every assembly buffer
+// buildModel assembles the window MILP (Section 3 of the paper, plus the
+// pair support rows of DESIGN.md §4d) and returns the LP, the MILP
+// wrapper, the λ variable ids per cell and candidate, and the constant
+// objective offset K (window HPWL parts that no candidate choice can
+// affect and that are therefore kept out of the model; modelObj =
+// windowObj − K). The models and every assembly buffer
 // come from the window's solve workspace, so a steady-state build
 // allocates nothing: AddRow copies its terms, which makes the single
 // reused row buffer safe.
@@ -231,20 +240,41 @@ func (w *window) buildModel() (*lp.Model, *milp.Model, [][]int, float64) {
 		}
 	}
 
-	// Pair variables and rows, delegated to the objective: the caller adds
-	// the binary reward variable (objective coefficient -αn) and the
-	// objective emits its linearization rows. Emission order per pair is
-	// fixed by the implementation; pair order is the deterministic
-	// buildPairs order.
+	// Pair variables and rows. The caller adds the binary reward variable
+	// (objective coefficient -αn) and the objective emits its
+	// linearization rows; core then adds the pair's support rows,
+	// d − Σ_{k∈S_p} λ_pk ≤ 0 for each movable pin p whose support S_p
+	// (buildPairs) is partial. They hold at every integer point — with
+	// d = 1 the chosen candidates realize the pair, so each lies in its
+	// pin's support — but they deny the relaxation a fractional d that
+	// the big-G rows leave almost free, so up-branches on d stop being
+	// infeasible. Emission order per pair is fixed by the implementation;
+	// pair order is the deterministic buildPairs order.
 	em := objective.Emit{M: m, MM: mm, GammaH: gammaH}
 	for _, pr := range w.pairs {
 		d := m.AddVar(0, 1, -pr.alpha, "d")
 		mm.MarkInt(d)
 		tb = w.rule.obj.EmitPair(em, w.rule.w, d, pinView(pr.p, lambda), pinView(pr.q, lambda), tb)
+		tb = addSupportRow(m, tb, d, pr.p, pr.supP, lambda)
+		tb = addSupportRow(m, tb, d, pr.q, pr.supQ, lambda)
 	}
 	sv.tbuf = tb
 
 	return m, mm, lambda, constK
+}
+
+// addSupportRow adds d − Σ_{k∈sup} λ_pk ≤ 0 for pin p, unless sup is nil
+// (p is fixed, or its exactly-one row already implies the row).
+func addSupportRow(m *lp.Model, tb []lp.Term, d int, p winPin, sup []int, lambda [][]int) []lp.Term {
+	if sup == nil {
+		return tb
+	}
+	tb = append(tb[:0], lp.Term{Var: d, Coef: 1})
+	for _, k := range sup {
+		tb = append(tb, lp.Term{Var: lambda[p.cell][k], Coef: -1})
+	}
+	m.AddRow(lp.LE, 0, tb...)
+	return tb
 }
 
 // axisVals selects a pin's candidate coordinates for axis 0 (x) or 1 (y).
@@ -256,7 +286,7 @@ func axisVals(mp winPin, axi int) []int64 {
 }
 
 // solveMILP builds and solves the paper's window MILP.
-func (w *window) solveMILP() []int {
+func (w *window) solveMILP() ([]int, milpWork) {
 	sv := w.solver()
 	m, mm, lambda, constK := w.buildModel()
 
@@ -329,20 +359,24 @@ func (w *window) solveMILP() []int {
 		Rounder:      rounder,
 		Scratch:      sv.arena,
 	})
+	work := milpWork{nodes: res.Nodes}
+	if res.Status == milp.Feasible || res.Status == milp.Limit {
+		work.capped = 1
+	}
 	if res.X == nil || res.Obj >= curObj-1e-6 {
-		return fallback
+		return fallback, work
 	}
 	assign := make([]int, len(w.movable))
 	decodeInto(assign, res.X)
 	if !w.feasibleAssign(assign) {
 		// Should not happen for MILP-feasible solutions; keep the best
 		// known assignment rather than corrupt the placement.
-		return fallback
+		return fallback, work
 	}
 	if w.objective(assign)-constK >= curObj-1e-9 {
-		return fallback
+		return fallback, work
 	}
-	return assign
+	return assign, work
 }
 
 // repair greedily fixes occupancy conflicts in a decoded assignment by

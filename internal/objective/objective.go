@@ -18,6 +18,14 @@
 //     each net's α, so critical nets buy alignment first (GOALPlace-style
 //     end-metric weighting).
 //
+// EmitPair's rows need only force a realized pair when the pair's reward
+// variable d is 1. The window assembly adds, for every objective alike,
+// a support row d ≤ Σ λ per movable pin over the candidates that realize
+// the pair with some candidate of the other pin (PairEval under the row
+// gate), and it builds no pair that no candidate combination realizes.
+// Those rows tighten the relaxation of any big-G linearization, so an
+// implementation need not emit them.
+//
 // # Determinism contract
 //
 // Implementations MUST be pure functions of their inputs: no clocks, no
@@ -129,7 +137,8 @@ type GeomObjective interface {
 	// EmitPair appends the pair's constraint rows (and any auxiliary
 	// variables) to the window MILP. d is the pair's binary reward
 	// variable, already added with objective coefficient -PairAlpha and
-	// marked integer by the caller. tb is a reusable term buffer; the
+	// marked integer by the caller. It need not emit support rows (see
+	// the package comment). tb is a reusable term buffer; the
 	// (possibly regrown) buffer is returned so the caller's workspace
 	// keeps it. Emission order must be deterministic — see the package
 	// comment.
