@@ -63,9 +63,6 @@ type Params struct {
 	// scheduler already bounds live window storage by the worker count.
 	// The field stays so callers that set it keep compiling.
 	Shards int
-	// MaxMILPCells is the largest window (movable cells) solved exactly;
-	// larger windows use the greedy coordinate-descent fallback (0: 100).
-	MaxMILPCells int
 	// MaxOuterIters caps Algorithm 1 inner iterations per parameter set
 	// (0: until convergence). ExptA-1 uses 1.
 	MaxOuterIters int
@@ -87,9 +84,8 @@ func DefaultParams(t *tech.Tech, arch tech.Arch) Params {
 		// relaxations too, so hard windows pin their family at exactly
 		// this budget. Measured quality over 3 full passes is within 0.2%
 		// of the 800ms setting at roughly half the wall time.
-		TimeLimit:    400 * time.Millisecond,
-		Workers:      runtime.GOMAXPROCS(0),
-		MaxMILPCells: 100,
+		TimeLimit: 400 * time.Millisecond,
+		Workers:   runtime.GOMAXPROCS(0),
 	}
 }
 

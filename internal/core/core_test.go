@@ -399,21 +399,49 @@ func TestVM1OptAlphaZeroReducesHPWL(t *testing.T) {
 	}
 }
 
+// TestGreedyFallbackWorks reaches the greedy fallback through one window
+// over the whole die, whose movable cells exceed maxMILPCells while its
+// candidates stay within maxMILPBins: the window must build no MILP, and
+// its assignment must be legal and raise the design's alignments without
+// worsening its objective.
 func TestGreedyFallbackWorks(t *testing.T) {
 	p := genPlaced(t, tech.ClosedM1, 500, 55, 0.75)
 	prm := DefaultParams(p.Tech, tech.ClosedM1)
-	prm.MaxMILPCells = 1 // force the greedy path everywhere
-	prm.MaxOuterIters = 1
-	res := mustVM1Opt(t, p, prm, Sequence{{BW: 2000, BH: 2000, LX: 3, LY: 1}})
+	all := make([]int, len(p.Design.Insts))
+	for i := range all {
+		all[i] = i
+	}
+	die := geom.Rect{XHi: p.DieWidth(), YHi: p.DieHeight()}
+	w := buildWindow(p, prm, die, ParamSet{LX: 2}, all, true, false)
+	nBin := 0
+	for _, cs := range w.cand {
+		nBin += len(cs)
+	}
+	if len(w.movable) <= maxMILPCells || nBin > maxMILPBins {
+		t.Fatalf("setup: %d movable cells and %d candidates, want more than %d cells and at most %d candidates",
+			len(w.movable), nBin, maxMILPCells, maxMILPBins)
+	}
+	assign, work := w.solve()
+	if work != (milpWork{}) {
+		t.Fatalf("a window of %d cells ran a MILP: %+v", len(w.movable), work)
+	}
+	if assign == nil || !w.feasibleAssign(assign) {
+		t.Fatalf("greedy returned no legal improvement: %v", assign)
+	}
+	before := CalculateObj(p, prm)
+	for ci, inst := range w.movable {
+		cd := w.cand[ci][assign[ci]]
+		p.SetLoc(inst, cd.site, cd.row, cd.flip)
+	}
 	if err := p.CheckLegal(); err != nil {
-		t.Fatalf("illegal after greedy VM1Opt: %v", err)
+		t.Fatalf("illegal after the greedy window: %v", err)
 	}
-	if res.Final.Value > res.Initial.Value {
-		t.Errorf("greedy worsened objective: %f -> %f", res.Initial.Value, res.Final.Value)
+	after := CalculateObj(p, prm)
+	if after.Value > before.Value {
+		t.Errorf("greedy worsened objective: %f -> %f", before.Value, after.Value)
 	}
-	if res.Final.Alignments <= res.Initial.Alignments {
-		t.Errorf("greedy did not increase alignments: %d -> %d",
-			res.Initial.Alignments, res.Final.Alignments)
+	if after.Alignments <= before.Alignments {
+		t.Errorf("greedy did not increase alignments: %d -> %d", before.Alignments, after.Alignments)
 	}
 }
 

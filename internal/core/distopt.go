@@ -193,7 +193,7 @@ func distPass(ctx context.Context, t *ObjTracker, ps ParamSet, g passGrid,
 	}
 	wg.Wait()
 	res.stats.Windows = s.started
-	res.stats.Nodes, res.stats.Capped = s.work.nodes, s.work.capped
+	res.stats.Rows, res.stats.Nodes, res.stats.Capped = s.work.rows, s.work.nodes, s.work.capped
 	res.idle = time.Duration(workers)*time.Since(start) - time.Duration(busy.Load()) // clock-ok: idle-time accounting only
 	res.obj = t.Objective()
 	if s.started < len(s.win) {

@@ -185,10 +185,11 @@ func (s *winSched) built(k int) {
 }
 
 // solved hands window k's accepted moves to the committer and adds its
-// branch-and-bound work to the pass's. The moves are copied, so the caller
-// may reuse its buffer.
+// MILP work to the pass's. The moves are copied, so the caller may reuse
+// its buffer.
 func (s *winSched) solved(k int, moves []Move, work milpWork) {
 	s.mu.Lock()
+	s.work.rows += work.rows
 	s.work.nodes += work.nodes
 	s.work.capped += work.capped
 	if len(moves) > 0 {

@@ -43,6 +43,7 @@ func refDistPass(ctx context.Context, t *ObjTracker, ps ParamSet, g passGrid,
 			assign, work := w.solve()
 			moves = appendWindowMoves(moves, p, w, assign)
 			res.stats.Windows++
+			res.stats.Rows += work.rows
 			res.stats.Nodes += work.nodes
 			res.stats.Capped += work.capped
 			if len(moves) > n {
@@ -115,8 +116,8 @@ func (a oracleRun) diff(b oracleRun) string {
 // TestDataflowMatchesBarrierReference is the scheduler's bit-identity
 // oracle: for every worker count and objective, VM1Opt on
 // the dataflow scheduler must reproduce the family-barrier reference loop
-// exactly — placement, objectives, history, per-pass counts (branch-and-
-// bound nodes and capped windows among them) and lp work. Seed 1 uses a
+// exactly — placement, objectives, history, per-pass counts (model rows,
+// branch-and-bound nodes and capped windows among them) and lp work. Seed 1 uses a
 // high-fanout design. Run under -race, Workers 8 exercises every scheduler
 // path concurrently.
 func TestDataflowMatchesBarrierReference(t *testing.T) {
@@ -124,11 +125,11 @@ func TestDataflowMatchesBarrierReference(t *testing.T) {
 		t.Skip("runs 150 small optimizer flows")
 	}
 	seq := Sequence{{BW: 1000, BH: 1000, LX: 2, LY: 1}}
-	var total PassStats // the reference runs' B&B work, summed
+	var total PassStats // the reference runs' MILP work, summed
 	defer func() {
-		if !t.Failed() && (total.Nodes == 0 || total.Capped == 0) {
-			t.Errorf("reference runs solved %d nodes and capped %d windows: the B&B counts went unchecked",
-				total.Nodes, total.Capped)
+		if !t.Failed() && (total.Rows == 0 || total.Nodes == 0 || total.Capped == 0) {
+			t.Errorf("reference runs built %d rows, solved %d nodes and capped %d windows: the MILP counts went unchecked",
+				total.Rows, total.Nodes, total.Capped)
 		}
 	}()
 	for seed := int64(1); seed <= 5; seed++ {
@@ -157,6 +158,7 @@ func TestDataflowMatchesBarrierReference(t *testing.T) {
 			}
 			want := run(refDistPass, 1)
 			for _, ps := range want.res.Passes {
+				total.Rows += ps.Rows
 				total.Nodes += ps.Nodes
 				total.Capped += ps.Capped
 			}

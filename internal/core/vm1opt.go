@@ -37,6 +37,9 @@ type PassStats struct {
 	// Commits is the number of windows whose moves changed the placement;
 	// each commits as its own tracker batch.
 	Commits int
+	// Rows is the number of model rows the pass's window MILPs were built
+	// with, summed over the windows.
+	Rows int
 	// Nodes is the number of branch-and-bound nodes the pass's window
 	// MILPs solved.
 	Nodes int

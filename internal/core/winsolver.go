@@ -24,7 +24,7 @@ type winSolver struct {
 	lamSlab  []int
 	tbuf     []lp.Term // row-assembly buffer (AddRow copies terms)
 	occTerms [][]lp.Term
-	contrib  []winPin // net-bound contributors per axis
+	ext      [][2]int64 // smallest and largest candidate coordinate per net pin on one axis
 
 	// solveMILP / repair / greedy scratch.
 	incumbent []float64

@@ -99,12 +99,21 @@ func (w *window) feasibleAssign(assign []int) bool {
 	return true
 }
 
-// milpWork is the branch-and-bound work of window MILPs: the nodes solved,
-// and how many MILPs stopped at MaxNodes or their deadline (capped). A
-// greedy-only window adds none.
+// milpWork is the work of window MILPs: the model rows built, the
+// branch-and-bound nodes solved, and how many MILPs stopped at MaxNodes or
+// their deadline (capped). A greedy-only window adds none.
 type milpWork struct {
-	nodes, capped int
+	rows, nodes, capped int
 }
+
+// Windows with more than maxMILPCells movable cells or maxMILPBins
+// candidates use the greedy coordinate-descent fallback instead of the
+// MILP. The benchmark workloads' windows hold at most 42 movable cells,
+// and those of the paper's (20 µm, 4, 1) point at most 38.
+const (
+	maxMILPCells = 100
+	maxMILPBins  = 6000
+)
 
 // solve optimizes the window and returns an improved assignment, or nil
 // when the input placement is retained, with the MILP's work. Windows
@@ -118,11 +127,7 @@ func (w *window) solve() ([]int, milpWork) {
 	for _, cs := range w.cand {
 		nBin += len(cs)
 	}
-	limit := w.prm.MaxMILPCells
-	if limit <= 0 {
-		limit = 100
-	}
-	if len(w.movable) > limit || nBin > 6000 {
+	if len(w.movable) > maxMILPCells || nBin > maxMILPBins {
 		return w.solveGreedy(), milpWork{}
 	}
 	return w.solveMILP()
@@ -131,12 +136,14 @@ func (w *window) solve() ([]int, milpWork) {
 // buildModel assembles the window MILP (Section 3 of the paper, plus the
 // pair support rows of DESIGN.md §4d) and returns the LP, the MILP
 // wrapper, the λ variable ids per cell and candidate, and the constant
-// objective offset K (window HPWL parts that no candidate choice can
-// affect and that are therefore kept out of the model; modelObj =
-// windowObj − K). The models and every assembly buffer
-// come from the window's solve workspace, so a steady-state build
-// allocates nothing: AddRow copies its terms, which makes the single
-// reused row buffer safe.
+// objective offset K (net bounds that no candidate choice can move, kept
+// out of the model; modelObj = windowObj − K). It emits only the HPWL
+// and occupancy rows that can bind: a row that a variable bound or
+// another row implies is left out (DESIGN.md §4d), which changes neither
+// the integer feasible set nor the LP relaxation. The models and every
+// assembly buffer come from the window's solve workspace, so a
+// steady-state build allocates nothing: AddRow copies its terms, which
+// makes the single reused row buffer safe.
 func (w *window) buildModel() (*lp.Model, *milp.Model, [][]int, float64) {
 	sv := w.solver()
 	t := w.p.Tech
@@ -165,9 +172,15 @@ func (w *window) buildModel() (*lp.Model, *milp.Model, [][]int, float64) {
 
 	// Site occupancy (Constraint 9): each window site holds at most one
 	// candidate footprint. The buckets are dense over window occupancy
-	// indices and walked in ascending order — the same row order the
-	// previous sorted-key map walk produced — because row order steers
-	// simplex pivoting and must not vary run to run.
+	// indices and walked in ascending order, because row order steers
+	// simplex pivoting and must not vary run to run. A site's row is
+	// emitted only when its candidate set is a maximal clique: the row of
+	// a set contained in another site's set is implied by that site's
+	// row. Footprints are site intervals within one window row, so a
+	// contained set is contained in a neighbour's: the walk drops a set
+	// contained in its right neighbour's or strictly contained in the
+	// nearest different set to its left, and a run of equal sets keeps
+	// its last row.
 	occT := resliceAll(sv.occTerms, len(w.blocked))
 	for ci, i := range w.movable {
 		wi := w.p.Design.Insts[i].Master.WidthSites
@@ -178,65 +191,89 @@ func (w *window) buildModel() (*lp.Model, *milp.Model, [][]int, float64) {
 			}
 		}
 	}
-	for _, terms := range occT {
-		if len(terms) > 1 {
-			m.AddRow(lp.LE, 1, terms...)
+	nSites := w.s1 - w.s0
+	for r := 0; r < len(occT); r += nSites {
+		row := occT[r : r+nSites]
+		inLeft := false // strictly inside the nearest different set to the left
+		for s, terms := range row {
+			if s > 0 {
+				prev := row[s-1]
+				if !termsSubset(terms, prev) {
+					inLeft = false
+				} else if len(terms) < len(prev) {
+					inLeft = true
+				}
+			}
+			if len(terms) > 1 && !inLeft && (s+1 == nSites || !termsSubset(terms, row[s+1])) {
+				m.AddRow(lp.LE, 1, terms...)
+			}
 		}
 	}
 	sv.occTerms = occT
 
 	// Net bound variables and rows (Constraints 2-3; wn folded into the
-	// objective coefficients of the four bound variables). Two exact
-	// reductions keep the model small:
-	//   - a pin whose candidate range lies inside the fixed-terminal box
-	//     on an axis can never define the net bound there, so its rows on
-	//     that axis are omitted (they would always be slack);
-	//   - an axis with no contributing pin has a constant span, which is
-	//     accumulated into the offset K instead of the model.
-	// Remaining bounds are tightened with the per-pin candidate extremes,
-	// which both sharpens the relaxation and lets the crash basis start
-	// feasible.
+	// objective coefficients of the two bound variables per axis),
+	// emitted only where they can bind. vmax's lower bound lo is the
+	// largest of the fixed terminals' maximum and every movable pin's
+	// smallest candidate coordinate; vmin's upper bound hi is the smallest
+	// of the fixed minimum and every pin's largest coordinate. Both hold
+	// at every assignment, so:
+	//   - a pin whose largest coordinate is at most lo never raises the
+	//     net's maximum above lo, and its max-side row vmax − Σ c_k λ_k ≥ 0
+	//     is implied by the bound; likewise its min-side row when its
+	//     smallest coordinate is at least hi. Neither is emitted;
+	//   - a side left with no row is constant, vmax = lo or vmin = hi,
+	//     and is accumulated into the offset K instead of the model.
+	// The bounds also let the crash basis start feasible.
 	constK := 0.0
 	for _, wn := range w.nets {
 		for axi := 0; axi < 2; axi++ {
-			var fLo, fHi int64
-			if axi == 0 {
-				fLo, fHi = wn.fxMin, wn.fxMax
-			} else {
-				fLo, fHi = wn.fyMin, wn.fyMax
-			}
-			contrib := sv.contrib[:0]
-			lo, hi := -inf, inf
+			lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
 			if wn.hasFixed {
-				lo, hi = float64(fHi), float64(fLo)
+				lo, hi = wn.fxMax, wn.fxMin
+				if axi == 1 {
+					lo, hi = wn.fyMax, wn.fyMin
+				}
 			}
+			ext := sv.ext[:0]
 			for _, mp := range wn.movable {
 				cLo, cHi := minMax64(axisVals(mp, axi))
-				if wn.hasFixed && cLo >= fLo && cHi <= fHi {
-					continue // never defines the bound on this axis
-				}
-				contrib = append(contrib, mp)
-				lo = math.Max(lo, float64(cLo))
-				hi = math.Min(hi, float64(cHi))
+				ext = append(ext, [2]int64{cLo, cHi})
+				lo, hi = max(lo, cLo), min(hi, cHi)
 			}
-			if len(contrib) == 0 {
-				sv.contrib = contrib
-				if wn.hasFixed {
-					constK += float64(fHi - fLo)
-				}
-				continue
+			sv.ext = ext
+			anyUp, anyDown := false, false
+			for _, e := range ext {
+				anyUp, anyDown = anyUp || e[1] > lo, anyDown || e[0] < hi
 			}
-			vmax := m.AddVar(lo, inf, 1, "max")
-			vmin := m.AddVar(-inf, hi, -1, "min")
-			for _, mp := range contrib {
+			vmax, vmin := -1, -1
+			if anyUp {
+				vmax = m.AddVar(float64(lo), inf, 1, "max")
+			} else {
+				constK += float64(lo)
+			}
+			if anyDown {
+				vmin = m.AddVar(-inf, float64(hi), -1, "min")
+			} else {
+				constK -= float64(hi)
+			}
+			for i, mp := range wn.movable {
+				up, down := ext[i][1] > lo, ext[i][0] < hi
+				if !up && !down {
+					continue
+				}
 				tb = tb[:0]
 				tb, _ = objective.AppendPin(tb, pinView(mp, lambda), axisVals(mp, axi), -1)
-				tb = append(tb, lp.Term{Var: vmax, Coef: 1})
-				m.AddRow(lp.GE, 0, tb...)
-				tb[len(tb)-1] = lp.Term{Var: vmin, Coef: 1}
-				m.AddRow(lp.LE, 0, tb...)
+				tb = append(tb, lp.Term{})
+				if up {
+					tb[len(tb)-1] = lp.Term{Var: vmax, Coef: 1}
+					m.AddRow(lp.GE, 0, tb...)
+				}
+				if down {
+					tb[len(tb)-1] = lp.Term{Var: vmin, Coef: 1}
+					m.AddRow(lp.LE, 0, tb...)
+				}
 			}
-			sv.contrib = contrib[:0]
 		}
 	}
 
@@ -275,6 +312,25 @@ func addSupportRow(m *lp.Model, tb []lp.Term, d int, p winPin, sup []int, lambda
 	}
 	m.AddRow(lp.LE, 0, tb...)
 	return tb
+}
+
+// termsSubset reports whether every variable of a is in b. Both list
+// distinct variables in ascending order.
+func termsSubset(a, b []lp.Term) bool {
+	if len(a) > len(b) {
+		return false
+	}
+	j := 0
+	for _, t := range a {
+		for j < len(b) && b[j].Var < t.Var {
+			j++
+		}
+		if j == len(b) || b[j].Var != t.Var {
+			return false
+		}
+		j++
+	}
+	return true
 }
 
 // axisVals selects a pin's candidate coordinates for axis 0 (x) or 1 (y).
@@ -359,7 +415,7 @@ func (w *window) solveMILP() ([]int, milpWork) {
 		Rounder:      rounder,
 		Scratch:      sv.arena,
 	})
-	work := milpWork{nodes: res.Nodes}
+	work := milpWork{rows: m.NumRows(), nodes: res.Nodes}
 	if res.Status == milp.Feasible || res.Status == milp.Limit {
 		work.capped = 1
 	}

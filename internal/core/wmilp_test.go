@@ -73,14 +73,82 @@ func bruteMin(w *window) (best float64, pairs int) {
 	}
 }
 
+// windowMode is one kind of DistOpt window: the joint move-and-flip
+// window with ly = 1, Algorithm 1's perturbation pass with ly = 0 (every
+// candidate on its cell's row, so each net's y axis is constant and folds
+// into the offset K), and its flip-only pass.
+type windowMode struct {
+	name      string
+	ps        ParamSet
+	move, flp bool
+}
+
+var windowModes = []windowMode{
+	{"move+flip", ParamSet{BW: 600, BH: 500, LX: 2, LY: 1}, true, true},
+	{"ly=0", ParamSet{BW: 600, BH: 500, LX: 2, LY: 0}, true, false},
+	{"flip-only", ParamSet{BW: 600, BH: 500, LX: 2, LY: 1}, false, true},
+}
+
+// presolved counts what buildModel left out of a window's model: the net
+// bound sides folded into K (four per net less the bound variables, read
+// as the variables with an infinite bound), and the occupancy rows
+// dropped (sites that two or more candidate footprints cover, less the
+// Σλ ≤ 1 rows over λ alone).
+func presolved(w *window, md *lp.Model, lambda [][]int) (folded, dropped int) {
+	lo, hi := md.Bounds()
+	folded = 4 * len(w.nets)
+	for j := range lo {
+		if math.IsInf(lo[j], -1) || math.IsInf(hi[j], 1) {
+			folded--
+		}
+	}
+	cover := make([]int, len(w.blocked))
+	for ci, i := range w.movable {
+		wi := w.p.Design.Insts[i].Master.WidthSites
+		for _, cd := range w.cand[ci] {
+			for s := cd.site; s < cd.site+wi; s++ {
+				cover[w.occIdx(cd.row, s)]++
+			}
+		}
+	}
+	for _, n := range cover {
+		if n > 1 {
+			dropped++
+		}
+	}
+	isLambda := map[int]bool{}
+	for _, g := range lambda {
+		for _, j := range g {
+			isLambda[j] = true
+		}
+	}
+rows:
+	for i := range md.NumRows() {
+		sense, rhs, terms := md.Row(i)
+		if sense != lp.LE || rhs != 1 {
+			continue
+		}
+		for _, tm := range terms {
+			if !isLambda[tm.Var] || tm.Coef != 1 {
+				continue rows
+			}
+		}
+		dropped--
+	}
+	return folded, dropped
+}
+
 // TestWindowMILPVsBrute is the window MILP's exactness gate on real
 // windows: for every registered objective, small windows (at most four
-// movable cells, five candidates each, moves and flips together) cut from
-// a placed design must be solved, untimed, to the least window objective
+// movable cells, five candidates each) of every window mode, cut from a
+// placed design, must be solved, untimed, to the least window objective
 // over every overlap-free assignment. It holds whatever rows the model
-// adds, as long as none cuts off a realizable assignment.
+// adds or leaves out, as long as the model keeps every realizable
+// assignment and scores it exactly. Each objective's windows must fold a
+// net bound side into K and drop an occupancy row, so the presolved
+// paths of buildModel are checked too.
 func TestWindowMILPVsBrute(t *testing.T) {
-	const wantWindows = 60
+	wantWindows := map[string]int{"move+flip": 60, "ly=0": 30, "flip-only": 30}
 	for _, name := range objective.Names() {
 		t.Run(name, func(t *testing.T) {
 			o, err := objective.Lookup(name)
@@ -91,52 +159,220 @@ func TestWindowMILPVsBrute(t *testing.T) {
 			prm := objectiveParams(p, o)
 			prm.MaxNodes = 0 // the milp default, far above these trees
 			prm.TimeLimit = 0
-			ps := ParamSet{BW: 600, BH: 500, LX: 2, LY: 1}
 			rng := rand.New(rand.NewSource(72))
-			solved, improved, withPairs := 0, 0, 0
-			for _, off := range []int64{0, 300, 150} {
-				g := makeGrid(p, ps, off, off)
-				for wid, rect := range g.rects {
-					if solved == wantWindows {
-						break
-					}
-					w := &window{}
-					w.buildGeom(p, prm, rect, ps, g.buckets[wid], true, true)
-					if len(w.movable) == 0 || len(w.movable) > 4 {
-						continue
-					}
-					pruneCands(w, rng, 5)
-					w.buildNetsPairs()
-					if len(w.pairs) == 0 {
-						continue
-					}
-					tag := fmt.Sprintf("offset %d window %d (%d cells, %d pairs)", off, wid, len(w.movable), len(w.pairs))
-					want, pairs := bruteMin(w)
-					assign, work := w.solveMILP()
-					if work.capped != 0 {
-						t.Fatalf("%s: the untimed MILP stopped after %d nodes", tag, work.nodes)
-					}
-					if assign == nil {
-						assign = w.curCand
-					}
-					if !w.feasibleAssign(assign) {
-						t.Fatalf("%s: MILP assignment %v overlaps", tag, assign)
-					}
-					if got := w.objective(assign); math.Abs(got-want) > 1e-6 {
-						t.Fatalf("%s: MILP objective %.6f, brute-force minimum %.6f", tag, got, want)
-					}
-					solved++
-					if want < w.objective(w.curCand)-1e-6 {
-						improved++
-					}
-					if pairs > 0 {
-						withPairs++
+			improved, withPairs, folded, dropped := 0, 0, 0, 0
+			for _, mode := range windowModes {
+				solved := 0
+				for _, off := range []int64{0, 300, 150} {
+					g := makeGrid(p, mode.ps, off, off)
+					for wid, rect := range g.rects {
+						if solved == wantWindows[mode.name] {
+							break
+						}
+						w := &window{}
+						w.buildGeom(p, prm, rect, mode.ps, g.buckets[wid], mode.move, mode.flp)
+						if len(w.movable) == 0 || len(w.movable) > 4 {
+							continue
+						}
+						pruneCands(w, rng, 5)
+						w.buildNetsPairs()
+						if len(w.pairs) == 0 {
+							continue
+						}
+						tag := fmt.Sprintf("%s offset %d window %d (%d cells, %d pairs)",
+							mode.name, off, wid, len(w.movable), len(w.pairs))
+						md, _, lambda, _ := w.buildModel()
+						f, d := presolved(w, md, lambda)
+						folded += f
+						dropped += d
+						want, pairs := bruteMin(w)
+						assign, work := w.solveMILP()
+						if work.capped != 0 {
+							t.Fatalf("%s: the untimed MILP stopped after %d nodes", tag, work.nodes)
+						}
+						if assign == nil {
+							assign = w.curCand
+						}
+						if !w.feasibleAssign(assign) {
+							t.Fatalf("%s: MILP assignment %v overlaps", tag, assign)
+						}
+						if got := w.objective(assign); math.Abs(got-want) > 1e-6 {
+							t.Fatalf("%s: MILP objective %.6f, brute-force minimum %.6f", tag, got, want)
+						}
+						solved++
+						if want < w.objective(w.curCand)-1e-6 {
+							improved++
+						}
+						if pairs > 0 {
+							withPairs++
+						}
 					}
 				}
+				if solved < wantWindows[mode.name] {
+					t.Fatalf("%s: checked %d windows, want %d", mode.name, solved, wantWindows[mode.name])
+				}
 			}
-			if solved < wantWindows || improved == 0 || withPairs == 0 {
-				t.Fatalf("checked %d windows (want %d), %d improvable, %d with a pair at the optimum",
-					solved, wantWindows, improved, withPairs)
+			if improved == 0 || withPairs == 0 || folded == 0 || dropped == 0 {
+				t.Fatalf("%d windows improvable, %d with a pair at the optimum, %d bound sides folded, %d occupancy rows dropped: want each above 0",
+					improved, withPairs, folded, dropped)
+			}
+		})
+	}
+}
+
+// modelHPWL evaluates the net bound part of a window model at an
+// assignment by reading its rows, not by solving it: every vmax (the
+// variables with an infinite upper bound) takes the least value its lower
+// bound and its rows allow, every vmin (an infinite lower bound) the
+// largest, and the result is Σ vmax − Σ vmin. A bound row must hold one
+// bound variable and λ terms only.
+func modelHPWL(t *testing.T, md *lp.Model, lambda [][]int, assign []int) float64 {
+	t.Helper()
+	lo, hi := md.Bounds()
+	x := make([]float64, md.NumVars())
+	isLambda := make([]bool, md.NumVars())
+	for ci, g := range lambda {
+		for k, j := range g {
+			isLambda[j] = true
+			if k == assign[ci] {
+				x[j] = 1
+			}
+		}
+	}
+	isMax := func(j int) bool { return math.IsInf(hi[j], 1) }
+	isMin := func(j int) bool { return math.IsInf(lo[j], -1) }
+	val := make([]float64, md.NumVars())
+	for j := range val {
+		switch {
+		case isMax(j):
+			val[j] = lo[j]
+		case isMin(j):
+			val[j] = hi[j]
+		}
+	}
+	for i := range md.NumRows() {
+		sense, rhs, terms := md.Row(i)
+		b := -1
+		for _, tm := range terms {
+			if isMax(tm.Var) || isMin(tm.Var) {
+				b = tm.Var
+			}
+		}
+		if b < 0 {
+			continue
+		}
+		rest, coef := 0.0, 0.0
+		for _, tm := range terms {
+			switch {
+			case tm.Var == b:
+				coef = tm.Coef
+			case isLambda[tm.Var]:
+				rest += tm.Coef * x[tm.Var]
+			default:
+				t.Fatalf("bound row %d holds variable %d, neither λ nor its bound variable", i, tm.Var)
+			}
+		}
+		bound := (rhs - rest) / coef
+		switch {
+		case isMax(b) && sense == lp.GE && coef > 0:
+			val[b] = math.Max(val[b], bound)
+		case isMin(b) && sense == lp.LE && coef > 0:
+			val[b] = math.Min(val[b], bound)
+		default:
+			t.Fatalf("bound row %d: %v with coefficient %g on its bound variable", i, sense, coef)
+		}
+	}
+	total := 0.0
+	for j, v := range val {
+		switch {
+		case isMax(j):
+			total += v
+		case isMin(j):
+			total -= v
+		}
+	}
+	return total
+}
+
+// randomLegal draws an overlap-free assignment, placing the window's
+// cells in random order, each on a random candidate that is still free.
+// It returns nil when a cell is left with no free candidate.
+func randomLegal(w *window, rng *rand.Rand) []int {
+	occ := append([]bool(nil), w.blocked...)
+	assign := make([]int, len(w.movable))
+	for _, ci := range rng.Perm(len(w.movable)) {
+		wi := w.p.Design.Insts[w.movable[ci]].Master.WidthSites
+		var free []int
+	cands:
+		for k, cd := range w.cand[ci] {
+			for s := cd.site; s < cd.site+wi; s++ {
+				if occ[w.occIdx(cd.row, s)] {
+					continue cands
+				}
+			}
+			free = append(free, k)
+		}
+		if len(free) == 0 {
+			return nil
+		}
+		assign[ci] = free[rng.Intn(len(free))]
+		cd := w.cand[ci][assign[ci]]
+		for s := cd.site; s < cd.site+wi; s++ {
+			occ[w.occIdx(cd.row, s)] = true
+		}
+	}
+	return assign
+}
+
+// TestWindowModelEvaluatesAssignments checks that the net bound rows
+// buildModel keeps, together with its offset K, score every legal
+// assignment's HPWL exactly: for every registered objective and window
+// mode, over real windows with their full candidate lists, the kept rows
+// evaluated at random legal assignments (modelHPWL) plus K must equal the
+// HPWL part of w.objective. A bound row left out while it can bind, or a
+// side folded into K with the wrong constant, shows as a difference.
+func TestWindowModelEvaluatesAssignments(t *testing.T) {
+	for _, name := range objective.Names() {
+		t.Run(name, func(t *testing.T) {
+			o, err := objective.Lookup(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := genPlaced(t, o.Arch(), 200, 73, 0.75)
+			prm := objectiveParams(p, o)
+			rng := rand.New(rand.NewSource(74))
+			for _, mode := range windowModes {
+				checked, folded := 0, 0
+				for _, off := range []int64{0, 200} {
+					g := makeGrid(p, mode.ps, off, off)
+					for wid, rect := range g.rects {
+						w := buildWindow(p, prm, rect, mode.ps, g.buckets[wid], mode.move, mode.flp)
+						if len(w.movable) == 0 {
+							continue
+						}
+						md, _, lambda, constK := w.buildModel()
+						f, _ := presolved(w, md, lambda)
+						folded += f
+						for range 5 {
+							assign := randomLegal(w, rng)
+							if assign == nil {
+								continue
+							}
+							want := 0.0
+							for _, wn := range w.nets {
+								want += float64(w.netWL(wn, assign))
+							}
+							if got := modelHPWL(t, md, lambda, assign) + constK; got != want {
+								t.Fatalf("%s offset %d window %d, assignment %v: bound rows + K = %v, HPWL %v",
+									mode.name, off, wid, assign, got, want)
+							}
+							checked++
+						}
+					}
+				}
+				if checked < 50 || folded == 0 {
+					t.Fatalf("%s: %d assignments checked (want 50), %d bound sides folded", mode.name, checked, folded)
+				}
 			}
 		})
 	}

@@ -194,6 +194,23 @@ func (m *Model) AddRow(sense Sense, rhs float64, terms ...Term) int {
 	return r
 }
 
+// Row returns row i's sense, right-hand side and terms, in variable order.
+// It scans every column, so it serves inspection, not solver loops.
+func (m *Model) Row(i int) (Sense, float64, []Term) {
+	var terms []Term
+	for j, col := range m.cols {
+		for _, e := range col {
+			if e.row >= i {
+				if e.row == i {
+					terms = append(terms, Term{Var: j, Coef: e.val})
+				}
+				break
+			}
+		}
+	}
+	return m.sense[i], m.rhs[i], terms
+}
+
 // Solution is the result of a Solve.
 type Solution struct {
 	Status Status

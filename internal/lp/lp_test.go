@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -158,6 +159,33 @@ func TestDuplicateTermsMerged(t *testing.T) {
 	sol := m.Solve()
 	if sol.Status != Optimal || math.Abs(sol.X[x]-2) > tol {
 		t.Fatalf("sol = %+v, want x=2", sol)
+	}
+}
+
+func TestRowReadsBack(t *testing.T) {
+	// Row returns each row's merged terms in variable order, without the
+	// terms that merged to zero.
+	m := NewModel()
+	x := m.AddVar(0, 10, 0, "x")
+	y := m.AddVar(0, 10, 0, "y")
+	z := m.AddVar(0, 10, 0, "z")
+	m.AddRow(GE, 1, Term{z, 2}, Term{x, 1}, Term{x, 1})
+	m.AddRow(LE, 3, Term{y, 1}, Term{z, 1}, Term{z, -1})
+	m.AddRow(EQ, 0)
+	want := []struct {
+		sense Sense
+		rhs   float64
+		terms []Term
+	}{
+		{GE, 1, []Term{{x, 2}, {z, 2}}},
+		{LE, 3, []Term{{y, 1}}},
+		{EQ, 0, nil},
+	}
+	for i, w := range want {
+		sense, rhs, terms := m.Row(i)
+		if sense != w.sense || rhs != w.rhs || !slices.Equal(terms, w.terms) {
+			t.Errorf("row %d = %v %g %v, want %v %g %v", i, sense, rhs, terms, w.sense, w.rhs, w.terms)
+		}
 	}
 }
 
